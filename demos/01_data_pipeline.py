@@ -10,7 +10,7 @@ from datetime import timedelta
 
 import numpy as np
 
-from trendlag.features import build_gradients, build_labels
+from trendlag.features import build_gradients, dataset_arrays
 from trendlag.market_data import TimeGrid, fill_missing, parse_ticks, select_consistent_stocks
 
 # --- a tiny tick stream: two stocks, 12 minutes, some holes -------------
@@ -51,9 +51,9 @@ for k in range(gradients.n_intervals):
     print(f"  interval ending {gradients.interval_timestamps[k]}: {values}")
 
 # --- leave-target-out training examples ---------------------------------
-examples = build_labels(gradients, target_stock="ACME")
-print(f"\n{len(examples)} examples for target ACME; "
-      f"each input has {examples[0].inputs.size} entries (the other stocks)")
-for ex in examples:
-    direction = "up" if ex.target[1] == 1 else "down"
-    print(f"  interval {ex.interval_index}: inputs {ex.inputs.round(5)} -> {direction}")
+inputs, targets = dataset_arrays(gradients, target_stock="ACME")
+print(f"\n{inputs.shape[0]} examples for target ACME; "
+      f"each input has {inputs.shape[1]} entries (the other stocks)")
+for i in range(inputs.shape[0]):
+    direction = "up" if targets[i, 1] == 1 else "down"
+    print(f"  interval {i + 1}: inputs {inputs[i].round(5)} -> {direction}")

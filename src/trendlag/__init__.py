@@ -21,12 +21,10 @@ from .baselines import (
 from .errors import ConfigError, DataError, TrendlagError
 from .features import (
     GradientMatrix,
-    LabeledExample,
     NormalizationParams,
     RegressionFit,
     apply_normalizer,
     build_gradients,
-    build_labels,
     dataset_arrays,
     fit_normalizer,
     fit_trend,

@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .errors import ConfigError, DataError
 from .harness import (
+    MODE_ALIASES,
     ExperimentReport,
     emit_report,
     load_experiment_config,
@@ -27,8 +28,6 @@ from .synth import generate, write_tick_csv
 
 logger = logging.getLogger(__name__)
 
-_MODE_FLAGS = {"cross": "cross_validated", "crisis": "crisis", "bottleneck": "bottleneck_sweep"}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="trendlag", description=__doc__.strip().splitlines()[0])
@@ -36,7 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run an experiment from a config file")
     p_run.add_argument("--config", required=True, help="experiment config file")
-    p_run.add_argument("--mode", choices=sorted(_MODE_FLAGS), help="override the configured mode")
+    p_run.add_argument("--mode", choices=sorted(MODE_ALIASES), help="override the configured mode")
     p_run.add_argument("--step-size", type=int, help="override the gradient interval length")
     p_run.add_argument("--seed", type=int, help="override the master seed")
     p_run.add_argument("--out", help="override the output directory")
@@ -71,7 +70,7 @@ def _print_summary(report: ExperimentReport) -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     config = load_experiment_config(args.config)
     if args.mode:
-        config.mode = _MODE_FLAGS[args.mode]
+        config.mode = MODE_ALIASES[args.mode]
     if args.step_size is not None:
         config.step_size = args.step_size
     if args.seed is not None:
@@ -119,7 +118,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     out_dir = Path(args.out) if args.out else path.parent
     try:
         report = ExperimentReport.from_dict(payload)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, AttributeError) as exc:
         raise DataError(f"{path}: not a trendlag report: {exc}") from exc
     files = emit_report(report, out_dir, formats=(args.format,), stem=path.stem)
     for f in files:

@@ -121,27 +121,15 @@ def build_gradients(matrix: PriceMatrix, step_size: int) -> GradientMatrix:
     )
 
 
-@dataclass(frozen=True)
-class LabeledExample:
-    """One training example for one target stock.
-
-    ``inputs`` holds the other stocks' gradients at interval t-1 (the
-    target's own gradient is excluded); ``target`` is the one-hot
-    (down-change, up-change) pair for the move from t-1 to t.
-    """
-
-    inputs: np.ndarray
-    target: np.ndarray
-    target_stock: str
-    interval_index: int
-
-
 def dataset_arrays(
     gradients: GradientMatrix, target_stock: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized leave-target-out dataset: (inputs, one-hot targets).
+    """Leave-target-out dataset for one target stock: (inputs, one-hot targets).
 
-    Row i corresponds to predicted interval t = i+1.  An exact tie
+    Row i corresponds to predicted interval t = i+1: its inputs are the
+    other stocks' gradients at t-1 (the target's own is excluded) and its
+    target is the (down-change, up-change) pair for the move from t-1 to
+    t.  An exact tie
     g(t) == g(t-1) is labeled as a down-change so labels always partition.
     """
     if gradients.n_intervals < 2:
@@ -157,20 +145,6 @@ def dataset_arrays(
     targets[up, UP] = 1.0
     targets[~up, DOWN] = 1.0
     return inputs, targets
-
-
-def build_labels(gradients: GradientMatrix, target_stock: str) -> list[LabeledExample]:
-    """Per-interval LabeledExamples for one target stock (t = 1..rows-1)."""
-    inputs, targets = dataset_arrays(gradients, target_stock)
-    return [
-        LabeledExample(
-            inputs=inputs[i],
-            target=targets[i],
-            target_stock=target_stock,
-            interval_index=i + 1,
-        )
-        for i in range(inputs.shape[0])
-    ]
 
 
 def truth_labels(targets: np.ndarray) -> np.ndarray:

@@ -25,12 +25,14 @@ import configparser
 import hashlib
 import json
 import logging
+import math
 import time as time_mod
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Any, Sequence
+from types import UnionType
+from typing import Any, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -68,7 +70,6 @@ class ExperimentConfig:
     mode: str = "cross_validated"
     tick_csv: str | None = None
     matrix_csv: str | None = None
-    synthetic: synth.SyntheticConfig | None = None
     step_size: int = 16
     grid_step_seconds: float = 60.0
     price_source: str = "auto"
@@ -83,6 +84,7 @@ class ExperimentConfig:
     jobs: int = 1
     out_dir: str = "results"
     seed: int = 0
+    synthetic: synth.SyntheticConfig | None = None
 
     def validate(self) -> None:
         if self.mode not in MODES:
@@ -116,10 +118,7 @@ class ExperimentConfig:
         return synth.crisis_window(self.synthetic)
 
     def network_config(self, input_dim: int, rng_seed: int) -> neural.NetworkConfig:
-        overrides = dict(self.network)
-        if "hidden_layers" in overrides:
-            overrides["hidden_layers"] = tuple(overrides["hidden_layers"])
-        return neural.NetworkConfig(input_dim=input_dim, rng_seed=rng_seed, **overrides)
+        return neural.NetworkConfig(input_dim=input_dim, rng_seed=rng_seed, **self.network)
 
 
 def load_price_matrix(config: ExperimentConfig) -> PriceMatrix:
@@ -168,13 +167,7 @@ class StockResult:
     skip_reason: str = ""
 
     def accuracy_for(self, series: str) -> float | None:
-        return {
-            "model": self.model_accuracy,
-            "randomized": self.randomized_accuracy,
-            "class1": self.class1_accuracy,
-            "class2": self.class2_accuracy,
-            "bestof": self.bestof_accuracy,
-        }[series]
+        return getattr(self, f"{series}_accuracy")
 
 
 @dataclass
@@ -201,55 +194,11 @@ class ExperimentReport:
         )
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "mode": self.mode,
-            "step_size": self.step_size,
-            "bottleneck": self.bottleneck,
-            "stocks": [asdict(r) for r in self.stocks],
-            "mean_accuracies": dict(self.mean_accuracies),
-            "max_model_accuracy": self.max_model_accuracy,
-            "welch_tests": {
-                k: (asdict(v) if v is not None else None)
-                for k, v in self.welch_tests.items()
-            },
-            "box_summaries": {
-                k: (asdict(v) if v is not None else None)
-                for k, v in self.box_summaries.items()
-            },
-            "fold_hash": self.fold_hash,
-            "provenance": self.provenance,
-        }
+        return _plain(self)
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ExperimentReport":
-        stocks = tuple(
-            StockResult(**{**raw, "fold_accuracies": tuple(raw["fold_accuracies"])})
-            for raw in data["stocks"]
-        )
-        welch = {
-            k: (stats.WelchResult(**v) if v is not None else None)
-            for k, v in data["welch_tests"].items()
-        }
-        box = {
-            k: (
-                stats.BoxStats(**{**v, "outliers": tuple(v["outliers"])})
-                if v is not None
-                else None
-            )
-            for k, v in data["box_summaries"].items()
-        }
-        return cls(
-            mode=data["mode"],
-            step_size=data["step_size"],
-            bottleneck=data["bottleneck"],
-            stocks=stocks,
-            mean_accuracies=dict(data["mean_accuracies"]),
-            max_model_accuracy=data["max_model_accuracy"],
-            welch_tests=welch,
-            box_summaries=box,
-            fold_hash=data["fold_hash"],
-            provenance=data["provenance"],
-        )
+        return _typed(cls, data)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -395,36 +344,43 @@ def _run_per_stock(config: ExperimentConfig, worker, stock_ids: Sequence[str]) -
         return list(pool.map(worker, stock_ids))
 
 
+def _plain(value: Any) -> Any:
+    """Dataclass, tuple, array or timestamp -> the JSON-ready value."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, np.datetime64):
+        return format_timestamp(value)
+    return value
+
+
+def _typed(hint: Any, value: Any) -> Any:
+    """Inverse of _plain: rebuild the value ``hint`` annotates from JSON data."""
+    if value is None:
+        return None
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, UnionType):
+        (hint,) = [a for a in args if a is not type(None)]
+        return _typed(hint, value)
+    if is_dataclass(hint):
+        hints = get_type_hints(hint)
+        return hint(**{k: _typed(hints[k], v) for k, v in value.items()})
+    if origin is tuple:
+        return tuple(_typed(args[0], v) for v in value)
+    if origin is dict:
+        return {k: _typed(args[1], v) for k, v in value.items()}
+    return value
+
+
 def _config_snapshot(config: ExperimentConfig) -> dict[str, Any]:
-    snap: dict[str, Any] = {
-        "mode": config.mode,
-        "tick_csv": config.tick_csv,
-        "matrix_csv": config.matrix_csv,
-        "step_size": config.step_size,
-        "grid_step_seconds": config.grid_step_seconds,
-        "price_source": config.price_source,
-        "min_observed_fraction": config.min_observed_fraction,
-        "stock_filter": list(config.stock_filter) if config.stock_filter else None,
-        "network": dict(config.network),
-        "bottleneck_widths": list(config.bottleneck_widths),
-        "crisis_start": format_timestamp(config.crisis_start) if config.crisis_start is not None else None,
-        "crisis_end": format_timestamp(config.crisis_end) if config.crisis_end is not None else None,
-        "n_folds": config.n_folds,
-        "shuffled_folds": config.shuffled_folds,
-        "jobs": config.jobs,
-        "seed": config.seed,
-    }
-    if config.synthetic is not None:
-        syn = asdict(config.synthetic)
-        if syn["coupling_matrix"] is not None:
-            syn["coupling_matrix"] = np.asarray(syn["coupling_matrix"]).tolist()
-        if syn["regime_switch"] is not None:
-            syn["regime_switch"] = dict(syn["regime_switch"])
-        snap["synthetic"] = syn
-    else:
-        snap["synthetic"] = None
-    if "hidden_layers" in snap["network"]:
-        snap["network"]["hidden_layers"] = list(snap["network"]["hidden_layers"])
+    # out_dir is where the report goes, not what produced it
+    snap = _plain(config)
+    del snap["out_dir"]
     return snap
 
 
@@ -679,39 +635,39 @@ def emit_report(
 # synthetic sections)
 # ---------------------------------------------------------------------------
 
-_DATA_KEYS = {
-    "source", "tick_csv", "matrix_csv", "grid_step_seconds",
-    "min_observed_fraction", "price_source", "stock_filter",
+# INI keys are dataclass field names; only these irregularities are listed.
+_DATA_FIELDS = {
+    "tick_csv", "matrix_csv", "grid_step_seconds", "min_observed_fraction",
+    "price_source", "stock_filter",
 }
-_NETWORK_KEYS = {
-    "hidden_layers", "bottleneck", "output_dim", "learning_rate", "lr_decay",
-    "momentum", "l2_lambda", "batch_size", "max_epochs",
-    "early_stop_patience", "sigmoid_midpoint",
-}
-_EXPERIMENT_KEYS = {
-    "mode", "step_size", "bottleneck_widths", "crisis_start", "crisis_end",
-    "seed", "jobs", "out", "n_folds", "shuffled_folds",
-}
-_SYNTHETIC_KEYS = {
-    "n_stocks", "n_steps", "ticks_per_step", "signal_strength", "noise_sigma",
-    "drift", "micro_sigma", "signal_amplitude", "seed", "coupling_seed",
-    "regime_switch_step", "crisis_drift", "crisis_sigma_multiplier",
-    "start", "step_duration_seconds", "start_price",
+_RENAMED = {"out_dir": "out"}
+_DERIVED = {"synthetic", "network", "input_dim", "rng_seed", "coupling_matrix", "regime_switch"}
+_EXTRA_KEYS = {
+    "data": {"source"},
+    "synthetic": {
+        "coupling_seed", "regime_switch_step", "crisis_drift", "crisis_sigma_multiplier",
+    },
 }
 
-_MODE_ALIASES = {
-    "cross": "cross_validated",
-    "cross_validated": "cross_validated",
-    "crisis": "crisis",
-    "bottleneck": "bottleneck_sweep",
-    "bottleneck_sweep": "bottleneck_sweep",
-}
+MODE_ALIASES = {"cross": "cross_validated", "crisis": "crisis", "bottleneck": "bottleneck_sweep"}
 
 
-def _check_keys(section: str, present, allowed: set[str]) -> None:
-    unknown = set(present) - allowed
-    if unknown:
-        raise ConfigError(f"[{section}] has unknown key(s): {', '.join(sorted(unknown))}")
+def _section_fields() -> dict[str, dict[str, tuple[str, Any]]]:
+    """Per section, INI key -> (field name, type hint), in dataclass field order."""
+    tables: dict[str, dict[str, tuple[str, Any]]] = {
+        "data": {}, "synthetic": {}, "network": {}, "experiment": {},
+    }
+    for cls, section in (
+        (ExperimentConfig, "experiment"),
+        (neural.NetworkConfig, "network"),
+        (synth.SyntheticConfig, "synthetic"),
+    ):
+        hints = get_type_hints(cls)
+        for f in fields(cls):
+            if f.name not in _DERIVED:
+                home = "data" if f.name in _DATA_FIELDS else section
+                tables[home][_RENAMED.get(f.name, f.name)] = (f.name, hints[f.name])
+    return tables
 
 
 def _parse_bool(text: str) -> bool:
@@ -723,135 +679,76 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(p.strip()) for p in text.split(",") if p.strip())
+def _cast(hint: Any, text: str) -> Any:
+    """INI text -> a value of the annotated type."""
+    text = text.strip()
+    if get_origin(hint) in (Union, UnionType):
+        if text.lower() in ("", "none"):
+            return None
+        (hint,) = [a for a in get_args(hint) if a is not type(None)]
+    if get_origin(hint) is tuple:
+        return tuple(_cast(get_args(hint)[0], p) for p in text.split(",") if p.strip())
+    if hint is bool:
+        return _parse_bool(text)
+    if hint is float:
+        value = float(text)
+        if not math.isfinite(value):
+            raise ConfigError(f"expected a finite number, got {text!r}")
+        return value
+    if hint is np.datetime64:
+        return parse_timestamp(text)
+    return hint(text)
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
     """Parse the flat key-value experiment config file."""
     parser = configparser.ConfigParser(interpolation=None)
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
-    known_sections = {"data", "network", "experiment", "synthetic"}
-    unknown = set(parser.sections()) - known_sections
+    tables = _section_fields()
+    unknown = set(parser.sections()) - set(tables)
     if unknown:
         raise ConfigError(f"unknown config section(s): {', '.join(sorted(unknown))}")
-    config = ExperimentConfig()
-
     try:
-        if parser.has_section("data"):
-            sec = parser["data"]
-            _check_keys("data", sec.keys(), _DATA_KEYS)
-            source = sec.get("source", "").strip().lower()
-            if source and source not in ("ticks", "matrix", "synthetic"):
-                raise ConfigError(f"[data] source must be ticks, matrix, or synthetic, got {source!r}")
-            if "tick_csv" in sec:
-                config.tick_csv = sec["tick_csv"].strip()
-            if "matrix_csv" in sec:
-                config.matrix_csv = sec["matrix_csv"].strip()
-            if "grid_step_seconds" in sec:
-                config.grid_step_seconds = float(sec["grid_step_seconds"])
-            if "min_observed_fraction" in sec:
-                config.min_observed_fraction = float(sec["min_observed_fraction"])
-            if "price_source" in sec:
-                config.price_source = sec["price_source"].strip()
-            if "stock_filter" in sec:
-                names = tuple(p.strip() for p in sec["stock_filter"].split(",") if p.strip())
-                config.stock_filter = names or None
-            if source == "synthetic" and not parser.has_section("synthetic"):
-                raise ConfigError("source=synthetic requires a [synthetic] section")
-            if source == "ticks" and config.tick_csv is None:
-                raise ConfigError("source=ticks requires tick_csv")
-            if source == "matrix" and config.matrix_csv is None:
-                raise ConfigError("source=matrix requires matrix_csv")
+        values: dict[str, dict[str, Any]] = {}
+        for name, table in tables.items():
+            sec = parser[name] if parser.has_section(name) else {}
+            unknown = set(sec.keys()) - set(table) - _EXTRA_KEYS.get(name, set())
+            if unknown:
+                raise ConfigError(f"[{name}] has unknown key(s): {', '.join(sorted(unknown))}")
+            values[name] = {f: _cast(hint, sec[key]) for key, (f, hint) in table.items() if key in sec}
 
+        source = parser.get("data", "source", fallback="").strip().lower()
+        if source and source not in ("ticks", "matrix", "synthetic"):
+            raise ConfigError(f"[data] source must be ticks, matrix, or synthetic, got {source!r}")
+        if source == "synthetic" and not parser.has_section("synthetic"):
+            raise ConfigError("source=synthetic requires a [synthetic] section")
+        if source == "ticks" and values["data"].get("tick_csv") is None:
+            raise ConfigError("source=ticks requires tick_csv")
+        if source == "matrix" and values["data"].get("matrix_csv") is None:
+            raise ConfigError("source=matrix requires matrix_csv")
+
+        config = ExperimentConfig(**values["data"], **values["experiment"], network=values["network"])
+        mode = config.mode.lower()
+        config.mode = MODE_ALIASES.get(mode, mode)
         if parser.has_section("synthetic"):
             sec = parser["synthetic"]
-            _check_keys("synthetic", sec.keys(), _SYNTHETIC_KEYS)
-            syn = synth.SyntheticConfig()
-            if "n_stocks" in sec:
-                syn.n_stocks = int(sec["n_stocks"])
-            if "n_steps" in sec:
-                syn.n_steps = int(sec["n_steps"])
-            if "ticks_per_step" in sec:
-                syn.ticks_per_step = int(sec["ticks_per_step"])
-            if "signal_strength" in sec:
-                syn.signal_strength = float(sec["signal_strength"])
-            if "noise_sigma" in sec:
-                syn.noise_sigma = float(sec["noise_sigma"])
-            if "drift" in sec:
-                syn.drift = float(sec["drift"])
-            if "micro_sigma" in sec:
-                syn.micro_sigma = float(sec["micro_sigma"])
-            if "signal_amplitude" in sec:
-                syn.signal_amplitude = float(sec["signal_amplitude"])
-            if "seed" in sec:
-                syn.seed = int(sec["seed"])
+            config.synthetic = syn = synth.SyntheticConfig(**values["synthetic"])
             if "coupling_seed" in sec:
                 syn.coupling_matrix = synth.random_coupling(syn.n_stocks, int(sec["coupling_seed"]))
             if "regime_switch_step" in sec:
                 syn.regime_switch = synth.RegimeSwitch(
                     switch_step=int(sec["regime_switch_step"]),
-                    crisis_drift=float(sec.get("crisis_drift", "0")),
-                    crisis_sigma_multiplier=float(sec.get("crisis_sigma_multiplier", "1")),
+                    crisis_drift=_cast(float, sec.get("crisis_drift", "0")),
+                    crisis_sigma_multiplier=_cast(float, sec.get("crisis_sigma_multiplier", "1")),
                 )
             elif "crisis_drift" in sec or "crisis_sigma_multiplier" in sec:
                 raise ConfigError("crisis_* settings require regime_switch_step")
-            if "start" in sec:
-                syn.start = sec["start"].strip()
-            if "step_duration_seconds" in sec:
-                syn.step_duration_seconds = float(sec["step_duration_seconds"])
-            if "start_price" in sec:
-                syn.start_price = float(sec["start_price"])
-            config.synthetic = syn
-
-        if parser.has_section("network"):
-            sec = parser["network"]
-            _check_keys("network", sec.keys(), _NETWORK_KEYS)
-            net: dict[str, Any] = {}
-            if "hidden_layers" in sec:
-                net["hidden_layers"] = _parse_int_list(sec["hidden_layers"])
-            if "bottleneck" in sec:
-                raw = sec["bottleneck"].strip().lower()
-                net["bottleneck"] = None if raw in ("", "none") else int(raw)
-            for key, cast in (
-                ("output_dim", int), ("learning_rate", float), ("lr_decay", float),
-                ("momentum", float), ("l2_lambda", float), ("batch_size", int),
-                ("max_epochs", int), ("early_stop_patience", int),
-                ("sigmoid_midpoint", float),
-            ):
-                if key in sec:
-                    net[key] = cast(sec[key])
-            config.network = net
-
-        if parser.has_section("experiment"):
-            sec = parser["experiment"]
-            _check_keys("experiment", sec.keys(), _EXPERIMENT_KEYS)
-            if "mode" in sec:
-                mode = sec["mode"].strip().lower()
-                if mode not in _MODE_ALIASES:
-                    raise ConfigError(f"unknown mode {mode!r}")
-                config.mode = _MODE_ALIASES[mode]
-            if "step_size" in sec:
-                config.step_size = int(sec["step_size"])
-            if "bottleneck_widths" in sec:
-                config.bottleneck_widths = _parse_int_list(sec["bottleneck_widths"])
-            if "crisis_start" in sec:
-                config.crisis_start = parse_timestamp(sec["crisis_start"])
-            if "crisis_end" in sec:
-                config.crisis_end = parse_timestamp(sec["crisis_end"])
-            if "seed" in sec:
-                config.seed = int(sec["seed"])
-            if "jobs" in sec:
-                config.jobs = int(sec["jobs"])
-            if "out" in sec:
-                config.out_dir = sec["out"].strip()
-            if "n_folds" in sec:
-                config.n_folds = int(sec["n_folds"])
-            if "shuffled_folds" in sec:
-                config.shuffled_folds = _parse_bool(sec["shuffled_folds"])
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
     config.validate()

@@ -136,8 +136,11 @@ def parse_ticks(source: str | Path | bytes | IO) -> TickTable:
     and counted in ``TickTable.skipped``.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "rb") as fh:
-            return parse_ticks(fh)
+        try:
+            with open(source, "rb") as fh:
+                return parse_ticks(fh)
+        except OSError as exc:
+            raise DataError(f"cannot read tick file: {exc}") from exc
     if isinstance(source, bytes):
         return parse_ticks(io.BytesIO(source))
     raw = source.read()

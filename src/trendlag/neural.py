@@ -260,16 +260,12 @@ class TrainReport:
     validation_losses: tuple[float, ...] = field(default_factory=tuple)
 
 
-def _as_arrays(dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Accept (X, Y) arrays or a list of LabeledExamples."""
-    if isinstance(dataset, tuple) and len(dataset) == 2:
-        x, y = dataset
-        return np.atleast_2d(np.asarray(x, dtype=np.float64)), np.atleast_2d(
-            np.asarray(y, dtype=np.float64)
-        )
-    x = np.stack([ex.inputs for ex in dataset])
-    y = np.stack([ex.target for ex in dataset])
-    return x, y
+def _as_arrays(dataset: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """An (X, Y) pair as 2-D float arrays."""
+    x, y = dataset
+    return np.atleast_2d(np.asarray(x, dtype=np.float64)), np.atleast_2d(
+        np.asarray(y, dtype=np.float64)
+    )
 
 
 def train(model: NetworkModel, train_set, validation_set) -> TrainReport:

@@ -43,7 +43,7 @@ from scipy.special import ndtr
 
 from .errors import ConfigError
 from .features import slope_weights
-from .market_data import PriceMatrix, TimeGrid, format_timestamp
+from .market_data import PriceMatrix, TimeGrid, format_timestamp, parse_timestamp
 
 DEFAULT_START = "2006-01-02T00:00:00.000Z"
 
@@ -131,6 +131,10 @@ class SyntheticConfig:
             raise ConfigError("step_duration_seconds must be positive")
         if self.start_price <= 0:
             raise ConfigError("start_price must be positive")
+        try:
+            parse_timestamp(self.start)
+        except ValueError as exc:
+            raise ConfigError(f"start {self.start!r} is not an ISO-8601 timestamp") from exc
 
     def resolved_coupling(self) -> np.ndarray:
         if self.coupling_matrix is not None:

@@ -10,7 +10,6 @@ from trendlag.features import (
     GradientMatrix,
     apply_normalizer,
     build_gradients,
-    build_labels,
     dataset_arrays,
     fit_normalizer,
     fit_trend,
@@ -125,22 +124,20 @@ class TestBuildGradients:
 class TestBuildLabels:
     def test_up_down_sequence(self):
         grads = _gradients(np.array([[0.5], [0.7], [0.6]]))
-        examples = build_labels(grads, "S0")
-        assert len(examples) == 2
-        np.testing.assert_array_equal(examples[0].target, [0.0, 1.0])  # up
-        np.testing.assert_array_equal(examples[1].target, [1.0, 0.0])  # down
-        assert examples[0].interval_index == 1
+        _, y = dataset_arrays(grads, "S0")
+        # row i is the move into interval i + 1
+        np.testing.assert_array_equal(y, [[0.0, 1.0], [1.0, 0.0]])  # up, down
 
     def test_input_width_for_many_stocks(self):
         rng = np.random.default_rng(13)
         grads = _gradients(rng.normal(size=(3, 449)))
-        examples = build_labels(grads, "S17")
-        assert all(ex.inputs.shape == (448,) for ex in examples)
+        x, _ = dataset_arrays(grads, "S17")
+        assert x.shape == (2, 448)
 
     def test_exact_tie_labels_down(self):
         grads = _gradients(np.array([[0.4], [0.4]]))
-        (example,) = build_labels(grads, "S0")
-        np.testing.assert_array_equal(example.target, [1.0, 0.0])
+        _, y = dataset_arrays(grads, "S0")
+        np.testing.assert_array_equal(y, [[1.0, 0.0]])
 
     def test_label_partition_property(self):
         rng = np.random.default_rng(6)

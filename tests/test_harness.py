@@ -18,11 +18,18 @@ from trendlag.harness import (
     emit_report,
     load_experiment_config,
     load_price_matrix,
+    run,
     run_bottleneck_sweep,
     run_crisis,
     run_cross_validated,
 )
-from trendlag.synth import RegimeSwitch, SyntheticConfig, crisis_window, generate
+from trendlag.synth import (
+    RegimeSwitch,
+    SyntheticConfig,
+    crisis_window,
+    generate,
+    random_coupling,
+)
 
 FAST_NET = {
     "hidden_layers": (8,),
@@ -290,6 +297,66 @@ out = {out}
 """
 
 
+BAD_CONFIGS = [
+    # (text in CONFIG_TEMPLATE, its replacement, expected CLI exit code)
+    pytest.param("n_stocks = 4", "n_stocks = four", 1, id="int-not-a-number"),
+    pytest.param("[experiment]\n", "[experiment]\nshuffled_folds = maybe\n", 1, id="bool"),
+    pytest.param("hidden_layers = 8", "hidden_layers =", 1, id="no-hidden-layers"),
+    pytest.param("[synthetic]\n", "[synthetic]\ncrisis_drift = -0.01\n", 1,
+                 id="crisis-drift-without-switch"),
+    pytest.param("[experiment]\n", "[experiment]\ncrisis_start = garbage\n", 1,
+                 id="bad-timestamp"),
+    pytest.param("[experiment]\n", "[experiment]\njobs = 0\n", 1, id="jobs-zero"),
+    pytest.param("[experiment]\n", "[experiment]\nn_folds = 1\n", 1, id="one-fold"),
+    pytest.param("[network]\n", "[network]\ninput_dim = 3\n", 1, id="derived-network-key"),
+    pytest.param("mode = cross", "mode = sideways", 1, id="unknown-mode"),
+    pytest.param("[data]\n", "[data]\nmatrix_csv = panel.csv\n", 1, id="two-sources"),
+    pytest.param("[data]\n", "[data]\nstock_filter = ZZZ\n", 2, id="unknown-stock"),
+    pytest.param("step_size = 4", "step_size = 1000", 2, id="step-beyond-data"),
+    pytest.param("[experiment]\n", "[experiment]\njobs = 1\n[experiment]\n", 1,
+                 id="duplicate-section"),
+    pytest.param("\n[data]\n", "step_size = 4\n[data]\n", 1, id="missing-section-header"),
+    pytest.param("[network]\n", "[network]\nlearning_rate = nan\n", 1, id="nan-float"),
+    pytest.param("[synthetic]\n", "[synthetic]\nnoise_sigma = inf\n", 1, id="inf-float"),
+    pytest.param("[synthetic]\n", "[synthetic]\nstart = garbage\n", 1, id="bad-synthetic-start"),
+]
+
+GOLDEN_CONFIG = """
+[data]
+source = synthetic
+stock_filter = S000, S002
+
+[synthetic]
+n_stocks = 3
+n_steps = 120
+ticks_per_step = 4
+signal_strength = 0.5
+coupling_seed = 9
+regime_switch_step = 90
+crisis_drift = -0.001
+crisis_sigma_multiplier = 1.5
+start = 2010-03-01T09:30:00Z
+seed = 5
+
+[network]
+hidden_layers = 8
+bottleneck = none
+batch_size = 20
+max_epochs = 2
+
+[experiment]
+mode = crisis
+step_size = 4
+bottleneck_widths = 2, 4
+crisis_start = 2010-03-01T15:30:00Z
+crisis_end = 2010-03-01T17:29:00Z
+n_folds = 4
+shuffled_folds = yes
+seed = 3
+out = {out}
+"""
+
+
 class TestConfigFile:
     def test_full_parse(self, tmp_path):
         path = tmp_path / "exp.ini"
@@ -321,6 +388,59 @@ class TestConfigFile:
         config = load_experiment_config(path)
         assert config.synthetic.regime_switch.switch_step == 150
         config.validate()  # boundaries derivable from the regime switch
+
+    @pytest.mark.parametrize("old, new, code", BAD_CONFIGS)
+    def test_bad_config_exit_code(self, tmp_path, old, new, code):
+        text = CONFIG_TEMPLATE.format(out=tmp_path / "results")
+        assert old in text
+        path = tmp_path / "exp.ini"
+        path.write_text(text.replace(old, new, 1))
+        assert main(["run", "--config", str(path)]) == code
+
+    def test_config_snapshot_covers_every_irregular_key(self, tmp_path):
+        path = tmp_path / "exp.ini"
+        path.write_text(GOLDEN_CONFIG.format(out=tmp_path / "results"))
+        report = run(load_experiment_config(path))
+        expected = {
+            "mode": "crisis",
+            "tick_csv": None,
+            "matrix_csv": None,
+            "step_size": 4,
+            "grid_step_seconds": 60.0,
+            "price_source": "auto",
+            "min_observed_fraction": 0.9,
+            "stock_filter": ["S000", "S002"],
+            "network": {"hidden_layers": [8], "bottleneck": None, "batch_size": 20, "max_epochs": 2},
+            "bottleneck_widths": [2, 4],
+            "crisis_start": "2010-03-01T15:30:00.000Z",
+            "crisis_end": "2010-03-01T17:29:00.000Z",
+            "n_folds": 4,
+            "shuffled_folds": True,
+            "jobs": 1,
+            "seed": 3,
+            "synthetic": {
+                "n_stocks": 3,
+                "n_steps": 120,
+                "ticks_per_step": 4,
+                "signal_strength": 0.5,
+                "coupling_matrix": random_coupling(3, 9).tolist(),
+                "noise_sigma": 0.01,
+                "drift": 0.0,
+                "micro_sigma": None,
+                "signal_amplitude": 0.02,
+                "regime_switch": {
+                    "switch_step": 90, "crisis_drift": -0.001, "crisis_sigma_multiplier": 1.5,
+                },
+                "seed": 5,
+                "start": "2010-03-01T09:30:00Z",
+                "step_duration_seconds": 60.0,
+                "start_price": 100.0,
+            },
+        }
+        snapshot = report.provenance["config"]
+        assert snapshot == expected
+        assert json.dumps(snapshot) == json.dumps(expected)  # key order too
+        assert [s.stock_id for s in report.stocks] == ["S000", "S002"]
 
     def test_matrix_source(self, tmp_path):
         matrix = generate(SyntheticConfig(n_stocks=3, n_steps=40, ticks_per_step=4, seed=1))
@@ -381,8 +501,7 @@ class TestCli:
             "[data]\nsource = ticks\ntick_csv = /nonexistent/ticks.csv\n"
             "[experiment]\nstep_size = 4\n"
         )
-        rc = main(["run", "--config", str(path)])
-        assert rc in (2, 3)  # unreadable data source
+        assert main(["run", "--config", str(path)]) == 2  # unreadable data source
 
     def test_synth_subcommand_matrix_and_ticks(self, tmp_path):
         path = tmp_path / "exp.ini"

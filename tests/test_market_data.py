@@ -66,6 +66,10 @@ class TestParseTicks:
         with pytest.raises(DataError, match="empty"):
             parse_ticks(b"")
 
+    def test_unreadable_file_is_a_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read"):
+            parse_ticks(tmp_path / "missing.csv")
+
     def test_non_positive_prices_and_bad_volume_are_skipped(self):
         table = parse_ticks(_tick_csv([
             f"AAA,{T0},0.0,10.2,5,10.1",      # zero bid

@@ -99,6 +99,10 @@ class TestGenerate:
         with pytest.raises(ConfigError, match="diagonal"):
             generate(_config(coupling_matrix=bad))
 
+    def test_unparseable_start_rejected(self):
+        with pytest.raises(ConfigError, match="start"):
+            generate(_config(start="garbage"))
+
     def test_switch_step_bounds(self):
         with pytest.raises(ConfigError, match="switch_step"):
             generate(_config(regime_switch=RegimeSwitch(300, -0.001)))
