@@ -39,7 +39,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--step-size", type=int, help="override the gradient interval length")
     p_run.add_argument("--seed", type=int, help="override the master seed")
     p_run.add_argument("--out", help="override the output directory")
-    p_run.add_argument("--jobs", type=int, help="parallel per-stock workers")
+    p_run.add_argument(
+        "--jobs", type=int,
+        help="worker processes (forked, one BLAS thread each); use at most the core count",
+    )
 
     p_synth = sub.add_parser("synth", help="generate a synthetic panel")
     p_synth.add_argument("--config", required=True, help="config file with a [synthetic] section")

@@ -22,17 +22,18 @@ provenance; they serialize to JSON and flatten to CSV.
 from __future__ import annotations
 
 import configparser
+import ctypes
 import hashlib
 import json
 import logging
 import math
+import multiprocessing
 import time as time_mod
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from types import UnionType
-from typing import Any, Sequence, Union, get_args, get_origin, get_type_hints
+from typing import Any, Callable, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -235,13 +236,21 @@ def _train_and_predict(
     val_idx: np.ndarray,
     test_idx: np.ndarray,
     rng_seed: int,
+    stock_id: str,
+    split: str,
 ) -> np.ndarray:
     """Fit normalizer on the training split only, train, predict the test split."""
     params = features.fit_normalizer(x[train_idx])
     xn = features.apply_normalizer(params, x)
     net_config = config.network_config(input_dim=x.shape[1], rng_seed=rng_seed)
     model = neural.init(net_config)
-    neural.train(model, (xn[train_idx], y[train_idx]), (xn[val_idx], y[val_idx]))
+    fit = neural.train(model, (xn[train_idx], y[train_idx]), (xn[val_idx], y[val_idx]))
+    if fit.diverged:
+        logger.warning(
+            "training diverged for %s, %s: non-finite loss after %d full epochs; "
+            "predicting with the best finite weights",
+            stock_id, split, fit.epochs_run,
+        )
     return np.atleast_1d(neural.predict_class(model, xn[test_idx]))
 
 
@@ -285,7 +294,8 @@ def _run_stock_cv(
     fold_accs = []
     for f, (train_idx, val_idx, test_idx) in enumerate(splits):
         pred = _train_and_predict(
-            config, x, y, train_idx, val_idx, test_idx, derive_seed(stock_seed, "fold", f)
+            config, x, y, train_idx, val_idx, test_idx,
+            derive_seed(stock_seed, "fold", f), stock_id, f"fold {f}",
         )
         oof[test_idx] = pred
         fold_accs.append(float(np.mean(pred == truth[test_idx])))
@@ -332,16 +342,77 @@ def _finish_stock(
     )
 
 
-def _run_per_stock(config: ExperimentConfig, worker, stock_ids: Sequence[str]) -> list[StockResult]:
-    """Run one task per stock, optionally in parallel; order is preserved.
+# Thread-count setters of the OpenBLAS builds numpy wheels ship, newest first.
+_OPENBLAS_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
 
-    Each task owns its seed-derived generators, so the degree of
-    parallelism cannot perturb results.
+
+def _loaded_openblas() -> list[tuple[ctypes.CDLL, str]]:
+    """Each OpenBLAS mapped into this process, with the name of its thread setter."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return []
+    found = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        name = next((n for n in _OPENBLAS_SETTERS if hasattr(lib, n)), None)
+        if name is not None:
+            found.append((lib, name))
+    return found
+
+
+def _pin_one_blas_thread() -> None:
+    """Limit every loaded OpenBLAS to one thread; without one, leave things be."""
+    for lib, name in _loaded_openblas():
+        setter = getattr(lib, name)
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = None
+        setter(1)
+
+
+# The per-stock task of the pool this worker process belongs to.
+_TASK: Callable[[str], StockResult] | None = None
+
+
+def _start_worker(task: Callable[[str], StockResult]) -> None:
+    global _TASK
+    _TASK = task
+    _pin_one_blas_thread()
+
+
+def _run_task(stock_id: str) -> StockResult:
+    return _TASK(stock_id)
+
+
+def _run_per_stock(
+    config: ExperimentConfig, worker: Callable[[str], StockResult], stock_ids: Sequence[str]
+) -> list[StockResult]:
+    """Run one task per stock, in forked worker processes when jobs > 1.
+
+    Order is preserved.  Each task owns its seed-derived generators, so the
+    degree of parallelism cannot perturb results.  The pool forks, so the
+    worker closure and the data it holds reach the children without
+    pickling or a second numpy import; only stock ids go out and only
+    StockResults come back.  Each child runs one BLAS thread, which keeps
+    jobs x BLAS threads within the cores when jobs is at most the core count.
     """
-    if config.jobs == 1:
+    n_workers = min(config.jobs, len(stock_ids))
+    if n_workers <= 1:
         return [worker(s) for s in stock_ids]
-    with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-        return list(pool.map(worker, stock_ids))
+    context = multiprocessing.get_context("fork")
+    with context.Pool(n_workers, initializer=_start_worker, initargs=(worker,)) as pool:
+        results = pool.map(_run_task, stock_ids, chunksize=1)
+        pool.close()
+        pool.join()
+    return results
 
 
 def _plain(value: Any) -> Any:
@@ -517,7 +588,7 @@ def run_crisis(config: ExperimentConfig, matrix: PriceMatrix | None = None) -> E
             )
         pred = _train_and_predict(
             config, x, y, fit_idx, val_idx, test_idx,
-            derive_seed(stock_seeds[stock_id], "crisis"),
+            derive_seed(stock_seeds[stock_id], "crisis"), stock_id, "crisis split",
         )
         test_truth = truth[test_idx]
         model_set = baselines.PredictionSet(pred, test_truth, stock_id, "model")

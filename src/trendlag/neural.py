@@ -14,6 +14,7 @@ Everything is plain numpy and deterministic under the configured seed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -251,13 +252,19 @@ def sgd_step(model: NetworkModel, gradients: Gradients, epoch: int) -> None:
 
 @dataclass
 class TrainReport:
-    """Epoch counts and loss curves from one training run."""
+    """Epoch counts and loss curves from one training run.
+
+    ``diverged`` marks a run stopped by a non-finite batch or validation
+    loss; its model holds the weights of the best finite validation epoch,
+    or the initial weights if no epoch finished with a finite loss.
+    """
 
     epochs_run: int
     best_validation_loss: float
     stopped_early: bool
     train_losses: tuple[float, ...] = field(default_factory=tuple)
     validation_losses: tuple[float, ...] = field(default_factory=tuple)
+    diverged: bool = False
 
 
 def _as_arrays(dataset: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -275,7 +282,8 @@ def train(model: NetworkModel, train_set, validation_set) -> TrainReport:
     that epoch's decayed rate, and evaluates validation loss after each
     epoch.  Stops once validation loss has failed to improve for
     ``early_stop_patience`` consecutive epochs (or at max_epochs) and
-    restores the weights of the best validation epoch.
+    restores the weights of the best validation epoch.  A non-finite batch
+    or validation loss ends training at once and marks the report diverged.
     """
     cfg = model.config
     x_train, y_train = _as_arrays(train_set)
@@ -296,18 +304,27 @@ def train(model: NetworkModel, train_set, validation_set) -> TrainReport:
     train_curve: list[float] = []
     val_curve: list[float] = []
     epochs_run = 0
+    diverged = False
     for epoch in range(cfg.max_epochs):
         order = model.rng.permutation(n)
         batch_losses = []
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             batch_loss, grads = _loss_and_gradients(model, x_train[idx], y_train[idx])
+            if not math.isfinite(batch_loss):
+                diverged = True
+                break
             sgd_step(model, grads, epoch)
             batch_losses.append(batch_loss)
+        if diverged:
+            break
         train_curve.append(float(np.mean(batch_losses)))
         val_loss = loss(model, x_val, y_val)
         val_curve.append(val_loss)
         epochs_run = epoch + 1
+        if not math.isfinite(val_loss):
+            diverged = True
+            break
         if val_loss < best_val:
             best_val = val_loss
             best_params = model.copy_parameters()
@@ -324,6 +341,7 @@ def train(model: NetworkModel, train_set, validation_set) -> TrainReport:
         stopped_early=stopped_early,
         train_losses=tuple(train_curve),
         validation_losses=tuple(val_curve),
+        diverged=diverged,
     )
 
 

@@ -1,6 +1,7 @@
 """Experiment orchestration: folds, splits, reports, config files, CLI."""
 
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from trendlag.harness import (
     ExperimentConfig,
     ExperimentReport,
     _contiguous_folds,
+    _loaded_openblas,
+    _run_per_stock,
     _split_train_pool,
     derive_seed,
     emit_report,
@@ -37,6 +40,12 @@ FAST_NET = {
     "max_epochs": 3,
     "early_stop_patience": 3,
 }
+
+
+def _assert_same_results(a, b):
+    assert a.stocks == b.stocks
+    assert a.mean_accuracies == b.mean_accuracies
+    assert a.fold_hash == b.fold_hash
 
 
 def _config(**kwargs):
@@ -123,6 +132,21 @@ class TestRunCrossValidated:
             assert a.welch_tests == other.welch_tests
             assert a.fold_hash == other.fold_hash
 
+    def test_no_worker_outlives_a_run(self):
+        run_cross_validated(_config(jobs=2))
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ConfigError, match="learning_rate"):
+            run_cross_validated(_config(jobs=2, network={**FAST_NET, "learning_rate": -1.0}))
+        assert multiprocessing.active_children() == []
+
+    def test_forked_worker_runs_one_blas_thread(self):
+        libs = _loaded_openblas()
+        if not libs:
+            pytest.skip("no OpenBLAS with a thread setter is loaded")
+        getters = [getattr(lib, name.replace("_set_", "_get_")) for lib, name in libs]
+        counts = _run_per_stock(_config(jobs=2), lambda _: [g() for g in getters], ["a", "b"])
+        assert counts == [[1] * len(libs)] * 2
+
     def test_different_seed_changes_results(self):
         a = run_cross_validated(_config())
         b = run_cross_validated(_config(seed=12))
@@ -180,6 +204,11 @@ class TestRunCrisis:
         assert all(r.n_examples == 100 for r in report.stocks)
         assert all(len(r.fold_accuracies) == 1 for r in report.stocks)
 
+    def test_jobs_do_not_change_results(self):
+        _assert_same_results(
+            run_crisis(self._crisis_config()), run_crisis(self._crisis_config(jobs=2))
+        )
+
     def test_boundary_beyond_data_is_fatal(self):
         config = self._crisis_config()
         config.crisis_start = np.datetime64("2030-01-01T00:00:00", "ms")
@@ -205,6 +234,15 @@ class TestBottleneckSweep:
         assert [r.bottleneck for r in reports] == [1, 2, None]
         assert len({r.fold_hash for r in reports}) == 1
         assert all(r.mode == "bottleneck_sweep" for r in reports)
+
+    def test_jobs_do_not_change_results(self):
+        serial, parallel = (
+            run_bottleneck_sweep(_config(mode="bottleneck_sweep", bottleneck_widths=(1, 2), jobs=j))
+            for j in (1, 2)
+        )
+        assert len(serial) == len(parallel) == 3
+        for a, b in zip(serial, parallel):
+            _assert_same_results(a, b)
 
     def test_seeds_shared_across_widths(self):
         config = _config(mode="bottleneck_sweep", bottleneck_widths=(1,))
@@ -494,6 +532,14 @@ class TestCli:
         path = tmp_path / "broken.ini"
         path.write_text("[experiment]\nmode = nonsense\n")
         assert main(["run", "--config", str(path)]) == 1
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_config_error_raised_in_a_worker_exit_code(self, tmp_path, jobs):
+        # NetworkConfig.validate first runs when a worker builds its net
+        path = tmp_path / "exp.ini"
+        text = CONFIG_TEMPLATE.format(out=tmp_path / "results")
+        path.write_text(text.replace("[network]\n", "[network]\nlearning_rate = -1\n", 1))
+        assert main(["run", "--config", str(path), "--jobs", str(jobs)]) == 1
 
     def test_data_error_exit_code(self, tmp_path):
         path = tmp_path / "exp.ini"

@@ -269,6 +269,27 @@ class TestTrain:
         assert report.best_validation_loss == min(report.validation_losses)
         assert loss(model, x[40:], y[40:]) == pytest.approx(report.best_validation_loss)
 
+    def test_non_finite_loss_stops_training_and_is_flagged(self):
+        x, y = self._tiny_data(60, seed=3)
+        model = init(_config(max_epochs=20, batch_size=20, learning_rate=1e300))
+        initial = model.copy_parameters()
+        with np.errstate(all="ignore"):
+            report = train(model, (x[:40], y[:40]), (x[40:], y[40:]))
+        assert report.diverged
+        assert report.epochs_run < 20
+        assert len(report.validation_losses) == report.epochs_run
+        # no epoch ended with a finite validation loss: the initial weights return
+        assert report.best_validation_loss == math.inf
+        for restored, start in zip(model.weights, initial[0]):
+            np.testing.assert_array_equal(restored, start)
+
+    def test_finite_run_is_not_flagged(self):
+        x, y = self._tiny_data(60, seed=3)
+        model = init(_config(max_epochs=20, batch_size=20))
+        report = train(model, (x[:40], y[:40]), (x[40:], y[40:]))
+        assert not report.diverged
+        assert all(math.isfinite(v) for v in report.validation_losses)
+
     def test_empty_validation_rejected(self):
         x, y = self._tiny_data()
         model = init(_config(batch_size=10))
