@@ -42,7 +42,7 @@ from .harness import (
 )
 from .market_data import (
     PriceMatrix,
-    TickRecord,
+    TickColumns,
     TickTable,
     TimeGrid,
     fill_missing,

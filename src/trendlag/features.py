@@ -9,7 +9,6 @@ target stock's gradient moved up or down from t-1 to t.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -17,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError
-from .market_data import PriceMatrix, format_timestamp
+from .market_data import PriceMatrix, write_matrix_csv
 
 DOWN, UP = 0, 1  # one-hot component order: (down-change, up-change)
 
@@ -85,14 +84,7 @@ class GradientMatrix:
         return self.values[:, self.stock_ids.index(stock_id)]
 
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("timestamp",) + self.stock_ids)
-            for i in range(self.n_intervals):
-                writer.writerow(
-                    [format_timestamp(self.interval_timestamps[i])]
-                    + [repr(float(v)) for v in self.values[i]]
-                )
+        write_matrix_csv(path, self.stock_ids, self.interval_timestamps, self.values)
 
 
 def build_gradients(matrix: PriceMatrix, step_size: int) -> GradientMatrix:

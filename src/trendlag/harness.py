@@ -30,7 +30,7 @@ import math
 import multiprocessing
 import time as time_mod
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 from pathlib import Path
 from types import UnionType
 from typing import Any, Callable, Sequence, Union, get_args, get_origin, get_type_hints
@@ -106,6 +106,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown network setting(s): {', '.join(sorted(bad))}")
         if "input_dim" in self.network or "rng_seed" in self.network:
             raise ConfigError("input_dim and rng_seed are derived, not configurable")
+        neural.NetworkConfig(input_dim=1, **self.network).validate()
         if self.mode == "crisis":
             if (self.crisis_start is None or self.crisis_end is None) and not (
                 self.synthetic is not None and self.synthetic.regime_switch is not None
@@ -126,7 +127,7 @@ def load_price_matrix(config: ExperimentConfig) -> PriceMatrix:
     """Resolve the configured data source into a cleansed, aligned matrix."""
     if config.tick_csv is not None:
         table = parse_ticks(config.tick_csv)
-        if not table.streams:
+        if not table.columns:
             raise DataError(f"{config.tick_csv}: no parseable tick rows")
         grid = _infer_grid(table, config.grid_step_seconds)
         matrix = fill_missing(table, grid, config.price_source)
@@ -145,11 +146,11 @@ def load_price_matrix(config: ExperimentConfig) -> PriceMatrix:
 def _infer_grid(table: TickTable, step_seconds: float) -> TimeGrid:
     if step_seconds <= 0:
         raise ConfigError("grid_step_seconds must be positive")
-    first = min(s[0].timestamp for s in table.streams.values())
-    last = max(s[-1].timestamp for s in table.streams.values())
+    first = min(c.timestamp[0] for c in table.columns.values())
+    last = max(c.timestamp[-1] for c in table.columns.values())
     step = np.timedelta64(int(round(step_seconds * 1000)), "ms")
     count = int((last - first) // step) + 1
-    return TimeGrid.regular(first, timedelta(milliseconds=int(step / np.timedelta64(1, "ms"))), count)
+    return TimeGrid.regular(first, step, count)
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,12 @@ timestamps, empty field = missing).  The pipeline here is:
 
     parse_ticks -> fill_missing -> select_consistent_stocks
 
-producing a PriceMatrix: a dense matrix of strictly positive prices with
-rows on one shared uniform time grid and one column per stock, plus a mask
-distinguishing observed cells from forward/backward-filled ones.
+parse_ticks streams the rows into one TickColumns per stock: a
+datetime64[ms] ``timestamp`` array and float64 ``bid``, ``ask``, ``volume``
+and ``avg_price`` arrays (NaN = missing), sorted by time.  fill_missing
+samples them onto a uniform time grid, giving a PriceMatrix: strictly
+positive prices, one row per grid instant and one column per stock, plus a
+mask distinguishing observed cells from forward/backward-filled ones.
 """
 
 from __future__ import annotations
@@ -16,10 +19,11 @@ from __future__ import annotations
 import csv
 import io
 import logging
+import math
 from dataclasses import dataclass
 from datetime import datetime, time, timedelta, timezone
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -57,83 +61,69 @@ def format_timestamp(ts: np.datetime64) -> str:
 
 
 @dataclass(frozen=True)
-class TickRecord:
-    """One raw transaction row.  Present price fields are strictly positive."""
+class TickColumns:
+    """One stock's ticks, sorted by timestamp (stable within ties)."""
 
-    stock_id: str
-    timestamp: np.datetime64
-    bid: float | None = None
-    ask: float | None = None
-    volume: float | None = None
-    avg_price: float | None = None
+    timestamp: np.ndarray
+    bid: np.ndarray
+    ask: np.ndarray
+    volume: np.ndarray
+    avg_price: np.ndarray
 
-    def price(self, source: str = "auto") -> float | None:
-        """Extract the price this record contributes to the matrix."""
-        if source == "avg":
-            return self.avg_price
-        if source == "bid":
-            return self.bid
-        if source == "ask":
-            return self.ask
-        if source == "mid":
-            if self.bid is not None and self.ask is not None:
-                return 0.5 * (self.bid + self.ask)
-            return None
-        # auto: avg price, then midpoint, then whichever side exists
-        if self.avg_price is not None:
-            return self.avg_price
-        if self.bid is not None and self.ask is not None:
-            return 0.5 * (self.bid + self.ask)
-        if self.bid is not None:
-            return self.bid
-        return self.ask
+    @classmethod
+    def from_rows(cls, rows: list[tuple]) -> "TickColumns":
+        """Sort ``(timestamp, bid, ask, volume, avg_price)`` rows into columns."""
+        timestamp, *fields = zip(*rows)
+        ts = np.array(timestamp, dtype="datetime64[ms]")
+        order = np.argsort(ts, kind="stable")
+        return cls(ts[order], *(np.array(f, dtype=np.float64)[order] for f in fields))
+
+    def price(self, source: str = "auto") -> np.ndarray:
+        """Per-tick price this stock contributes to the matrix; NaN where none."""
+        mid = 0.5 * (self.bid + self.ask)  # NaN unless both sides are present
+        if source != "auto":
+            return {"avg": self.avg_price, "mid": mid, "bid": self.bid, "ask": self.ask}[source]
+        price = self.avg_price
+        for fallback in (mid, self.bid, self.ask):
+            price = np.where(np.isnan(price), fallback, price)
+        return price
 
 
 @dataclass
 class TickTable:
-    """Per-stock tick streams, each sorted by timestamp (stable within ties)."""
+    """Per-stock tick columns, in the order of each stock's first valid row."""
 
-    streams: dict[str, list[TickRecord]]
+    columns: dict[str, TickColumns]
     skipped: int = 0
 
     @property
     def stock_ids(self) -> tuple[str, ...]:
-        return tuple(self.streams)
+        return tuple(self.columns)
 
     @property
     def n_records(self) -> int:
-        return sum(len(v) for v in self.streams.values())
-
-    def records(self, stock_id: str) -> list[TickRecord]:
-        return self.streams[stock_id]
+        return sum(c.timestamp.size for c in self.columns.values())
 
 
-def _parse_price_field(text: str) -> float | None:
+def _parse_number(text: str) -> float:
+    """One numeric field: empty means missing (NaN); a non-finite value raises."""
     s = text.strip()
     if not s:
-        return None
+        return math.nan
     value = float(s)
-    if not np.isfinite(value) or value <= 0.0:
-        raise ValueError(f"non-positive price {value!r}")
-    return value
-
-
-def _parse_volume_field(text: str) -> float | None:
-    s = text.strip()
-    if not s:
-        return None
-    value = float(s)
-    if not np.isfinite(value) or value < 0.0:
-        raise ValueError(f"negative volume {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {value!r}")
     return value
 
 
 def parse_ticks(source: str | Path | bytes | IO) -> TickTable:
-    """Read a tick CSV stream into per-stock, time-sorted streams.
+    """Read a tick CSV stream into per-stock, time-sorted columns.
 
-    A malformed header is fatal; individual rows that cannot be parsed
-    (bad timestamp, non-positive price, wrong field count) are skipped
-    and counted in ``TickTable.skipped``.
+    Rows are read one at a time, so the file is never held whole.  A
+    malformed header is fatal; individual rows that cannot be parsed (wrong
+    field count, empty stock id, bad timestamp, non-finite number,
+    non-positive price, negative volume) are skipped and counted in
+    ``TickTable.skipped``.  A bytes (UTF-8) or text stream stays open.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -143,16 +133,18 @@ def parse_ticks(source: str | Path | bytes | IO) -> TickTable:
             raise DataError(f"cannot read tick file: {exc}") from exc
     if isinstance(source, bytes):
         return parse_ticks(io.BytesIO(source))
-    raw = source.read()
-    if isinstance(raw, bytes):
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataError(f"tick stream is not valid UTF-8: {exc}") from exc
-    else:
-        text = raw
+    if isinstance(source.read(0), str):
+        return _parse_tick_rows(csv.reader(source))
+    text = io.TextIOWrapper(source, encoding="utf-8", newline="")
+    try:
+        return _parse_tick_rows(csv.reader(text))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"tick stream is not valid UTF-8: {exc}") from exc
+    finally:
+        text.detach()  # a collected wrapper would close the caller's stream
 
-    reader = csv.reader(io.StringIO(text))
+
+def _parse_tick_rows(reader: Iterator[list[str]]) -> TickTable:
     try:
         header = next(reader)
     except StopIteration:
@@ -162,36 +154,43 @@ def parse_ticks(source: str | Path | bytes | IO) -> TickTable:
             f"malformed tick header {header!r}; expected {','.join(TICK_HEADER)}"
         )
 
-    streams: dict[str, list[TickRecord]] = {}
+    rows: dict[str, list[tuple]] = {}
     skipped = 0
     for row in reader:
         if not row or (len(row) == 1 and not row[0].strip()):
             continue  # blank line
-        if len(row) != len(TICK_HEADER):
+        stock_id = row[0].strip()
+        if len(row) != len(TICK_HEADER) or not stock_id:
             skipped += 1
             continue
         try:
-            record = TickRecord(
-                stock_id=row[0].strip(),
-                timestamp=parse_timestamp(row[1]),
-                bid=_parse_price_field(row[2]),
-                ask=_parse_price_field(row[3]),
-                volume=_parse_volume_field(row[4]),
-                avg_price=_parse_price_field(row[5]),
-            )
+            timestamp = parse_timestamp(row[1])
+            bid, ask, volume, avg_price = map(_parse_number, row[2:])
         except ValueError:
             skipped += 1
             continue
-        if not record.stock_id:
+        # NaN (missing) fails every comparison, so it passes these checks
+        if bid <= 0.0 or ask <= 0.0 or avg_price <= 0.0 or volume < 0.0:
             skipped += 1
             continue
-        streams.setdefault(record.stock_id, []).append(record)
+        rows.setdefault(stock_id, []).append((timestamp, bid, ask, volume, avg_price))
 
-    for records in streams.values():
-        records.sort(key=lambda r: r.timestamp)  # stable: row order kept on ties
     if skipped:
         logger.info("parse_ticks: skipped %d unparseable row(s)", skipped)
-    return TickTable(streams=streams, skipped=skipped)
+    return TickTable(
+        columns={s: TickColumns.from_rows(r) for s, r in rows.items()}, skipped=skipped
+    )
+
+
+def write_matrix_csv(
+    path: str | Path, stock_ids: tuple[str, ...], instants: np.ndarray, values: np.ndarray
+) -> None:
+    """Write `timestamp,<stock>,...` rows, one per instant, with full float precision."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("timestamp",) + stock_ids)
+        for ts, row in zip(instants, values):
+            writer.writerow([format_timestamp(ts)] + [repr(float(v)) for v in row])
 
 
 @dataclass(frozen=True)
@@ -346,14 +345,7 @@ class PriceMatrix:
 
     def to_csv(self, path: str | Path) -> None:
         """Write `timestamp,<stock>,...` rows with full float precision."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("timestamp",) + self.stock_ids)
-            for i in range(self.n_rows):
-                writer.writerow(
-                    [format_timestamp(self.grid.instants[i])]
-                    + [repr(float(v)) for v in self.values[i]]
-                )
+        write_matrix_csv(path, self.stock_ids, self.grid.instants, self.values)
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "PriceMatrix":
@@ -420,25 +412,15 @@ def fill_missing(
     columns: list[np.ndarray] = []
     masks: list[np.ndarray] = []
     dropped: list[str] = []
-    for stock_id, records in table.streams.items():
-        prices, times = [], []
-        for rec in records:
-            p = rec.price(price_source)
-            if p is not None:
-                prices.append(p)
-                times.append(rec.timestamp)
-        if not prices:
-            dropped.append(stock_id)
-            continue
-        t = np.array(times, dtype="datetime64[ms]")
-        p = np.array(prices, dtype=np.float64)
+    for stock_id, ticks in table.columns.items():
+        p = ticks.price(price_source)
         # bucket index: tick belongs to the first grid instant at or after it
-        cell = np.searchsorted(instants, t, side="left")
-        in_window = cell < n
-        if not in_window.any():
+        cell = np.searchsorted(instants, ticks.timestamp, side="left")
+        keep = ~np.isnan(p) & (cell < n)
+        if not keep.any():
             dropped.append(stock_id)
             continue
-        cell, p = cell[in_window], p[in_window]
+        cell, p = cell[keep], p[keep]
         observed = np.full(n, np.nan)
         uniq, first_rev = np.unique(cell[::-1], return_index=True)
         observed[uniq] = p[cell.size - 1 - first_rev]  # last tick per bucket wins

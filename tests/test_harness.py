@@ -2,10 +2,12 @@
 
 import json
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
+from trendlag import harness
 from trendlag.cli import main
 from trendlag.errors import ConfigError, DataError
 from trendlag.features import build_gradients, dataset_arrays
@@ -135,8 +137,15 @@ class TestRunCrossValidated:
     def test_no_worker_outlives_a_run(self):
         run_cross_validated(_config(jobs=2))
         assert multiprocessing.active_children() == []
-        with pytest.raises(ConfigError, match="learning_rate"):
-            run_cross_validated(_config(jobs=2, network={**FAST_NET, "learning_rate": -1.0}))
+        parent = os.getpid()
+
+        def fail_in_worker(stock_id):
+            if os.getpid() == parent:
+                return stock_id
+            raise DataError(f"no data for {stock_id}")
+
+        with pytest.raises(DataError, match="no data for"):
+            _run_per_stock(_config(jobs=2), fail_in_worker, ["a", "b"])
         assert multiprocessing.active_children() == []
 
     def test_forked_worker_runs_one_blas_thread(self):
@@ -355,6 +364,9 @@ BAD_CONFIGS = [
                  id="duplicate-section"),
     pytest.param("\n[data]\n", "step_size = 4\n[data]\n", 1, id="missing-section-header"),
     pytest.param("[network]\n", "[network]\nlearning_rate = nan\n", 1, id="nan-float"),
+    # a batch larger than every fold skips each stock before any net is built
+    pytest.param("batch_size = 20", "batch_size = 100000\nlearning_rate = -1", 1,
+                 id="bad-network-value-no-net-built"),
     pytest.param("[synthetic]\n", "[synthetic]\nnoise_sigma = inf\n", 1, id="inf-float"),
     pytest.param("[synthetic]\n", "[synthetic]\nstart = garbage\n", 1, id="bad-synthetic-start"),
 ]
@@ -534,8 +546,18 @@ class TestCli:
         assert main(["run", "--config", str(path)]) == 1
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_config_error_raised_in_a_worker_exit_code(self, tmp_path, jobs):
-        # NetworkConfig.validate first runs when a worker builds its net
+    def test_config_error_raised_in_a_worker_exit_code(self, tmp_path, monkeypatch, jobs):
+        def reject(*args, **kwargs):
+            raise ConfigError("rejected inside the per-stock task")
+
+        monkeypatch.setattr(harness, "_train_and_predict", reject)  # inherited by fork
+        path = tmp_path / "exp.ini"
+        path.write_text(CONFIG_TEMPLATE.format(out=tmp_path / "results"))
+        assert main(["run", "--config", str(path), "--jobs", str(jobs)]) == 1
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_network_value_error_exit_code(self, tmp_path, jobs):
         path = tmp_path / "exp.ini"
         text = CONFIG_TEMPLATE.format(out=tmp_path / "results")
         path.write_text(text.replace("[network]\n", "[network]\nlearning_rate = -1\n", 1))
@@ -548,6 +570,12 @@ class TestCli:
             "[experiment]\nstep_size = 4\n"
         )
         assert main(["run", "--config", str(path)]) == 2  # unreadable data source
+        ticks = tmp_path / "ticks.csv"
+        ticks.write_bytes(b"stock_id,timestamp,bid,ask,volume,avg_price\nAAA,\xff\n")
+        path.write_text(
+            f"[data]\nsource = ticks\ntick_csv = {ticks}\n[experiment]\nstep_size = 4\n"
+        )
+        assert main(["run", "--config", str(path)]) == 2  # not UTF-8
 
     def test_synth_subcommand_matrix_and_ticks(self, tmp_path):
         path = tmp_path / "exp.ini"

@@ -1,5 +1,8 @@
 """Ingestion, fill, and alignment tests, with brute-force reference oracles."""
 
+import gc
+import io
+import tempfile
 from datetime import time
 
 import numpy as np
@@ -47,24 +50,35 @@ def _table_from_cells(cells_per_stock, grid):
 class TestParseTicks:
     def test_garbage_timestamp_row_is_skipped(self):
         table = parse_ticks(_tick_csv([
+            "BBB,not-a-timestamp,10.1,10.3,5,10.2",
             f"AAA,{T0},10.0,10.2,5,10.1",
             "AAA,2011-04-01T09:31:00.000Z,10.1,10.3,5,10.2",
             "AAA,not-a-timestamp,10.1,10.3,5,10.2",
+            "",                                          # blank line: ignored
             "AAA,2011-04-01T09:32:00.000Z,10.2,10.4,5,10.3",
+            "AAA,2011-04-01T09:33:00.000Z,10.2,10.4,5",  # wrong field count
+            ",2011-04-01T09:33:00.000Z,10.2,10.4,5,10.3",  # empty stock id
+            "BBB,2011-04-01T09:33:00.000Z,10.2,10.4,5,10.3",
         ]))
-        assert table.n_records == 3
-        assert table.skipped == 1
+        assert table.n_records == 4
+        assert table.skipped == 4
+        assert table.stock_ids == ("AAA", "BBB")  # ordered by first valid row
 
     def test_empty_file_with_valid_header(self):
-        table = parse_ticks(HEADER.encode())
+        stream = io.BytesIO(HEADER.encode())
+        table = parse_ticks(stream)
         assert table.n_records == 0
         assert table.skipped == 0
+        gc.collect()
+        assert not stream.closed  # the caller's stream is left open
 
     def test_malformed_header_is_fatal(self):
         with pytest.raises(DataError, match="header"):
             parse_ticks(b"stock,when,price\nAAA,2011-04-01T09:30:00.000Z,10\n")
         with pytest.raises(DataError, match="empty"):
             parse_ticks(b"")
+        with pytest.raises(DataError, match="UTF-8"):
+            parse_ticks(_tick_csv([f"AAA,{T0},10.0,10.2,5,10.1"]) + b"AAA,\xff\n")
 
     def test_unreadable_file_is_a_data_error(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
@@ -75,19 +89,23 @@ class TestParseTicks:
             f"AAA,{T0},0.0,10.2,5,10.1",      # zero bid
             f"AAA,{T0},10.0,10.2,-1,10.1",    # negative volume
             f"AAA,{T0},-3,10.2,5,10.1",       # negative bid
+            f"AAA,{T0},nan,10.2,5,10.1",      # NaN bid
+            f"AAA,{T0},10.0,inf,5,10.1",      # infinite ask
+            f"AAA,{T0},10.0,10.2,5,-inf",     # infinite average price
             f"AAA,{T0},10.0,10.2,5,10.1",     # fine
         ]))
         assert table.n_records == 1
-        assert table.skipped == 3
+        assert table.skipped == 6
 
     def test_empty_fields_parse_as_missing(self):
         table = parse_ticks(_tick_csv([f"AAA,{T0},,,,10.1", f"BBB,{T0},9.0,9.2,,"]))
-        rec_a = table.records("AAA")[0]
-        assert rec_a.bid is None and rec_a.ask is None and rec_a.volume is None
-        assert rec_a.price() == 10.1
-        rec_b = table.records("BBB")[0]
-        assert rec_b.avg_price is None
-        assert rec_b.price() == pytest.approx(9.1)  # bid/ask midpoint fallback
+        col_a = table.columns["AAA"]
+        assert np.isnan(col_a.bid).all() and np.isnan(col_a.ask).all()
+        assert np.isnan(col_a.volume).all()
+        assert col_a.price().tolist() == [10.1]
+        col_b = table.columns["BBB"]
+        assert np.isnan(col_b.avg_price).all()
+        assert col_b.price() == pytest.approx([9.1])  # bid/ask midpoint fallback
 
     def test_interleaved_stocks_match_sort_then_group_reference(self):
         rng = np.random.default_rng(7)
@@ -102,17 +120,39 @@ class TestParseTicks:
         table = parse_ticks(_tick_csv(rows))
         for stock, expected in reference.items():
             expected.sort(key=lambda p: p[0])  # naive sort-then-group oracle
-            got = [(r.timestamp, r.avg_price) for r in table.records(stock)]
-            assert got == expected
+            col = table.columns[stock]
+            assert list(zip(col.timestamp, col.avg_price)) == expected
+        text = _tick_csv(rows).decode()
+        # a text stream, and a text file-like object that is no TextIOBase
+        with tempfile.NamedTemporaryFile("w+", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+            fh.seek(0)
+            for from_text in (parse_ticks(io.StringIO(text)), parse_ticks(fh)):
+                assert from_text.stock_ids == table.stock_ids
+                assert from_text.n_records == table.n_records
+                a, b = fill_missing(from_text, grid), fill_missing(table, grid)
+                np.testing.assert_array_equal(a.values, b.values)
+                np.testing.assert_array_equal(a.fill_mask, b.fill_mask)
 
     def test_explicit_price_sources(self):
-        table = parse_ticks(_tick_csv([f"AAA,{T0},9.0,11.0,5,10.5"]))
-        rec = table.records("AAA")[0]
-        assert rec.price("avg") == 10.5
-        assert rec.price("bid") == 9.0
-        assert rec.price("ask") == 11.0
-        assert rec.price("mid") == pytest.approx(10.0)
-        assert rec.price("auto") == 10.5  # avg wins when present
+        table = parse_ticks(_tick_csv([
+            f"AAA,{T0},9.0,11.0,5,10.5",
+            "AAA,2011-04-01T09:31:00.000Z,9.0,11.0,5,",
+            "AAA,2011-04-01T09:32:00.000Z,9.0,,5,",
+            "AAA,2011-04-01T09:33:00.000Z,,11.0,5,",
+            "AAA,2011-04-01T09:34:00.000Z,,,5,",
+        ]))
+        col = table.columns["AAA"]
+        nan = np.nan
+        expected = {
+            "avg": [10.5, nan, nan, nan, nan],
+            "bid": [9.0, 9.0, 9.0, nan, nan],
+            "ask": [11.0, 11.0, nan, 11.0, nan],
+            "mid": [10.0, 10.0, nan, nan, nan],
+            "auto": [10.5, 10.0, 9.0, 11.0, nan],  # avg, then mid, then one side
+        }
+        for source, prices in expected.items():
+            np.testing.assert_array_equal(col.price(source), prices)
 
     def test_unknown_price_source_rejected(self):
         grid = _grid(2)
