@@ -80,9 +80,6 @@ class GradientMatrix:
     def n_stocks(self) -> int:
         return self.values.shape[1]
 
-    def column(self, stock_id: str) -> np.ndarray:
-        return self.values[:, self.stock_ids.index(stock_id)]
-
     def to_csv(self, path: str | Path) -> None:
         write_matrix_csv(path, self.stock_ids, self.interval_timestamps, self.values)
 

@@ -14,6 +14,11 @@ gradients.  Three modes are supported:
   bottleneck width plus once without, with identical folds and seeds so
   the runs are directly comparable.
 
+Each mode is a list of (name, train, validation, test) index splits that
+every stock shares, run by one per-stock function: it trains one net per
+split and scores the stock on the union of the test sets.  Whether the
+splits are too small is decided once per experiment, before any stock runs.
+
 Reports carry per-stock model and baseline accuracies, Welch tests and
 minimum differences against each baseline, box-whisker summaries, and full
 provenance; they serialize to JSON and flatten to CSV.
@@ -255,54 +260,64 @@ def _train_and_predict(
     return np.atleast_1d(neural.predict_class(model, xn[test_idx]))
 
 
-def _batch_size(config: ExperimentConfig) -> int:
-    return int(config.network.get("batch_size", neural.NetworkConfig.batch_size))
-
-
 def _split_train_pool(pool: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Carve the validation quarter off the end of the (ordered) training pool."""
     n_val = pool.size // 4
     return pool[: pool.size - n_val], pool[pool.size - n_val :]
 
 
-def _run_stock_cv(
+# (name, train, validation, test) example indices, shared by every stock.
+# The name seeds the split's net and labels it in log lines.
+Split = tuple[tuple[Any, ...], np.ndarray, np.ndarray, np.ndarray]
+
+
+def _skip_reason(
+    config: ExperimentConfig, splits: Sequence[Split], no_split: str, training: str
+) -> str:
+    """Why no stock can run these splits, or "" when every stock can."""
+    batch = int(config.network.get("batch_size", neural.NetworkConfig.batch_size))
+    for _, train_idx, val_idx, test_idx in splits:
+        if test_idx.size == 0 or val_idx.size == 0:
+            return no_split
+        if train_idx.size < batch:
+            return f"{training} size {train_idx.size} below batch size {batch}"
+    return ""
+
+
+def _run_stock(
     config: ExperimentConfig,
-    stock_id: str,
     gradients: features.GradientMatrix,
-    folds: list[np.ndarray],
+    splits: Sequence[Split],
+    stock_id: str,
     stock_seed: int,
 ) -> StockResult:
+    """Train one net per split and score the stock on the union of the test sets."""
     x, y = features.dataset_arrays(gradients, stock_id)
     truth = features.truth_labels(y)
-    n_examples = x.shape[0]
-    batch = _batch_size(config)
-
-    splits = []
-    for f, test_idx in enumerate(folds):
-        pool = np.concatenate([folds[g] for g in range(len(folds)) if g != f])
-        train_idx, val_idx = _split_train_pool(pool)
-        if test_idx.size == 0 or val_idx.size == 0:
-            return _skipped(stock_id, n_examples, "too few examples for a 60-20-20 fold split")
-        if train_idx.size < batch:
-            return _skipped(
-                stock_id,
-                n_examples,
-                f"fold training size {train_idx.size} below batch size {batch}",
-            )
-        splits.append((train_idx, val_idx, test_idx))
-
-    oof = np.full(n_examples, -1, dtype=np.int64)
-    fold_accs = []
-    for f, (train_idx, val_idx, test_idx) in enumerate(splits):
+    predicted = np.full(truth.size, -1, dtype=np.int64)
+    split_accuracies = []
+    for name, train_idx, val_idx, test_idx in splits:
         pred = _train_and_predict(
             config, x, y, train_idx, val_idx, test_idx,
-            derive_seed(stock_seed, "fold", f), stock_id, f"fold {f}",
+            derive_seed(stock_seed, *name), stock_id, " ".join(map(str, name)),
         )
-        oof[test_idx] = pred
-        fold_accs.append(float(np.mean(pred == truth[test_idx])))
-
-    model_set = baselines.PredictionSet(oof, truth, stock_id, "model")
-    return _finish_stock(stock_id, model_set, tuple(fold_accs), float(np.mean(fold_accs)), stock_seed)
+        predicted[test_idx] = pred
+        split_accuracies.append(float(np.mean(pred == truth[test_idx])))
+    scored = np.sort(np.concatenate([test_idx for *_, test_idx in splits]))
+    model_set = baselines.PredictionSet(predicted[scored], truth[scored], stock_id, "model")
+    randomized = baselines.randomized_baseline(model_set, derive_seed(stock_seed, "shuffle"))
+    class1 = baselines.class_baseline(model_set.truth, 1, stock_id)
+    class2 = baselines.class_baseline(model_set.truth, 2, stock_id)
+    return StockResult(
+        stock_id=stock_id,
+        n_examples=int(scored.size),
+        model_accuracy=float(np.mean(split_accuracies)),
+        fold_accuracies=tuple(split_accuracies),
+        randomized_accuracy=baselines.accuracy(randomized),
+        class1_accuracy=baselines.accuracy(class1),
+        class2_accuracy=baselines.accuracy(class2),
+        bestof_accuracy=baselines.bestof_accuracy(randomized, class1, class2),
+    )
 
 
 def _skipped(stock_id: str, n_examples: int, reason: str) -> StockResult:
@@ -318,28 +333,6 @@ def _skipped(stock_id: str, n_examples: int, reason: str) -> StockResult:
         bestof_accuracy=None,
         skipped=True,
         skip_reason=reason,
-    )
-
-
-def _finish_stock(
-    stock_id: str,
-    model_set: baselines.PredictionSet,
-    fold_accs: tuple[float, ...],
-    model_accuracy: float,
-    stock_seed: int,
-) -> StockResult:
-    randomized = baselines.randomized_baseline(model_set, derive_seed(stock_seed, "shuffle"))
-    class1 = baselines.class_baseline(model_set.truth, 1, stock_id)
-    class2 = baselines.class_baseline(model_set.truth, 2, stock_id)
-    return StockResult(
-        stock_id=stock_id,
-        n_examples=int(model_set.truth.size),
-        model_accuracy=model_accuracy,
-        fold_accuracies=fold_accs,
-        randomized_accuracy=baselines.accuracy(randomized),
-        class1_accuracy=baselines.accuracy(class1),
-        class2_accuracy=baselines.accuracy(class2),
-        bestof_accuracy=baselines.bestof_accuracy(randomized, class1, class2),
     )
 
 
@@ -469,55 +462,68 @@ def _provenance(config: ExperimentConfig, stock_seeds: dict[str, int], t0: float
     }
 
 
+def _welch_or_none(model: np.ndarray, baseline: np.ndarray) -> stats.WelchResult | None:
+    """Welch test of model > baseline; None where it is undefined (n < 2, no spread)."""
+    try:
+        return stats.welch_upper_tail(model, baseline, stats.DEFAULT_ALPHA)
+    except ValueError:
+        return None
+
+
 def _assemble_report(
     config: ExperimentConfig,
-    bottleneck: int | None,
     results: list[StockResult],
     fold_hash: str,
     stock_seeds: dict[str, int],
     t0: float,
 ) -> ExperimentReport:
     evaluated = [r for r in results if not r.skipped]
-    mean_accuracies: dict[str, float] = {}
-    welch_tests: dict[str, stats.WelchResult | None] = {}
-    box_summaries: dict[str, stats.BoxStats | None] = {}
-    max_model = None
-    if evaluated:
-        samples = {
-            series: np.array([r.accuracy_for(series) for r in evaluated])
-            for series in ALL_SERIES
-        }
-        mean_accuracies = {s: float(v.mean()) for s, v in samples.items()}
-        max_model = float(samples["model"].max())
-        for series in BASELINE_SERIES:
-            if len(evaluated) >= 2:
-                try:
-                    welch_tests[series] = stats.welch_upper_tail(
-                        samples["model"], samples[series], stats.DEFAULT_ALPHA
-                    )
-                except ValueError:
-                    welch_tests[series] = None
-            else:
-                welch_tests[series] = None
-        for series in ALL_SERIES:
-            box_summaries[series] = (
-                stats.box_stats(samples[series]) if len(evaluated) >= 5 else None
-            )
-    else:
-        welch_tests = {series: None for series in BASELINE_SERIES}
-        box_summaries = {series: None for series in ALL_SERIES}
+    samples = {s: np.array([r.accuracy_for(s) for r in evaluated]) for s in ALL_SERIES}
     return ExperimentReport(
         mode=config.mode,
         step_size=config.step_size,
-        bottleneck=bottleneck,
+        bottleneck=config.network.get("bottleneck"),
         stocks=tuple(results),
-        mean_accuracies=mean_accuracies,
-        max_model_accuracy=max_model,
-        welch_tests=welch_tests,
-        box_summaries=box_summaries,
+        mean_accuracies={s: float(v.mean()) for s, v in samples.items() if v.size},
+        max_model_accuracy=max((r.model_accuracy for r in evaluated), default=None),
+        welch_tests={s: _welch_or_none(samples["model"], samples[s]) for s in BASELINE_SERIES},
+        box_summaries={
+            s: stats.box_stats(v) if v.size >= 5 else None for s, v in samples.items()
+        },
         fold_hash=fold_hash,
         provenance=_provenance(config, stock_seeds, t0),
     )
+
+
+def _gradients(config: ExperimentConfig, matrix: PriceMatrix | None) -> features.GradientMatrix:
+    """Gradients of ``matrix``, or of the configured source when it is None."""
+    if matrix is None:
+        matrix = load_price_matrix(config)
+    gradients = features.build_gradients(matrix, config.step_size)
+    if gradients.n_intervals < 2:
+        raise DataError("need at least 2 gradient intervals to build labels")
+    return gradients
+
+
+def _run_splits(
+    config: ExperimentConfig,
+    gradients: features.GradientMatrix,
+    splits: list[Split],
+    fold_hash: str,
+    skip_reason: str,
+    t0: float,
+) -> ExperimentReport:
+    """Run the splits for every stock, or skip every stock when there is a reason."""
+    stock_seeds = {s: derive_seed(config.seed, s) for s in gradients.stock_ids}
+    if skip_reason:
+        results = [_skipped(s, gradients.n_intervals - 1, skip_reason) for s in gradients.stock_ids]
+    else:
+        results = _run_per_stock(
+            config,
+            lambda s: _run_stock(config, gradients, splits, s, stock_seeds[s]),
+            gradients.stock_ids,
+        )
+    return _assemble_report(config, results, fold_hash, stock_seeds, t0)
 
 
 def run_cross_validated(
@@ -526,23 +532,20 @@ def run_cross_validated(
     """Five-fold leave-target-out experiment over every stock in the panel."""
     t0 = time_mod.perf_counter()
     config.validate()
-    if matrix is None:
-        matrix = load_price_matrix(config)
-    gradients = features.build_gradients(matrix, config.step_size)
-    if gradients.n_intervals < 2:
-        raise DataError("need at least 2 gradient intervals to build labels")
+    gradients = _gradients(config, matrix)
     n_examples = gradients.n_intervals - 1
     folds = _contiguous_folds(
         n_examples, config.n_folds, config.shuffled_folds, derive_seed(config.seed, "folds")
     )
+    splits = [
+        (("fold", f), *_split_train_pool(np.concatenate(folds[:f] + folds[f + 1 :])), test_idx)
+        for f, test_idx in enumerate(folds)
+    ]
+    skip_reason = _skip_reason(
+        config, splits, "too few examples for a 60-20-20 fold split", "fold training"
+    )
     fold_hash = _fold_hash(folds, extra=f"n={n_examples}")
-    stock_seeds = {s: derive_seed(config.seed, s) for s in gradients.stock_ids}
-
-    def worker(stock_id: str) -> StockResult:
-        return _run_stock_cv(config, stock_id, gradients, folds, stock_seeds[stock_id])
-
-    results = _run_per_stock(config, worker, gradients.stock_ids)
-    return _assemble_report(config, config.network.get("bottleneck"), results, fold_hash, stock_seeds, t0)
+    return _run_splits(config, gradients, splits, fold_hash, skip_reason, t0)
 
 
 def run_crisis(config: ExperimentConfig, matrix: PriceMatrix | None = None) -> ExperimentReport:
@@ -552,11 +555,7 @@ def run_crisis(config: ExperimentConfig, matrix: PriceMatrix | None = None) -> E
     if config.mode != "crisis":
         config = replace(config, mode="crisis")
         config.validate()
-    if matrix is None:
-        matrix = load_price_matrix(config)
-    gradients = features.build_gradients(matrix, config.step_size)
-    if gradients.n_intervals < 2:
-        raise DataError("need at least 2 gradient intervals to build labels")
+    gradients = _gradients(config, matrix)
     boundary_start, boundary_end = config.resolved_crisis_window()
     if boundary_end < boundary_start:
         raise DataError("crisis_end precedes crisis_start")
@@ -573,31 +572,12 @@ def run_crisis(config: ExperimentConfig, matrix: PriceMatrix | None = None) -> E
             f"(train={train_idx.size}, test={test_idx.size})"
         )
     fit_idx, val_idx = _split_train_pool(train_idx)
+    splits = [(("crisis",), fit_idx, val_idx, test_idx)]
+    skip_reason = _skip_reason(
+        config, splits, "training side too small for a validation split", "training"
+    )
     fold_hash = _fold_hash([fit_idx, val_idx, test_idx], extra="crisis")
-    stock_seeds = {s: derive_seed(config.seed, s) for s in gradients.stock_ids}
-    batch = _batch_size(config)
-
-    def worker(stock_id: str) -> StockResult:
-        x, y = features.dataset_arrays(gradients, stock_id)
-        truth = features.truth_labels(y)
-        if val_idx.size == 0:
-            return _skipped(stock_id, x.shape[0], "training side too small for a validation split")
-        if fit_idx.size < batch:
-            return _skipped(
-                stock_id, x.shape[0],
-                f"training size {fit_idx.size} below batch size {batch}",
-            )
-        pred = _train_and_predict(
-            config, x, y, fit_idx, val_idx, test_idx,
-            derive_seed(stock_seeds[stock_id], "crisis"), stock_id, "crisis split",
-        )
-        test_truth = truth[test_idx]
-        model_set = baselines.PredictionSet(pred, test_truth, stock_id, "model")
-        accuracy = float(np.mean(pred == test_truth))
-        return _finish_stock(stock_id, model_set, (accuracy,), accuracy, stock_seeds[stock_id])
-
-    results = _run_per_stock(config, worker, gradients.stock_ids)
-    return _assemble_report(config, config.network.get("bottleneck"), results, fold_hash, stock_seeds, t0)
+    return _run_splits(config, gradients, splits, fold_hash, skip_reason, t0)
 
 
 def run_bottleneck_sweep(
@@ -611,18 +591,10 @@ def run_bottleneck_sweep(
     config.validate()
     if matrix is None:
         matrix = load_price_matrix(config)
-    reports = []
-    for width in tuple(config.bottleneck_widths) + (None,):
-        run_cfg = replace(
-            config,
-            mode="cross_validated",
-            network={**config.network, "bottleneck": width},
-        )
-        report = run_cross_validated(run_cfg, matrix=matrix)
-        report.mode = "bottleneck_sweep"
-        report.provenance["config"]["mode"] = "bottleneck_sweep"
-        reports.append(report)
-    return reports
+    return [
+        run_cross_validated(replace(config, network={**config.network, "bottleneck": w}), matrix)
+        for w in tuple(config.bottleneck_widths) + (None,)
+    ]
 
 
 def run(config: ExperimentConfig) -> ExperimentReport | list[ExperimentReport]:

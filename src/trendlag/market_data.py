@@ -116,6 +116,15 @@ def _parse_number(text: str) -> float:
     return value
 
 
+def _csv_rows(stream: IO[str], name: str | Path) -> Iterator[list[str]]:
+    """The CSV rows of ``stream``; malformed CSV (say, an oversized field) is a DataError."""
+    reader = csv.reader(stream)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataError(f"{name}: malformed CSV at line {reader.line_num}: {exc}") from exc
+
+
 def parse_ticks(source: str | Path | bytes | IO) -> TickTable:
     """Read a tick CSV stream into per-stock, time-sorted columns.
 
@@ -134,10 +143,10 @@ def parse_ticks(source: str | Path | bytes | IO) -> TickTable:
     if isinstance(source, bytes):
         return parse_ticks(io.BytesIO(source))
     if isinstance(source.read(0), str):
-        return _parse_tick_rows(csv.reader(source))
+        return _parse_tick_rows(_csv_rows(source, "tick stream"))
     text = io.TextIOWrapper(source, encoding="utf-8", newline="")
     try:
-        return _parse_tick_rows(csv.reader(text))
+        return _parse_tick_rows(_csv_rows(text, "tick stream"))
     except UnicodeDecodeError as exc:
         raise DataError(f"tick stream is not valid UTF-8: {exc}") from exc
     finally:
@@ -225,10 +234,6 @@ class TimeGrid:
     @property
     def count(self) -> int:
         return int(self.instants.size)
-
-    @property
-    def start(self) -> np.datetime64:
-        return self.instants[0]
 
     def truncated(self, keep_last: int) -> "TimeGrid":
         """Grid over the most recent ``keep_last`` instants."""
@@ -322,9 +327,6 @@ class PriceMatrix:
     def n_stocks(self) -> int:
         return self.values.shape[1]
 
-    def column(self, stock_id: str) -> np.ndarray:
-        return self.values[:, self.stock_ids.index(stock_id)]
-
     def observed_fraction(self) -> np.ndarray:
         """Per-stock fraction of cells that were directly observed."""
         return 1.0 - self.fill_mask.mean(axis=0)
@@ -351,7 +353,7 @@ class PriceMatrix:
     def from_csv(cls, path: str | Path) -> "PriceMatrix":
         """Load a matrix CSV.  Loaded cells count as observed (empty mask)."""
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
+            reader = _csv_rows(fh, path)
             try:
                 header = next(reader)
             except StopIteration:

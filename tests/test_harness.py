@@ -63,6 +63,22 @@ def _config(**kwargs):
     return ExperimentConfig(**defaults)
 
 
+def _crisis_config(**kwargs):
+    syn = SyntheticConfig(
+        n_stocks=5, n_steps=400, ticks_per_step=4, signal_strength=0.7,
+        noise_sigma=0.01, seed=21,
+        regime_switch=RegimeSwitch(switch_step=300, crisis_drift=-0.002,
+                                   crisis_sigma_multiplier=1.2),
+    )
+    start, end = crisis_window(syn)
+    defaults = dict(
+        mode="crisis", synthetic=syn, step_size=4, seed=5,
+        network=dict(FAST_NET), crisis_start=start, crisis_end=end,
+    )
+    defaults.update(kwargs)
+    return ExperimentConfig(**defaults)
+
+
 class TestFolds:
     def test_sixty_twenty_twenty_arithmetic(self):
         folds = _contiguous_folds(1000, 5, False, 0)
@@ -161,13 +177,20 @@ class TestRunCrossValidated:
         b = run_cross_validated(_config(seed=12))
         assert a.stocks != b.stocks
 
-    def test_too_small_folds_skip_stock_with_annotation(self):
-        config = _config(network={**FAST_NET, "batch_size": 1000})
-        report = run_cross_validated(config)
-        assert all(r.skipped for r in report.stocks)
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("make_config", [_config, _crisis_config], ids=["cross", "crisis"])
+    def test_too_small_folds_skip_stock_with_annotation(self, monkeypatch, make_config, jobs):
+        def no_pool(*args):
+            raise AssertionError("a skipped experiment reached the per-stock runner")
+
+        monkeypatch.setattr(harness, "_run_per_stock", no_pool)
+        config = make_config(network={**FAST_NET, "batch_size": 1000}, jobs=jobs)
+        report = run(config)
+        assert report.stocks and all(r.skipped for r in report.stocks)
         assert all("batch size" in r.skip_reason for r in report.stocks)
         assert report.mean_accuracies == {}
         assert report.welch_tests["bestof"] is None
+        assert multiprocessing.active_children() == []
 
     def test_stock_filter_restricts_universe(self):
         report = run_cross_validated(_config(stock_filter=("S001", "S003")))
@@ -181,23 +204,8 @@ class TestRunCrossValidated:
 
 
 class TestRunCrisis:
-    def _crisis_config(self, **kwargs):
-        syn = SyntheticConfig(
-            n_stocks=5, n_steps=400, ticks_per_step=4, signal_strength=0.7,
-            noise_sigma=0.01, seed=21,
-            regime_switch=RegimeSwitch(switch_step=300, crisis_drift=-0.002,
-                                       crisis_sigma_multiplier=1.2),
-        )
-        start, end = crisis_window(syn)
-        defaults = dict(
-            mode="crisis", synthetic=syn, step_size=4, seed=5,
-            network=dict(FAST_NET), crisis_start=start, crisis_end=end,
-        )
-        defaults.update(kwargs)
-        return ExperimentConfig(**defaults)
-
     def test_chronological_split(self):
-        config = self._crisis_config()
+        config = _crisis_config()
         matrix = load_price_matrix(config)
         gradients = build_gradients(matrix, config.step_size)
         times = gradients.interval_timestamps[1:]
@@ -207,7 +215,7 @@ class TestRunCrisis:
         assert train.max() < test.min()
 
     def test_report_and_test_segment_size(self):
-        report = run_crisis(self._crisis_config())
+        report = run_crisis(_crisis_config())
         assert not any(r.skipped for r in report.stocks)
         # test segment: intervals 300..399 -> 100 examples scored per stock
         assert all(r.n_examples == 100 for r in report.stocks)
@@ -215,11 +223,11 @@ class TestRunCrisis:
 
     def test_jobs_do_not_change_results(self):
         _assert_same_results(
-            run_crisis(self._crisis_config()), run_crisis(self._crisis_config(jobs=2))
+            run_crisis(_crisis_config()), run_crisis(_crisis_config(jobs=2))
         )
 
     def test_boundary_beyond_data_is_fatal(self):
-        config = self._crisis_config()
+        config = _crisis_config()
         config.crisis_start = np.datetime64("2030-01-01T00:00:00", "ms")
         config.crisis_end = np.datetime64("2031-01-01T00:00:00", "ms")
         with pytest.raises(DataError, match="empty side"):
@@ -231,7 +239,7 @@ class TestRunCrisis:
             config.validate()
 
     def test_boundaries_derived_from_synthetic_regime(self):
-        config = self._crisis_config(crisis_start=None, crisis_end=None)
+        config = _crisis_config(crisis_start=None, crisis_end=None)
         report = run_crisis(config)
         assert all(r.n_examples == 100 for r in report.stocks)
 
@@ -243,6 +251,7 @@ class TestBottleneckSweep:
         assert [r.bottleneck for r in reports] == [1, 2, None]
         assert len({r.fold_hash for r in reports}) == 1
         assert all(r.mode == "bottleneck_sweep" for r in reports)
+        assert all(r.provenance["config"]["mode"] == "bottleneck_sweep" for r in reports)
 
     def test_jobs_do_not_change_results(self):
         serial, parallel = (
@@ -576,6 +585,8 @@ class TestCli:
             f"[data]\nsource = ticks\ntick_csv = {ticks}\n[experiment]\nstep_size = 4\n"
         )
         assert main(["run", "--config", str(path)]) == 2  # not UTF-8
+        ticks.write_text(f'stock_id,timestamp,bid,ask,volume,avg_price\nAAA,"{"x" * 200_000}",,,,\n')
+        assert main(["run", "--config", str(path)]) == 2  # a field beyond the CSV limit
 
     def test_synth_subcommand_matrix_and_ticks(self, tmp_path):
         path = tmp_path / "exp.ini"

@@ -79,6 +79,8 @@ class TestParseTicks:
             parse_ticks(b"")
         with pytest.raises(DataError, match="UTF-8"):
             parse_ticks(_tick_csv([f"AAA,{T0},10.0,10.2,5,10.1"]) + b"AAA,\xff\n")
+        with pytest.raises(DataError, match="malformed CSV at line 2"):
+            parse_ticks(_tick_csv([f'AAA,"{"x" * 200_000}",10.0,10.2,5,10.1']))
 
     def test_unreadable_file_is_a_data_error(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
@@ -360,4 +362,7 @@ class TestPriceMatrixCsv:
         path = tmp_path / "bad.csv"
         path.write_text("nope\n1,2\n")
         with pytest.raises(DataError):
+            PriceMatrix.from_csv(path)
+        path.write_text(f'timestamp,AAA\n{T0},"{"1" * 200_000}"\n')
+        with pytest.raises(DataError, match="malformed CSV at line 2"):
             PriceMatrix.from_csv(path)
