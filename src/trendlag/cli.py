@@ -113,9 +113,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     path = Path(args.input)
     try:
-        payload = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise DataError(f"report file not found: {path}") from None
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read report {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: not valid JSON: {exc}") from exc
     out_dir = Path(args.out) if args.out else path.parent

@@ -10,9 +10,9 @@ gradients.  Three modes are supported:
 * ``crisis``: one chronological split; everything before the boundary
   trains (validation = most recent quarter of it), the bounded window is
   the test set.  No cross-validation.
-* ``bottleneck_sweep``: repeats the cross-validated experiment once per
-  bottleneck width plus once without, with identical folds and seeds so
-  the runs are directly comparable.
+* ``bottleneck_sweep``: the cross-validated experiment at each bottleneck
+  width plus once without, as one plan: one set of gradients, folds and
+  seeds, with every (width, stock) task in one worker pool.
 
 Each mode is a list of (name, train, validation, test) index splits that
 every stock shares, run by one per-stock function: it trains one net per
@@ -372,38 +372,38 @@ def _pin_one_blas_thread() -> None:
         setter(1)
 
 
-# The per-stock task of the pool this worker process belongs to.
-_TASK: Callable[[str], StockResult] | None = None
+# The worker function of the pool this worker process belongs to.
+_TASK: Callable[[Any], StockResult] | None = None
 
 
-def _start_worker(task: Callable[[str], StockResult]) -> None:
+def _start_worker(task: Callable[[Any], StockResult]) -> None:
     global _TASK
     _TASK = task
     _pin_one_blas_thread()
 
 
-def _run_task(stock_id: str) -> StockResult:
-    return _TASK(stock_id)
+def _run_task(task: Any) -> StockResult:
+    return _TASK(task)
 
 
 def _run_per_stock(
-    config: ExperimentConfig, worker: Callable[[str], StockResult], stock_ids: Sequence[str]
+    config: ExperimentConfig, worker: Callable[[Any], StockResult], tasks: Sequence[Any]
 ) -> list[StockResult]:
-    """Run one task per stock, in forked worker processes when jobs > 1.
+    """Run each (network index, stock id) task, in forked workers when jobs > 1.
 
     Order is preserved.  Each task owns its seed-derived generators, so the
     degree of parallelism cannot perturb results.  The pool forks, so the
     worker closure and the data it holds reach the children without
-    pickling or a second numpy import; only stock ids go out and only
+    pickling or a second numpy import; only tasks go out and only
     StockResults come back.  Each child runs one BLAS thread, which keeps
     jobs x BLAS threads within the cores when jobs is at most the core count.
     """
-    n_workers = min(config.jobs, len(stock_ids))
+    n_workers = min(config.jobs, len(tasks))
     if n_workers <= 1:
-        return [worker(s) for s in stock_ids]
+        return [worker(t) for t in tasks]
     context = multiprocessing.get_context("fork")
     with context.Pool(n_workers, initializer=_start_worker, initargs=(worker,)) as pool:
-        results = pool.map(_run_task, stock_ids, chunksize=1)
+        results = pool.map(_run_task, tasks, chunksize=1)
         pool.close()
         pool.join()
     return results
@@ -506,32 +506,36 @@ def _gradients(config: ExperimentConfig, matrix: PriceMatrix | None) -> features
 
 
 def _run_splits(
-    config: ExperimentConfig,
+    configs: list[ExperimentConfig],
     gradients: features.GradientMatrix,
     splits: list[Split],
     fold_hash: str,
     skip_reason: str,
     t0: float,
-) -> ExperimentReport:
-    """Run the splits for every stock, or skip every stock when there is a reason."""
-    stock_seeds = {s: derive_seed(config.seed, s) for s in gradients.stock_ids}
+) -> list[ExperimentReport]:
+    """One report per network config; all their stock tasks run in one pool, or all skip."""
+    stock_seeds = {s: derive_seed(configs[0].seed, s) for s in gradients.stock_ids}
+    tasks = [(i, s) for s in gradients.stock_ids for i in range(len(configs))]
     if skip_reason:
-        results = [_skipped(s, gradients.n_intervals - 1, skip_reason) for s in gradients.stock_ids]
+        results = [_skipped(s, gradients.n_intervals - 1, skip_reason) for _, s in tasks]
     else:
         results = _run_per_stock(
-            config,
-            lambda s: _run_stock(config, gradients, splits, s, stock_seeds[s]),
-            gradients.stock_ids,
+            configs[0],
+            lambda t: _run_stock(configs[t[0]], gradients, splits, t[1], stock_seeds[t[1]]),
+            tasks,
         )
-    return _assemble_report(config, results, fold_hash, stock_seeds, t0)
+    per_network = [results[i :: len(configs)] for i in range(len(configs))]
+    return [_assemble_report(c, r, fold_hash, stock_seeds, t0) for c, r in zip(configs, per_network)]
 
 
-def run_cross_validated(
-    config: ExperimentConfig, matrix: PriceMatrix | None = None
-) -> ExperimentReport:
-    """Five-fold leave-target-out experiment over every stock in the panel."""
+def _run_folds(
+    config: ExperimentConfig, matrix: PriceMatrix | None, networks: list[dict[str, Any]]
+) -> list[ExperimentReport]:
+    """The cross-validated experiment once per network setting, over one fold plan."""
     t0 = time_mod.perf_counter()
-    config.validate()
+    configs = [replace(config, network=network) for network in networks]
+    for c in configs:
+        c.validate()
     gradients = _gradients(config, matrix)
     n_examples = gradients.n_intervals - 1
     folds = _contiguous_folds(
@@ -545,7 +549,15 @@ def run_cross_validated(
         config, splits, "too few examples for a 60-20-20 fold split", "fold training"
     )
     fold_hash = _fold_hash(folds, extra=f"n={n_examples}")
-    return _run_splits(config, gradients, splits, fold_hash, skip_reason, t0)
+    return _run_splits(configs, gradients, splits, fold_hash, skip_reason, t0)
+
+
+def run_cross_validated(
+    config: ExperimentConfig, matrix: PriceMatrix | None = None
+) -> ExperimentReport:
+    """Five-fold leave-target-out experiment over every stock in the panel."""
+    (report,) = _run_folds(config, matrix, [config.network])
+    return report
 
 
 def run_crisis(config: ExperimentConfig, matrix: PriceMatrix | None = None) -> ExperimentReport:
@@ -577,7 +589,8 @@ def run_crisis(config: ExperimentConfig, matrix: PriceMatrix | None = None) -> E
         config, splits, "training side too small for a validation split", "training"
     )
     fold_hash = _fold_hash([fit_idx, val_idx, test_idx], extra="crisis")
-    return _run_splits(config, gradients, splits, fold_hash, skip_reason, t0)
+    (report,) = _run_splits([config], gradients, splits, fold_hash, skip_reason, t0)
+    return report
 
 
 def run_bottleneck_sweep(
@@ -585,16 +598,12 @@ def run_bottleneck_sweep(
 ) -> list[ExperimentReport]:
     """Cross-validated runs at each bottleneck width plus the unconstrained net.
 
-    All runs share the data, folds, and per-stock seeds; only the
-    architecture differs, so reports are directly comparable.
+    All runs share the gradients, folds, per-stock seeds and worker pool;
+    only the architecture differs, so reports are directly comparable.
     """
     config.validate()
-    if matrix is None:
-        matrix = load_price_matrix(config)
-    return [
-        run_cross_validated(replace(config, network={**config.network, "bottleneck": w}), matrix)
-        for w in tuple(config.bottleneck_widths) + (None,)
-    ]
+    widths = tuple(config.bottleneck_widths) + (None,)
+    return _run_folds(config, matrix, [{**config.network, "bottleneck": w} for w in widths])
 
 
 def run(config: ExperimentConfig) -> ExperimentReport | list[ExperimentReport]:

@@ -20,8 +20,9 @@ import csv
 import io
 import logging
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
-from datetime import datetime, time, timedelta, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -117,12 +118,24 @@ def _parse_number(text: str) -> float:
 
 
 def _csv_rows(stream: IO[str], name: str | Path) -> Iterator[list[str]]:
-    """The CSV rows of ``stream``; malformed CSV (say, an oversized field) is a DataError."""
+    """The CSV rows of ``stream``; malformed CSV or text that is not UTF-8 is a DataError."""
     reader = csv.reader(stream)
     try:
         yield from reader
     except csv.Error as exc:
         raise DataError(f"{name}: malformed CSV at line {reader.line_num}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{name} is not valid UTF-8: {exc}") from exc
+
+
+@contextmanager
+def _open_rows(path: str | Path) -> Iterator[Iterator[list[str]]]:
+    """The CSV rows of the UTF-8 file at ``path``; a file that cannot be read is a DataError."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield _csv_rows(fh, path)
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
 
 
 def parse_ticks(source: str | Path | bytes | IO) -> TickTable:
@@ -135,11 +148,8 @@ def parse_ticks(source: str | Path | bytes | IO) -> TickTable:
     ``TickTable.skipped``.  A bytes (UTF-8) or text stream stays open.
     """
     if isinstance(source, (str, Path)):
-        try:
-            with open(source, "rb") as fh:
-                return parse_ticks(fh)
-        except OSError as exc:
-            raise DataError(f"cannot read tick file: {exc}") from exc
+        with _open_rows(source) as rows:
+            return _parse_tick_rows(rows)
     if isinstance(source, bytes):
         return parse_ticks(io.BytesIO(source))
     if isinstance(source.read(0), str):
@@ -147,8 +157,6 @@ def parse_ticks(source: str | Path | bytes | IO) -> TickTable:
     text = io.TextIOWrapper(source, encoding="utf-8", newline="")
     try:
         return _parse_tick_rows(_csv_rows(text, "tick stream"))
-    except UnicodeDecodeError as exc:
-        raise DataError(f"tick stream is not valid UTF-8: {exc}") from exc
     finally:
         text.detach()  # a collected wrapper would close the caller's stream
 
@@ -204,15 +212,10 @@ def write_matrix_csv(
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing sampling instants, optionally confined to sessions.
-
-    ``sessions`` is a tuple of (open, close) times of day applied to every
-    calendar day; None means trading around the clock.
-    """
+    """Strictly increasing sampling instants around the clock, nominally ``step`` apart."""
 
     instants: np.ndarray
     step: np.timedelta64
-    sessions: tuple[tuple[time, time], ...] | None = None
 
     def __post_init__(self) -> None:
         inst = np.asarray(self.instants, dtype="datetime64[ms]")
@@ -221,15 +224,6 @@ class TimeGrid:
             raise DataError("time grid must contain at least one instant")
         if inst.size > 1 and not (np.diff(inst) > np.timedelta64(0, "ms")).all():
             raise DataError("time grid instants must be strictly increasing")
-        if self.sessions is not None:
-            for ts in inst:
-                if not self._in_session(ts.astype(datetime)):
-                    raise DataError(f"grid instant {ts} lies outside every session")
-
-    def _in_session(self, dt: datetime) -> bool:
-        assert self.sessions is not None
-        tod = dt.time()
-        return any(lo <= tod <= hi for lo, hi in self.sessions)
 
     @property
     def count(self) -> int:
@@ -239,7 +233,7 @@ class TimeGrid:
         """Grid over the most recent ``keep_last`` instants."""
         if not 0 < keep_last <= self.count:
             raise DataError(f"cannot keep {keep_last} of {self.count} instants")
-        return TimeGrid(self.instants[self.count - keep_last:], self.step, self.sessions)
+        return TimeGrid(self.instants[self.count - keep_last:], self.step)
 
     @classmethod
     def regular(
@@ -247,13 +241,8 @@ class TimeGrid:
         start: str | datetime | np.datetime64,
         step: timedelta | np.timedelta64,
         count: int,
-        sessions: Iterable[tuple[time, time]] | None = None,
     ) -> "TimeGrid":
-        """Build a uniform grid of ``count`` instants.
-
-        With sessions, stepping that leaves the current window jumps to the
-        next window's opening time, so spacing is uniform only in-session.
-        """
+        """Build a uniform grid of ``count`` instants."""
         if count < 1:
             raise DataError("grid count must be positive")
         if isinstance(start, str):
@@ -263,31 +252,7 @@ class TimeGrid:
         step64 = step64.astype("timedelta64[ms]")
         if step64 <= np.timedelta64(0, "ms"):
             raise DataError("grid step must be a positive duration")
-        if sessions is None:
-            instants = start64 + step64 * np.arange(count)
-            return cls(instants, step64, None)
-
-        windows = tuple(sorted(sessions))
-        for lo, hi in windows:
-            if lo > hi:
-                raise DataError(f"session window {lo}-{hi} is inverted")
-        out = []
-        cur = start64.astype(datetime)
-        step_td = timedelta(milliseconds=int(step64 / np.timedelta64(1, "ms")))
-        while len(out) < count:
-            tod = cur.time()
-            inside = any(lo <= tod <= hi for lo, hi in windows)
-            if inside:
-                out.append(np.datetime64(cur, "ms"))
-                cur = cur + step_td
-                continue
-            # jump to the next session opening at or after cur
-            later = [lo for lo, _ in windows if lo > tod]
-            if later:
-                cur = datetime.combine(cur.date(), min(later))
-            else:
-                cur = datetime.combine(cur.date() + timedelta(days=1), windows[0][0])
-        return cls(np.array(out, dtype="datetime64[ms]"), step64, windows)
+        return cls(start64 + step64 * np.arange(count), step64)
 
 
 @dataclass
@@ -352,8 +317,7 @@ class PriceMatrix:
     @classmethod
     def from_csv(cls, path: str | Path) -> "PriceMatrix":
         """Load a matrix CSV.  Loaded cells count as observed (empty mask)."""
-        with open(path, newline="") as fh:
-            reader = _csv_rows(fh, path)
+        with _open_rows(path) as reader:
             try:
                 header = next(reader)
             except StopIteration:

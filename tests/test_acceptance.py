@@ -7,6 +7,7 @@ asserted against it.
 
 import json
 import math
+import os
 import time
 
 import numpy as np
@@ -24,6 +25,11 @@ from trendlag.harness import (
 from trendlag.neural import Gradients, NetworkConfig, backward, init, loss, sgd_step, train
 from trendlag.stats import box_stats, welch_upper_tail
 from trendlag.synth import RegimeSwitch, SyntheticConfig, crisis_window, oracle_accuracy
+
+
+# The paper-claim criteria (4-8) run on the worker pool; reports do not
+# depend on the jobs setting.
+JOBS = min(2, os.cpu_count() or 1)
 
 
 def _verdict(number: int, name: str, passed: bool, detail: str) -> None:
@@ -188,7 +194,7 @@ def test_criterion_4_null_calibration():
             n_stocks=10, n_steps=1500, ticks_per_step=4, signal_strength=0.0, seed=4000 + i
         )
         config = ExperimentConfig(
-            synthetic=syn, step_size=4, seed=400 + i, network=dict(NULL_NET)
+            synthetic=syn, step_size=4, seed=400 + i, network=dict(NULL_NET), jobs=JOBS
         )
         report = run_cross_validated(config)
         means.append(report.mean_accuracies["model"])
@@ -219,7 +225,9 @@ def test_criterion_5_planted_signal_detection():
         n_stocks=20, n_steps=3000, ticks_per_step=16, signal_strength=0.8,
         noise_sigma=0.01, seed=501,
     )
-    config = ExperimentConfig(synthetic=syn, step_size=16, seed=52, network=dict(SIGNAL_NET))
+    config = ExperimentConfig(
+        synthetic=syn, step_size=16, seed=52, network=dict(SIGNAL_NET), jobs=JOBS
+    )
     report = run_cross_validated(config)
     bound = oracle_accuracy(syn, n_mc=50_000)
     elapsed = time.perf_counter() - t0
@@ -252,7 +260,9 @@ def test_criterion_6_interval_length_ordering():
     for step in (2, 4, 16):  # half-hour / hour / day analogues (s, 2s, 8s)
         accs = [
             run_cross_validated(
-                ExperimentConfig(synthetic=syn, step_size=step, seed=master, network=dict(net))
+                ExperimentConfig(
+                    synthetic=syn, step_size=step, seed=master, network=dict(net), jobs=JOBS
+                )
             ).mean_accuracies["model"]
             for master in (1, 2, 3, 4, 5)
         ]
@@ -281,7 +291,7 @@ def test_criterion_7_bottleneck_monotonicity():
            "max_epochs": 5, "early_stop_patience": 5, "learning_rate": 0.04}
     config = ExperimentConfig(
         mode="bottleneck_sweep", synthetic=syn, step_size=8, seed=7,
-        network=net, bottleneck_widths=(1, 3, 5, 10),
+        network=net, bottleneck_widths=(1, 3, 5, 10), jobs=JOBS,
     )
     reports = run_bottleneck_sweep(config)
     elapsed = time.perf_counter() - t0
@@ -314,7 +324,7 @@ def test_criterion_8_crisis_robustness():
     start, end = crisis_window(syn)
     config = ExperimentConfig(
         mode="crisis", synthetic=syn, step_size=8, seed=82,
-        network=dict(SIGNAL_NET), crisis_start=start, crisis_end=end,
+        network=dict(SIGNAL_NET), crisis_start=start, crisis_end=end, jobs=JOBS,
     )
     report = run_crisis(config)
     elapsed = time.perf_counter() - t0

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from trendlag import harness
+from trendlag import features, harness
 from trendlag.cli import main
 from trendlag.errors import ConfigError, DataError
 from trendlag.features import build_gradients, dataset_arrays
@@ -77,6 +77,10 @@ def _crisis_config(**kwargs):
     )
     defaults.update(kwargs)
     return ExperimentConfig(**defaults)
+
+
+def _sweep_config(**kwargs):
+    return _config(mode="bottleneck_sweep", bottleneck_widths=(1, 2), **kwargs)
 
 
 class TestFolds:
@@ -178,18 +182,21 @@ class TestRunCrossValidated:
         assert a.stocks != b.stocks
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    @pytest.mark.parametrize("make_config", [_config, _crisis_config], ids=["cross", "crisis"])
+    @pytest.mark.parametrize(
+        "make_config", [_config, _crisis_config, _sweep_config], ids=["cross", "crisis", "sweep"]
+    )
     def test_too_small_folds_skip_stock_with_annotation(self, monkeypatch, make_config, jobs):
         def no_pool(*args):
             raise AssertionError("a skipped experiment reached the per-stock runner")
 
         monkeypatch.setattr(harness, "_run_per_stock", no_pool)
         config = make_config(network={**FAST_NET, "batch_size": 1000}, jobs=jobs)
-        report = run(config)
-        assert report.stocks and all(r.skipped for r in report.stocks)
-        assert all("batch size" in r.skip_reason for r in report.stocks)
-        assert report.mean_accuracies == {}
-        assert report.welch_tests["bestof"] is None
+        result = run(config)
+        for report in result if isinstance(result, list) else [result]:
+            assert report.stocks and all(r.skipped for r in report.stocks)
+            assert all("batch size" in r.skip_reason for r in report.stocks)
+            assert report.mean_accuracies == {}
+            assert report.welch_tests["bestof"] is None
         assert multiprocessing.active_children() == []
 
     def test_stock_filter_restricts_universe(self):
@@ -246,21 +253,42 @@ class TestRunCrisis:
 
 class TestBottleneckSweep:
     def test_shared_folds_and_widths(self):
-        config = _config(mode="bottleneck_sweep", bottleneck_widths=(1, 2))
-        reports = run_bottleneck_sweep(config)
+        reports = run_bottleneck_sweep(_sweep_config())
         assert [r.bottleneck for r in reports] == [1, 2, None]
         assert len({r.fold_hash for r in reports}) == 1
         assert all(r.mode == "bottleneck_sweep" for r in reports)
         assert all(r.provenance["config"]["mode"] == "bottleneck_sweep" for r in reports)
 
     def test_jobs_do_not_change_results(self):
-        serial, parallel = (
-            run_bottleneck_sweep(_config(mode="bottleneck_sweep", bottleneck_widths=(1, 2), jobs=j))
-            for j in (1, 2)
-        )
+        serial, parallel = (run_bottleneck_sweep(_sweep_config(jobs=j)) for j in (1, 2))
         assert len(serial) == len(parallel) == 3
         for a, b in zip(serial, parallel):
             _assert_same_results(a, b)
+
+    def test_one_gradient_build_and_one_pool(self, monkeypatch):
+        calls = {"build_gradients": 0, "_run_per_stock": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(features, "build_gradients")
+        counted(harness, "_run_per_stock")
+        assert len(run_bottleneck_sweep(_sweep_config(jobs=2))) == 3
+        assert calls == {"build_gradients": 1, "_run_per_stock": 1}
+
+    def test_each_width_matches_its_cross_validated_run(self):
+        for report in run_bottleneck_sweep(_sweep_config(jobs=2)):
+            alone = run_cross_validated(
+                _config(network={**FAST_NET, "bottleneck": report.bottleneck})
+            )
+            _assert_same_results(report, alone)
+            assert report.welch_tests == alone.welch_tests
 
     def test_seeds_shared_across_widths(self):
         config = _config(mode="bottleneck_sweep", bottleneck_widths=(1,))
@@ -587,6 +615,13 @@ class TestCli:
         assert main(["run", "--config", str(path)]) == 2  # not UTF-8
         ticks.write_text(f'stock_id,timestamp,bid,ask,volume,avg_price\nAAA,"{"x" * 200_000}",,,,\n')
         assert main(["run", "--config", str(path)]) == 2  # a field beyond the CSV limit
+        matrix = tmp_path / "panel.csv"
+        path.write_text(
+            f"[data]\nsource = matrix\nmatrix_csv = {matrix}\n[experiment]\nstep_size = 4\n"
+        )
+        assert main(["run", "--config", str(path)]) == 2  # missing matrix file
+        matrix.write_bytes(b"timestamp,AAA\n2011-04-01T09:30:00.000Z,\xff\n")
+        assert main(["run", "--config", str(path)]) == 2  # matrix file not UTF-8
 
     def test_synth_subcommand_matrix_and_ticks(self, tmp_path):
         path = tmp_path / "exp.ini"
@@ -611,3 +646,6 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text('{"hello": 1}')
         assert main(["report", "--in", str(bad)]) == 2
+        bad.write_bytes(b'{"mode": "\xff"}')
+        assert main(["report", "--in", str(bad)]) == 2  # not UTF-8
+        assert main(["report", "--in", str(tmp_path)]) == 2  # a directory

@@ -3,7 +3,6 @@
 import gc
 import io
 import tempfile
-from datetime import time
 
 import numpy as np
 import pytest
@@ -174,20 +173,6 @@ class TestTimeGrid:
         inst = np.array(["2011-04-01T09:30", "2011-04-01T09:30"], dtype="datetime64[ms]")
         with pytest.raises(DataError, match="strictly increasing"):
             TimeGrid(inst, np.timedelta64(60_000, "ms"))
-
-    def test_session_windows_confine_instants(self):
-        grid = TimeGrid.regular(
-            "2011-04-01T09:30:00.000Z",
-            np.timedelta64(30, "m").astype("timedelta64[ms]"),
-            16,
-            sessions=[(time(9, 30), time(16, 0))],
-        )
-        assert grid.count == 16
-        hours = grid.instants.astype("datetime64[s]").tolist()
-        for dt in hours:
-            assert time(9, 30) <= dt.time() <= time(16, 0)
-        # 14 half-hour slots fit on day one; the rest roll to the next session
-        assert str(grid.instants[-2]).startswith("2011-04-02")
 
     def test_truncated_keeps_most_recent(self):
         grid = _grid(10)
@@ -366,3 +351,8 @@ class TestPriceMatrixCsv:
         path.write_text(f'timestamp,AAA\n{T0},"{"1" * 200_000}"\n')
         with pytest.raises(DataError, match="malformed CSV at line 2"):
             PriceMatrix.from_csv(path)
+        path.write_bytes(f"timestamp,AAA\n{T0},\xff\n".encode("latin-1"))
+        with pytest.raises(DataError, match="UTF-8"):
+            PriceMatrix.from_csv(path)
+        with pytest.raises(DataError, match="cannot read"):
+            PriceMatrix.from_csv(tmp_path / "missing.csv")
