@@ -6,12 +6,12 @@ timestamps, empty field = missing).  The pipeline here is:
 
     parse_ticks -> fill_missing -> select_consistent_stocks
 
-parse_ticks streams the rows into one TickColumns per stock: a
-datetime64[ms] ``timestamp`` array and float64 ``bid``, ``ask``, ``volume``
-and ``avg_price`` arrays (NaN = missing), sorted by time.  fill_missing
-samples them onto a uniform time grid, giving a PriceMatrix: strictly
-positive prices, one row per grid instant and one column per stock, plus a
-mask distinguishing observed cells from forward/backward-filled ones.
+parse_ticks reads the rows in bounded blocks, parses a block a column at a time
+(only non-canonical fields go through the per-row parsers) and gives one
+TickColumns per stock: datetime64[ms] ``timestamp`` and float64 ``bid``, ``ask``,
+``volume`` and ``avg_price`` arrays (NaN = missing), sorted by time.  fill_missing
+samples them onto a uniform time grid, giving a PriceMatrix: strictly positive
+prices, one row per grid instant and one column per stock, plus a fill mask.
 """
 
 from __future__ import annotations
@@ -20,11 +20,13 @@ import csv
 import io
 import logging
 import math
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from itertools import compress, islice
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -52,7 +54,10 @@ def parse_timestamp(text: str) -> np.datetime64:
         s = s[:-1] + "+00:00"
     dt = datetime.fromisoformat(s)
     if dt.tzinfo is not None:
-        dt = dt.astimezone(timezone.utc).replace(tzinfo=None)
+        try:
+            dt = dt.astimezone(timezone.utc).replace(tzinfo=None)
+        except OverflowError as exc:  # the offset moves it outside years 1-9999
+            raise ValueError(f"timestamp {text!r} out of range") from exc
     return np.datetime64(dt, "ms")
 
 
@@ -70,14 +75,6 @@ class TickColumns:
     ask: np.ndarray
     volume: np.ndarray
     avg_price: np.ndarray
-
-    @classmethod
-    def from_rows(cls, rows: list[tuple]) -> "TickColumns":
-        """Sort ``(timestamp, bid, ask, volume, avg_price)`` rows into columns."""
-        timestamp, *fields = zip(*rows)
-        ts = np.array(timestamp, dtype="datetime64[ms]")
-        order = np.argsort(ts, kind="stable")
-        return cls(ts[order], *(np.array(f, dtype=np.float64)[order] for f in fields))
 
     def price(self, source: str = "auto") -> np.ndarray:
         """Per-tick price this stock contributes to the matrix; NaN where none."""
@@ -107,14 +104,54 @@ class TickTable:
 
 
 def _parse_number(text: str) -> float:
-    """One numeric field: empty means missing (NaN); a non-finite value raises."""
+    """One numeric field: blank means missing (NaN); inf marks a bad or non-finite one."""
     s = text.strip()
-    if not s:
-        return math.nan
-    value = float(s)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite value {value!r}")
-    return value
+    try:
+        value = float(s)
+    except ValueError:
+        return math.inf if s else math.nan
+    return value if math.isfinite(value) else math.inf
+
+
+# Rows per block.  On a 182k-row file, 2048 cut peak RSS 23 MB below a per-row parser; 64k: +38 MB
+_BLOCK_ROWS = 2048
+_TS_LEN = len("2011-04-01T09:30:00.000Z")  # numpy's datetime64[ms] form, plus 'Z'
+
+
+def _parse_timestamps(fields: Sequence[str]) -> np.ndarray:
+    """parse_timestamp over ``fields`` as datetime64[ms], with NaT where it raises.
+
+    numpy parses the canonical-length fields at once (others as "", so that no long
+    field widens the array); its value stands where it prints back as the same field
+    with a year of at least 1 (numpy reads year 0 too).  parse_timestamp takes the
+    rest, or every field if numpy raises.
+    """
+    text = np.array([s if len(s) == _TS_LEN else "" for s in fields], dtype=f"U{_TS_LEN}")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a time zone warns; the check below rejects it
+            out = text.astype(f"U{_TS_LEN - 1}").astype("datetime64[ms]")
+    except ValueError:  # e.g. a day out of range
+        out = np.full(len(fields), np.datetime64("NaT", "ms"))
+    printed = np.char.add(np.datetime_as_string(out, unit="ms"), "Z")
+    rest = np.flatnonzero((printed != text) | (out < np.datetime64("0001-01-01")))
+    out[rest] = np.datetime64("NaT")
+    for i in rest:
+        try:
+            out[i] = parse_timestamp(fields[i])
+        except ValueError:
+            pass
+    return out
+
+
+def _parse_numbers(fields: Sequence[str]) -> np.ndarray:
+    """_parse_number over ``fields``: float() in one pass, field by field if it raises."""
+    try:
+        values = np.fromiter(map(float, fields), np.float64, len(fields))
+    except ValueError:  # blank, malformed, or padded with \x1c-\x1f, which only strip() drops
+        return np.fromiter(map(_parse_number, fields), np.float64, len(fields))
+    values[~np.isfinite(values)] = math.inf  # "nan", "inf" or an overflow
+    return values
 
 
 def _csv_rows(stream: IO[str], name: str | Path) -> Iterator[list[str]]:
@@ -141,11 +178,12 @@ def _open_rows(path: str | Path) -> Iterator[Iterator[list[str]]]:
 def parse_ticks(source: str | Path | bytes | IO) -> TickTable:
     """Read a tick CSV stream into per-stock, time-sorted columns.
 
-    Rows are read one at a time, so the file is never held whole.  A
-    malformed header is fatal; individual rows that cannot be parsed (wrong
-    field count, empty stock id, bad timestamp, non-finite number,
-    non-positive price, negative volume) are skipped and counted in
-    ``TickTable.skipped``.  A bytes (UTF-8) or text stream stays open.
+    Rows are read in bounded blocks, so the file is never held whole, and parsed
+    a column at a time; only non-canonical fields go through the per-row parsers.
+    A malformed header is fatal; rows that cannot be parsed (wrong field count,
+    empty stock id, bad timestamp, non-finite number, non-positive price,
+    negative volume) are skipped and counted in ``TickTable.skipped``.  A bytes
+    (UTF-8) or text stream stays open.
     """
     if isinstance(source, (str, Path)):
         with _open_rows(source) as rows:
@@ -167,36 +205,34 @@ def _parse_tick_rows(reader: Iterator[list[str]]) -> TickTable:
     except StopIteration:
         raise DataError("tick stream is empty (missing header)") from None
     if tuple(h.strip().lower() for h in header) != TICK_HEADER:
-        raise DataError(
-            f"malformed tick header {header!r}; expected {','.join(TICK_HEADER)}"
-        )
+        raise DataError(f"malformed tick header {header!r}; expected {','.join(TICK_HEADER)}")
 
-    rows: dict[str, list[tuple]] = {}
+    codes: dict[str, int] = {}  # stock id -> code, in order of first kept row
+    blocks: list[tuple[np.ndarray, ...]] = []  # each block's kept (code, timestamp, *numbers)
     skipped = 0
-    for row in reader:
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue  # blank line
-        stock_id = row[0].strip()
-        if len(row) != len(TICK_HEADER) or not stock_id:
-            skipped += 1
+    while block := list(islice(reader, _BLOCK_ROWS)):
+        rows = [r for r in block if len(r) == len(TICK_HEADER) and r[0].strip()]
+        skipped += sum(len(r) > 1 or bool(r and r[0].strip()) for r in block) - len(rows)
+        if not rows:
             continue
-        try:
-            timestamp = parse_timestamp(row[1])
-            bid, ask, volume, avg_price = map(_parse_number, row[2:])
-        except ValueError:
-            skipped += 1
-            continue
+        ids, stamps, *fields = zip(*rows)
+        timestamp = _parse_timestamps(stamps)
+        bid, ask, volume, avg_price = numbers = [_parse_numbers(f) for f in fields]
         # NaN (missing) fails every comparison, so it passes these checks
-        if bid <= 0.0 or ask <= 0.0 or avg_price <= 0.0 or volume < 0.0:
-            skipped += 1
-            continue
-        rows.setdefault(stock_id, []).append((timestamp, bid, ask, volume, avg_price))
+        keep = ~(np.isnat(timestamp) | np.isinf(numbers).any(axis=0) | (bid <= 0.0)
+                 | (ask <= 0.0) | (avg_price <= 0.0) | (volume < 0.0))
+        skipped += len(rows) - int(keep.sum())
+        code = [codes.setdefault(s.strip(), len(codes)) for s in compress(ids, keep.tolist())]
+        blocks.append((np.array(code, dtype=np.intp), *(a[keep] for a in (timestamp, *numbers))))
 
     if skipped:
         logger.info("parse_ticks: skipped %d unparseable row(s)", skipped)
-    return TickTable(
-        columns={s: TickColumns.from_rows(r) for s, r in rows.items()}, skipped=skipped
-    )
+    if not codes:
+        return TickTable(columns={}, skipped=skipped)
+    code, *columns = (np.concatenate(c) for c in zip(*blocks))
+    order = np.lexsort((columns[0], code))  # by stock, then stably by time
+    split = [np.split(c[order], np.cumsum(np.bincount(code))[:-1]) for c in columns]
+    return TickTable({s: TickColumns(*c) for s, *c in zip(codes, *split)}, skipped)
 
 
 def write_matrix_csv(
@@ -324,25 +360,23 @@ class PriceMatrix:
                 raise DataError(f"{path}: empty price matrix file") from None
             if len(header) < 2 or header[0].strip().lower() != "timestamp":
                 raise DataError(f"{path}: malformed price matrix header {header!r}")
-            ids = tuple(h.strip() for h in header[1:])
-            instants, rows = [], []
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise DataError(f"{path}: row with {len(row)} fields, expected {len(header)}")
-                try:
-                    instants.append(parse_timestamp(row[0]))
-                    rows.append([float(v) for v in row[1:]])
-                except ValueError as exc:
-                    raise DataError(f"{path}: unparseable row {row!r}: {exc}") from exc
+            rows = [row for row in reader if row]
         if not rows:
             raise DataError(f"{path}: price matrix has no data rows")
-        inst = np.array(instants, dtype="datetime64[ms]")
+        inst = _parse_timestamps([row[0] for row in rows])
+        values = []
+        for row, bad_time in zip(rows, np.isnat(inst).tolist()):
+            if len(row) != len(header):
+                raise DataError(f"{path}: row with {len(row)} fields, expected {len(header)}")
+            try:
+                if bad_time:
+                    parse_timestamp(row[0])  # NaT: this raises, giving the reason
+                values.append([float(v) for v in row[1:]])
+            except ValueError as exc:
+                raise DataError(f"{path}: unparseable row {row!r}: {exc}") from exc
         step = inst[1] - inst[0] if inst.size > 1 else np.timedelta64(1, "ms")
-        values = np.asarray(rows, dtype=np.float64)
-        grid = TimeGrid(inst, step)
-        return cls(grid, ids, values, np.zeros_like(values, dtype=bool))
+        ids = tuple(h.strip() for h in header[1:])
+        return cls(TimeGrid(inst, step), ids, values, np.zeros((len(rows), len(ids)), bool))
 
 
 def _ffill_bfill(column: np.ndarray) -> np.ndarray:

@@ -1,16 +1,22 @@
 """Ingestion, fill, and alignment tests, with brute-force reference oracles."""
 
+import csv
 import gc
 import io
+import math
 import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from trendlag import market_data
 from trendlag.errors import DataError
 from trendlag.market_data import (
     PriceMatrix,
     TimeGrid,
+    _parse_number,
     fill_missing,
     format_timestamp,
     parse_ticks,
@@ -166,6 +172,164 @@ class TestParseTicks:
         b = parse_timestamp("2011-04-01T11:30:00.000+02:00")
         c = parse_timestamp("2011-04-01T09:30:00.000")  # naive = UTC
         assert a == b == c
+
+
+def _oracle(text):
+    """The per-row rules: stocks by first valid row, each sorted stably by time."""
+    columns, skipped = {}, 0
+    for row in list(csv.reader(io.StringIO(text)))[1:]:
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue  # blank line
+        stock_id = row[0].strip()
+        if len(row) != 6 or not stock_id:
+            skipped += 1
+            continue
+        try:
+            timestamp = parse_timestamp(row[1])
+        except ValueError:
+            skipped += 1
+            continue
+        bid, ask, volume, avg_price = numbers = [_parse_number(f) for f in row[2:]]
+        if any(math.isinf(v) for v in numbers) or (
+            bid <= 0.0 or ask <= 0.0 or avg_price <= 0.0 or volume < 0.0
+        ):
+            skipped += 1
+            continue
+        columns.setdefault(stock_id, []).append((timestamp, *numbers))
+    return {s: sorted(r, key=lambda t: t[0]) for s, r in columns.items()}, skipped
+
+
+def _assert_table(table, expected, skipped):
+    assert table.skipped == skipped
+    assert table.stock_ids == tuple(expected)
+    for stock, rows in expected.items():
+        col = table.columns[stock]
+        ts, *numbers = zip(*rows)
+        np.testing.assert_array_equal(col.timestamp, np.array(ts, dtype="datetime64[ms]"))
+        for got, want in zip((col.bid, col.ask, col.volume, col.avg_price), numbers):
+            np.testing.assert_array_equal(got, np.array(want, dtype=np.float64))
+
+
+class TestBlockParser:
+    """Three rows per block, so that rows of one stock fall in different blocks."""
+
+    @pytest.fixture(autouse=True)
+    def _small_blocks(self, monkeypatch):
+        monkeypatch.setattr(market_data, "_BLOCK_ROWS", 3)
+
+    def test_non_canonical_timestamps_take_the_per_row_rules(self):
+        stamps = [
+            ("0000-01-01T00:00:00.000Z", False),  # numpy reads year 0
+            ("10000-01-01T00:00:00.000Z", False),
+            ("NaTZ", False),
+            ("2011-02-29T09:30:00.000Z", False),  # numpy raises for the whole block
+            ("2011-04-01T09:30:00.000z", True),
+            ("2011-04-01T11:30:00.000+02:00", True),
+            ("2011-04-01T09:30:00.000", True),
+            (" 2011-04-01T09:30:00.000Z", True),
+            ("2011-04-01T09:30:00Z", True),
+            ("2011-04-01 09:30:00.000Z", True),
+        ]
+        rows, expected = [], []
+        for i, (stamp, ok) in enumerate(stamps):
+            rows += [f"AAA,{stamp},1,1,1,{i + 1}", f"AAA,{T0},1,1,1,0.5"]
+            expected += ([i + 1] if ok else []) + [0.5]
+        table = parse_ticks(_tick_csv(rows))
+        assert table.skipped == sum(not ok for _, ok in stamps)
+        col = table.columns["AAA"]
+        assert (col.timestamp == parse_timestamp(T0)).all()
+        assert col.avg_price.tolist() == expected  # one instant, so file order stays
+
+    @pytest.mark.parametrize("column", range(4))
+    def test_number_fields_take_the_per_row_rules(self, column):
+        fields = ["", "  ", "nan", "inf", "1_0", " 10.5 ", "\x1c2\x1c"]  # \x1c: str.strip only
+        rows = []
+        for field in fields:
+            values = ["1", "1", "1", "1"]
+            values[column] = field
+            rows += [f"AAA,{T0},{','.join(values)}", f"AAA,{T0},3,3,3,3"]
+        table = parse_ticks(_tick_csv(rows))
+        assert table.skipped == 2
+        col = table.columns["AAA"]
+        got = (col.bid, col.ask, col.volume, col.avg_price)[column]
+        nan = float("nan")  # blank is missing; "nan" and "inf" are skipped
+        np.testing.assert_array_equal(got, [nan, 3, nan, 3, 3, 3, 10, 3, 10.5, 3, 2, 3])
+
+    def test_stock_order_follows_first_valid_row_across_blocks(self):
+        text = _tick_csv([
+            "BBB,not-a-timestamp,1,1,1,1",     # block 1: BBB seen, but invalid
+            f"AAA,{T0},1,1,1,1",
+            "",
+            f"CCC,{T0},1,1,1,-1",              # block 2: CCC invalid
+            ",,,,,",
+            f"CCC,2011-04-01T09:31:00.000Z,1,1,1,2",
+            f"BBB,{T0},1,1,1,3",               # block 3: BBB's first valid row
+            "   ",
+            "AAA,2011-04-01T09:29:00.000Z,1,1,1,4",
+        ])
+        table = parse_ticks(text)
+        assert table.stock_ids == ("AAA", "CCC", "BBB")
+        assert table.skipped == 3
+        assert table.columns["AAA"].avg_price.tolist() == [4, 1]  # sorted by time
+        expected, skipped = _oracle(text.decode())
+        _assert_table(table, expected, skipped)
+
+    def test_offset_beyond_years_1_to_9999_is_skipped(self):
+        table = parse_ticks(_tick_csv([
+            "AAA,0001-01-01T00:00:00+01:00,1,1,1,1",
+            "AAA,9999-12-31T23:00:00-02:00,1,1,1,1",
+            f"AAA,{T0},1,1,1,1",
+        ]))
+        assert table.n_records == 1
+        assert table.skipped == 2
+        with pytest.raises(ValueError, match="out of range"):
+            parse_timestamp("0001-01-01T00:00:00+01:00")
+
+
+_CANONICAL = st.integers(
+    int(np.datetime64("-001-01-01", "ms").astype(np.int64)),
+    int(np.datetime64("10001-01-01", "ms").astype(np.int64)),
+).map(lambda ms: format_timestamp(np.datetime64(ms, "ms")))
+_STAMPS = st.one_of(
+    _CANONICAL,
+    st.one_of(
+        _CANONICAL.map(lambda s: s.replace("T", " ")),
+        _CANONICAL.map(lambda s: s.lower()),
+        _CANONICAL.map(lambda s: s[:-1] + "+02:00"),
+        _CANONICAL.map(lambda s: s[:-5] + "Z"),
+        st.sampled_from([
+            "0000-01-01T00:00:00.000Z", "10000-01-01T00:00:00.000Z", "NaTZ", "",
+            "2011-02-29T09:30:00.000Z", "2011-04-01T09:30:00.00ZZ", "0001-01-01T00:00:00+01:00",
+            "2011-12-31T23:59:60.000Z", "2011-04-01T09:30:00.\xe900Z", "x" * 24,
+        ]),
+        st.text("0123456789-:.TZz +", max_size=26),
+    ),
+)
+_NUMBERS = st.one_of(
+    st.integers(1, 500).map(str),
+    st.floats(min_value=0.5, max_value=1e6).map(repr),
+    st.sampled_from(["", "  ", "nan", "inf", "-inf", "1_0", " 10.5 ", "x", "0", "-0.0", "-1",
+                     "1e400", "\x1c2\x1c"]),
+)
+_ROWS = st.integers(0, 3).flatmap(  # one row in four blank or of the wrong length
+    lambda k: st.sampled_from([[], [""], ["  "], ["AAA"], ["AAA", T0, "1", "1", "1"]]) if k == 0
+    else st.tuples(st.sampled_from(["AAA", "BBB", " CCC ", ""]), _STAMPS,
+                   _NUMBERS, _NUMBERS, _NUMBERS, _NUMBERS).map(list)
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.lists(_ROWS, max_size=25))
+def test_block_parser_matches_per_row_oracle(rows):
+    out = io.StringIO()
+    out.write(HEADER)
+    csv.writer(out).writerows(rows)
+    text = out.getvalue()
+    expected, skipped = _oracle(text)
+    for block_rows in (1, 3, market_data._BLOCK_ROWS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(market_data, "_BLOCK_ROWS", block_rows)
+            _assert_table(parse_ticks(io.StringIO(text)), expected, skipped)
 
 
 class TestTimeGrid:
