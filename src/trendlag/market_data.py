@@ -118,21 +118,33 @@ _BLOCK_ROWS = 2048
 _TS_LEN = len("2011-04-01T09:30:00.000Z")  # numpy's datetime64[ms] form, plus 'Z'
 
 
+def _numpy_timestamps(text: np.ndarray) -> np.ndarray:
+    """numpy's datetime64[ms] for each "...Z" field of ``text``, NaT where it raises.
+
+    numpy rejects a whole array for one bad field (a day out of range, say), so a
+    rejected array is split in halves, down to the fields that numpy rejects alone.
+    """
+    try:
+        return text.astype(f"U{_TS_LEN - 1}").astype("datetime64[ms]")
+    except ValueError:
+        if len(text) == 1:
+            return np.full(1, np.datetime64("NaT", "ms"))
+        half = len(text) // 2
+        return np.concatenate([_numpy_timestamps(text[:half]), _numpy_timestamps(text[half:])])
+
+
 def _parse_timestamps(fields: Sequence[str]) -> np.ndarray:
     """parse_timestamp over ``fields`` as datetime64[ms], with NaT where it raises.
 
     numpy parses the canonical-length fields at once (others as "", so that no long
     field widens the array); its value stands where it prints back as the same field
     with a year of at least 1 (numpy reads year 0 too).  parse_timestamp takes the
-    rest, or every field if numpy raises.
+    rest, including the fields that numpy rejects.
     """
     text = np.array([s if len(s) == _TS_LEN else "" for s in fields], dtype=f"U{_TS_LEN}")
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # a time zone warns; the check below rejects it
-            out = text.astype(f"U{_TS_LEN - 1}").astype("datetime64[ms]")
-    except ValueError:  # e.g. a day out of range
-        out = np.full(len(fields), np.datetime64("NaT", "ms"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a time zone warns; the check below rejects it
+        out = _numpy_timestamps(text)
     printed = np.char.add(np.datetime_as_string(out, unit="ms"), "Z")
     rest = np.flatnonzero((printed != text) | (out < np.datetime64("0001-01-01")))
     out[rest] = np.datetime64("NaT")

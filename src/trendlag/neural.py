@@ -8,6 +8,15 @@ best-validation weights.  Weights start Gaussian with variance 2/fan_in;
 an optional narrow bottleneck layer can be inserted mid-model to probe how
 far the problem compresses.
 
+A model keeps its parameters in one flat float64 vector: every weight
+matrix (row-major, in layer order) first, then every bias vector, so weight
+decay covers one prefix slice.  The momentum velocity is a second vector
+with the same layout.  The per-layer ``weights``, ``biases``,
+``velocities_w`` and ``velocities_b`` are read-only tuples of views into
+those two vectors, so writing into one of them changes the model, and one
+descent step is a few whole-vector in-place operations.  Training fills
+one flat gradient vector of the same layout per step.
+
 Everything is plain numpy and deterministic under the configured seed.
 """
 
@@ -63,14 +72,18 @@ class NetworkConfig:
             raise ConfigError(f"hidden layer widths must be >= 1, got {self.hidden_layers}")
         if self.bottleneck is not None and self.bottleneck < 1:
             raise ConfigError(f"bottleneck width must be >= 1, got {self.bottleneck}")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}"
+            )
         if not 0.0 < self.lr_decay <= 1.0:
             raise ConfigError("lr_decay must lie in (0, 1]")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError("momentum must lie in [0, 1)")
-        if self.l2_lambda < 0:
-            raise ConfigError("l2_lambda must be non-negative")
+        if not (math.isfinite(self.l2_lambda) and self.l2_lambda >= 0):
+            raise ConfigError(f"l2_lambda must be non-negative and finite, got {self.l2_lambda}")
+        if not math.isfinite(self.sigmoid_midpoint):
+            raise ConfigError(f"sigmoid_midpoint must be finite, got {self.sigmoid_midpoint}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be positive")
         if self.max_epochs < 1:
@@ -89,13 +102,11 @@ class NetworkConfig:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic 1 / (1 + exp(-z))."""
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Numerically stable logistic 1 / (1 + exp(-z)), written over ``z``."""
+    e = np.exp(-np.abs(z))
+    numerator = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    return np.divide(numerator, e, out=z)
 
 
 @dataclass
@@ -106,8 +117,26 @@ class Gradients:
     biases: list[np.ndarray]
 
 
+def _layer_views(
+    flat: np.ndarray, sizes: tuple[int, ...]
+) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Weight-matrix and bias views into a flat vector: all weights, then all biases."""
+    weights, biases, start = [], [], 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        weights.append(flat[start : start + fan_in * fan_out].reshape(fan_in, fan_out))
+        start += fan_in * fan_out
+    for fan_out in sizes[1:]:
+        biases.append(flat[start : start + fan_out])
+        start += fan_out
+    return tuple(weights), tuple(biases)
+
+
 class NetworkModel:
-    """Layer weights, biases, and momentum velocity buffers."""
+    """Layer weights, biases, and momentum velocities in two flat vectors.
+
+    The constructor copies ``weights`` and ``biases`` into ``parameters``;
+    ``velocity`` starts at zero.  The per-layer tuples are views into them.
+    """
 
     def __init__(
         self,
@@ -116,28 +145,55 @@ class NetworkModel:
         biases: list[np.ndarray],
     ) -> None:
         self.config = config
-        self.weights = weights
-        self.biases = biases
-        self.velocities_w = [np.zeros_like(w) for w in weights]
-        self.velocities_b = [np.zeros_like(b) for b in biases]
-        self.rng = np.random.default_rng(config.rng_seed)
         sizes = config.layer_sizes()
+        if len(weights) != len(sizes) - 1 or len(biases) != len(sizes) - 1:
+            raise ConfigError(
+                f"{len(weights)} weight and {len(biases)} bias arrays for the chain {sizes}"
+            )
         for i, (w, b) in enumerate(zip(weights, biases)):
             if w.shape != (sizes[i], sizes[i + 1]) or b.shape != (sizes[i + 1],):
                 raise ConfigError(
                     f"layer {i} shapes {w.shape}/{b.shape} break the chain {sizes}"
                 )
+        self._parameters = np.concatenate(
+            [np.ravel(a) for a in (*weights, *biases)], dtype=np.float64
+        )
+        self._velocity = np.zeros_like(self._parameters)
+        self._weights, self._biases = _layer_views(self._parameters, sizes)
+        self._velocities_w, self._velocities_b = _layer_views(self._velocity, sizes)
+        self.n_weights = sum(w.size for w in self._weights)
+        self.rng = np.random.default_rng(config.rng_seed)
+
+    @property
+    def parameters(self) -> np.ndarray:
+        return self._parameters
+
+    @property
+    def velocity(self) -> np.ndarray:
+        return self._velocity
+
+    @property
+    def weights(self) -> tuple[np.ndarray, ...]:
+        return self._weights
+
+    @property
+    def biases(self) -> tuple[np.ndarray, ...]:
+        return self._biases
+
+    @property
+    def velocities_w(self) -> tuple[np.ndarray, ...]:
+        return self._velocities_w
+
+    @property
+    def velocities_b(self) -> tuple[np.ndarray, ...]:
+        return self._velocities_b
 
     @property
     def n_layers(self) -> int:
-        return len(self.weights)
+        return len(self._weights)
 
     def copy_parameters(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
         return [w.copy() for w in self.weights], [b.copy() for b in self.biases]
-
-    def set_parameters(self, weights: list[np.ndarray], biases: list[np.ndarray]) -> None:
-        self.weights = [w.copy() for w in weights]
-        self.biases = [b.copy() for b in biases]
 
 
 def init(config: NetworkConfig) -> NetworkModel:
@@ -154,19 +210,34 @@ def init(config: NetworkConfig) -> NetworkModel:
     return model
 
 
-def _forward_batch(model: NetworkModel, x: np.ndarray) -> list[np.ndarray]:
-    """Activations per layer for a (batch, input_dim) matrix; index 0 = input."""
+def _layer_buffers(model: NetworkModel, rows: int) -> list[np.ndarray]:
+    """One (rows, width) activation buffer per layer."""
+    return [np.empty((rows, width)) for width in model.config.layer_sizes()[1:]]
+
+
+def _forward_into(
+    model: NetworkModel, x: np.ndarray, buffers: list[np.ndarray]
+) -> list[np.ndarray]:
+    """Activations per layer for a (batch, input_dim) matrix; index 0 = input.
+
+    Each layer's activations fill the leading ``batch`` rows of its buffer.
+    """
     activations = [x]
     last = model.n_layers - 1
-    a = x
-    for layer, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w + b
+    for layer, (w, b, buffer) in enumerate(zip(model.weights, model.biases, buffers)):
+        z = np.matmul(activations[-1], w, out=buffer[: x.shape[0]])
+        z += b
         if layer == last:
-            a = _sigmoid(z - model.config.sigmoid_midpoint)
+            z -= model.config.sigmoid_midpoint
+            _sigmoid(z)
         else:
-            a = np.tanh(z)
-        activations.append(a)
+            np.tanh(z, out=z)
+        activations.append(z)
     return activations
+
+
+def _forward_batch(model: NetworkModel, x: np.ndarray) -> list[np.ndarray]:
+    return _forward_into(model, x, _layer_buffers(model, x.shape[0]))
 
 
 def forward(model: NetworkModel, inputs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -197,23 +268,40 @@ def loss(model: NetworkModel, inputs: np.ndarray, targets: np.ndarray) -> float:
 
 
 def _loss_and_gradients(
-    model: NetworkModel, x: np.ndarray, y: np.ndarray
-) -> tuple[float, Gradients]:
+    model: NetworkModel,
+    x: np.ndarray,
+    y: np.ndarray,
+    buffers: list[np.ndarray],
+    grad_w: tuple[np.ndarray, ...],
+    grad_b: tuple[np.ndarray, ...],
+) -> float:
+    """The batch loss; its gradients go into ``grad_w`` and ``grad_b``.
+
+    ``buffers`` holds the activations and then, layer by layer from the
+    top, the back-propagated deltas.
+    """
     batch = x.shape[0]
-    activations = _forward_batch(model, x)
+    activations = _forward_into(model, x, buffers)
     outputs = activations[-1]
-    batch_loss = float(0.5 * np.sum((outputs - y) ** 2) / batch)
+    delta = outputs - y
+    # np.add.reduce is np.sum without its Python wrapper, a few µs per step
+    batch_loss = float(0.5 * np.add.reduce(delta**2, axis=None) / batch)
     # output layer: quadratic cost through the sigmoid, mean-reduced
-    delta = (outputs - y) / batch * outputs * (1.0 - outputs)
-    grad_w = [np.empty(0)] * model.n_layers
-    grad_b = [np.empty(0)] * model.n_layers
+    delta /= batch
+    delta *= outputs
+    delta *= 1.0 - outputs
     for layer in range(model.n_layers - 1, -1, -1):
-        grad_w[layer] = activations[layer].T @ delta
-        grad_b[layer] = delta.sum(axis=0)
+        a = activations[layer]
+        np.matmul(a.T, delta, out=grad_w[layer])
+        np.add.reduce(delta, axis=0, out=grad_b[layer])
         if layer > 0:
-            # tanh'(z) expressed through the cached activation
-            delta = (delta @ model.weights[layer].T) * (1.0 - activations[layer] ** 2)
-    return batch_loss, Gradients(weights=grad_w, biases=grad_b)
+            back = delta @ model.weights[layer].T
+            # tanh'(z) expressed through the cached activation, in its buffer
+            np.square(a, out=a)
+            np.subtract(1.0, a, out=a)
+            a *= back
+            delta = a
+    return batch_loss
 
 
 def backward(model: NetworkModel, inputs: np.ndarray, targets: np.ndarray) -> Gradients:
@@ -224,7 +312,21 @@ def backward(model: NetworkModel, inputs: np.ndarray, targets: np.ndarray) -> Gr
         raise ValueError("backward pass needs a non-empty batch")
     if y.shape != (x.shape[0], model.config.output_dim):
         raise ValueError(f"target shape {y.shape} does not match batch/output dims")
-    return _loss_and_gradients(model, x, y)[1]
+    grad_w, grad_b = _layer_views(np.empty_like(model.parameters), model.config.layer_sizes())
+    _loss_and_gradients(model, x, y, _layer_buffers(model, x.shape[0]), grad_w, grad_b)
+    return Gradients(weights=list(grad_w), biases=list(grad_b))
+
+
+def _descend(model: NetworkModel, gradient: np.ndarray, epoch: int) -> None:
+    """sgd_step on a flat gradient vector, which it overwrites."""
+    cfg = model.config
+    eta = cfg.learning_rate * cfg.lr_decay**epoch
+    parameters, velocity, n_weights = model.parameters, model.velocity, model.n_weights
+    gradient[:n_weights] += cfg.l2_lambda * parameters[:n_weights]
+    gradient *= eta
+    velocity *= cfg.momentum
+    velocity -= gradient
+    parameters += velocity
 
 
 def sgd_step(model: NetworkModel, gradients: Gradients, epoch: int) -> None:
@@ -235,19 +337,12 @@ def sgd_step(model: NetworkModel, gradients: Gradients, epoch: int) -> None:
 
     with eta_e = learning_rate * lr_decay ** epoch.  Weight decay applies
     to weight matrices only, not biases.  With momentum 0 and decay 1 this
-    is exactly w - eta * (dE/dw + lambda * w).
+    is exactly w - eta * (dE/dw + lambda * w).  ``gradients`` is left as is.
     """
-    cfg = model.config
-    eta = cfg.learning_rate * cfg.lr_decay**epoch
-    mu = cfg.momentum
-    lam = cfg.l2_lambda
-    for i in range(model.n_layers):
-        vw = mu * model.velocities_w[i] - eta * (gradients.weights[i] + lam * model.weights[i])
-        model.velocities_w[i] = vw
-        model.weights[i] = model.weights[i] + vw
-        vb = mu * model.velocities_b[i] - eta * gradients.biases[i]
-        model.velocities_b[i] = vb
-        model.biases[i] = model.biases[i] + vb
+    flat = np.concatenate(
+        [np.ravel(g) for g in (*gradients.weights, *gradients.biases)], dtype=np.float64
+    )
+    _descend(model, flat, epoch)
 
 
 @dataclass
@@ -297,8 +392,11 @@ def train(model: NetworkModel, train_set, validation_set) -> TrainReport:
         raise ConfigError(
             f"batch_size {cfg.batch_size} exceeds training-set size {n}"
         )
+    gradient = np.empty_like(model.parameters)
+    grad_w, grad_b = _layer_views(gradient, cfg.layer_sizes())
+    buffers = _layer_buffers(model, cfg.batch_size)
     best_val = np.inf
-    best_params = model.copy_parameters()
+    best_params = model.parameters.copy()
     epochs_since_best = 0
     stopped_early = False
     train_curve: list[float] = []
@@ -307,14 +405,17 @@ def train(model: NetworkModel, train_set, validation_set) -> TrainReport:
     diverged = False
     for epoch in range(cfg.max_epochs):
         order = model.rng.permutation(n)
+        x_epoch, y_epoch = x_train[order], y_train[order]
         batch_losses = []
         for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            batch_loss, grads = _loss_and_gradients(model, x_train[idx], y_train[idx])
+            stop = start + cfg.batch_size
+            batch_loss = _loss_and_gradients(
+                model, x_epoch[start:stop], y_epoch[start:stop], buffers, grad_w, grad_b
+            )
             if not math.isfinite(batch_loss):
                 diverged = True
                 break
-            sgd_step(model, grads, epoch)
+            _descend(model, gradient, epoch)
             batch_losses.append(batch_loss)
         if diverged:
             break
@@ -327,14 +428,14 @@ def train(model: NetworkModel, train_set, validation_set) -> TrainReport:
             break
         if val_loss < best_val:
             best_val = val_loss
-            best_params = model.copy_parameters()
+            np.copyto(best_params, model.parameters)
             epochs_since_best = 0
         else:
             epochs_since_best += 1
             if epochs_since_best >= cfg.early_stop_patience:
                 stopped_early = True
                 break
-    model.set_parameters(*best_params)
+    np.copyto(model.parameters, best_params)
     return TrainReport(
         epochs_run=epochs_run,
         best_validation_loss=float(best_val),

@@ -240,6 +240,22 @@ class TestBlockParser:
         assert (col.timestamp == parse_timestamp(T0)).all()
         assert col.avg_price.tolist() == expected  # one instant, so file order stays
 
+    def test_one_field_numpy_rejects_takes_one_per_row_parse(self, monkeypatch):
+        calls = []
+
+        def counted(text):
+            calls.append(text)
+            return parse_timestamp(text)
+
+        grid = _grid(2048)
+        fields = [_iso(grid, i) for i in range(2048)]
+        fields[1000] = "2011-02-29T09:30:00.000Z"  # numpy raises for any array holding it
+        monkeypatch.setattr(market_data, "parse_timestamp", counted)
+        out = market_data._parse_timestamps(fields)
+        assert calls == ["2011-02-29T09:30:00.000Z"]
+        assert np.isnat(out[1000])
+        np.testing.assert_array_equal(np.delete(out, 1000), np.delete(grid.instants, 1000))
+
     @pytest.mark.parametrize("column", range(4))
     def test_number_fields_take_the_per_row_rules(self, column):
         fields = ["", "  ", "nan", "inf", "1_0", " 10.5 ", "\x1c2\x1c"]  # \x1c: str.strip only

@@ -11,6 +11,8 @@ from trendlag.neural import (
     UP,
     Gradients,
     NetworkConfig,
+    NetworkModel,
+    TrainReport,
     backward,
     forward,
     init,
@@ -81,17 +83,24 @@ class TestInit:
         with pytest.raises(ConfigError):
             init(_config(bottleneck=0))
 
+    @pytest.mark.parametrize("name", ["learning_rate", "l2_lambda", "sigmoid_midpoint"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_hyperparameter_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            init(_config(**{name: value}))
+
 
 class TestForward:
     def test_all_zero_parameters_give_half_outputs(self):
         model = init(_config())
-        model.weights = [np.zeros_like(w) for w in model.weights]
+        for w in model.weights:
+            w[...] = 0.0
         outputs, _ = forward(model, np.zeros(3))
         np.testing.assert_array_equal(outputs, [0.5, 0.5])
 
     def test_hidden_tanh_limits(self):
         model = init(_config(input_dim=1, hidden_layers=(2,)))
-        model.weights[0] = np.array([[1000.0, -1000.0]])
+        model.weights[0][...] = [[1000.0, -1000.0]]
         _, acts = forward(model, np.array([1.0]))
         np.testing.assert_allclose(acts[1], [1.0, -1.0])
         _, acts0 = forward(model, np.array([0.0]))
@@ -215,6 +224,18 @@ class TestSgdStep:
         step = before - model.weights[0]
         np.testing.assert_allclose(step, np.full_like(step, 0.2 * 0.95**10), rtol=1e-13)
 
+    def test_leaves_its_gradients_unchanged(self):
+        model = init(_config(l2_lambda=0.01))
+        rng = np.random.default_rng(56)
+        grads = Gradients(
+            weights=[rng.normal(size=w.shape) for w in model.weights],
+            biases=[rng.normal(size=b.shape) for b in model.biases],
+        )
+        before = [g.copy() for g in grads.weights + grads.biases]
+        sgd_step(model, grads, epoch=0)
+        for got, want in zip(grads.weights + grads.biases, before):
+            assert (got == want).all()
+
     def test_momentum_accumulates_velocity(self):
         config = _config(momentum=0.9, lr_decay=1.0, learning_rate=0.1, l2_lambda=0.0)
         model = init(config)
@@ -313,6 +334,167 @@ class TestTrain:
         np.testing.assert_array_equal(predictions[0], predictions[1])
 
 
+def _reference_train(config, train_set, validation_set):
+    """The per-layer trainer the flat-vector one replaced, kept as an oracle.
+
+    Fresh arrays per layer and step, masked sigmoid, fancy-indexed batches;
+    returns the weights, biases, velocities and TrainReport it ends with.
+    """
+    rng = np.random.default_rng(config.rng_seed)
+    sizes = config.layer_sizes()
+    shapes = list(zip(sizes[:-1], sizes[1:]))
+    weights = [rng.normal(0.0, np.sqrt(2.0 / i), size=(i, o)) for i, o in shapes]
+    biases = [np.zeros(o) for o in sizes[1:]]
+    vel_w = [np.zeros_like(w) for w in weights]
+    vel_b = [np.zeros_like(b) for b in biases]
+
+    def sigmoid(z):
+        out = np.empty_like(z)
+        pos = z >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        out[~pos] = ez / (1.0 + ez)
+        return out
+
+    def forward(x):
+        acts = [x]
+        for w, b in zip(weights[:-1], biases[:-1]):
+            acts.append(np.tanh(acts[-1] @ w + b))
+        acts.append(sigmoid(acts[-1] @ weights[-1] + biases[-1] - config.sigmoid_midpoint))
+        return acts
+
+    def cost(x, y):
+        return float(0.5 * np.sum((forward(x)[-1] - y) ** 2) / x.shape[0])
+
+    (x_train, y_train), (x_val, y_val) = train_set, validation_set
+    n = x_train.shape[0]
+    best_val, best = np.inf, ([w.copy() for w in weights], [b.copy() for b in biases])
+    since_best, stopped_early, diverged, epochs_run = 0, False, False, 0
+    train_curve, val_curve = [], []
+    for epoch in range(config.max_epochs):
+        order = rng.permutation(n)
+        eta = config.learning_rate * config.lr_decay**epoch
+        batch_losses = []
+        for start in range(0, n, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            x, y = x_train[idx], y_train[idx]
+            acts = forward(x)
+            out = acts[-1]
+            batch_loss = float(0.5 * np.sum((out - y) ** 2) / len(idx))
+            if not math.isfinite(batch_loss):
+                diverged = True
+                break
+            delta = (out - y) / len(idx) * out * (1.0 - out)
+            grad_w, grad_b = [None] * len(weights), [None] * len(weights)
+            for layer in range(len(weights) - 1, -1, -1):
+                grad_w[layer] = acts[layer].T @ delta
+                grad_b[layer] = delta.sum(axis=0)
+                if layer > 0:
+                    delta = (delta @ weights[layer].T) * (1.0 - acts[layer] ** 2)
+            for i in range(len(weights)):
+                mu, lam = config.momentum, config.l2_lambda
+                vel_w[i] = mu * vel_w[i] - eta * (grad_w[i] + lam * weights[i])
+                weights[i] = weights[i] + vel_w[i]
+                vel_b[i] = mu * vel_b[i] - eta * grad_b[i]
+                biases[i] = biases[i] + vel_b[i]
+            batch_losses.append(batch_loss)
+        if diverged:
+            break
+        train_curve.append(float(np.mean(batch_losses)))
+        val_loss = cost(x_val, y_val)
+        val_curve.append(val_loss)
+        epochs_run = epoch + 1
+        if not math.isfinite(val_loss):
+            diverged = True
+            break
+        if val_loss < best_val:
+            best_val, since_best = val_loss, 0
+            best = ([w.copy() for w in weights], [b.copy() for b in biases])
+        else:
+            since_best += 1
+            if since_best >= config.early_stop_patience:
+                stopped_early = True
+                break
+    report = TrainReport(epochs_run, float(best_val), stopped_early,
+                         tuple(train_curve), tuple(val_curve), diverged)
+    return best[0], best[1], vel_w, vel_b, report
+
+
+class TestTrainMatchesPerLayerOracle:
+    """Bit-equality with the per-layer trainer, computed on the same machine."""
+
+    def _check(self, config, n_train, n_val, expect):
+        rng = np.random.default_rng(config.rng_seed + 100)
+        x = rng.normal(size=(n_train + n_val, config.input_dim))
+        y = np.eye(2)[(x[:, 0] + rng.normal(size=len(x)) > 0).astype(int)]
+        train_set, val_set = (x[:n_train], y[:n_train]), (x[n_train:], y[n_train:])
+        model = init(config)
+        with np.errstate(all="ignore"):
+            report = train(model, train_set, val_set)
+            weights, biases, vel_w, vel_b, expected = _reference_train(config, train_set, val_set)
+        assert repr(report) == repr(expected)  # float repr round-trips; nan equals nan
+        assert (report.stopped_early, report.diverged) == expect
+        got = (model.weights, model.biases, model.velocities_w, model.velocities_b)
+        for got_arrays, want_arrays in zip(got, (weights, biases, vel_w, vel_b)):
+            assert len(got_arrays) == len(want_arrays)
+            for a, b in zip(got_arrays, want_arrays):
+                assert a.shape == b.shape
+                assert a.tobytes() == b.tobytes()  # bitwise, signed zeros included
+
+    def test_small_net_with_early_stopping(self):
+        config = NetworkConfig(input_dim=19, hidden_layers=(32, 32), max_epochs=60,
+                               early_stop_patience=3, rng_seed=7)
+        self._check(config, 600, 150, expect=(True, False))
+
+    def test_bottleneck_midpoint_decay_and_partial_last_batch(self):
+        config = NetworkConfig(input_dim=6, hidden_layers=(5, 5, 5), bottleneck=2,
+                               sigmoid_midpoint=0.3, lr_decay=0.9, batch_size=16,
+                               max_epochs=8, early_stop_patience=100, rng_seed=4)
+        self._check(config, 70, 30, expect=(False, False))  # 70 = 4 * 16 + 6
+
+    def test_divergence(self):
+        self._check(_config(max_epochs=20, batch_size=20, learning_rate=1e300), 40, 20,
+                    expect=(False, True))
+
+
+class TestFlatParameters:
+    def test_writing_into_a_weight_view_changes_forward(self):
+        model = init(_config(rng_seed=12))
+        x = np.random.default_rng(3).normal(size=(4, 3))
+        before, _ = forward(model, x)
+        model.weights[-1][0, :] += 1.0
+        after, _ = forward(model, x)
+        assert not (before == after).all()
+
+    def test_layer_lists_cannot_be_rebound(self):
+        model = init(_config())
+        for name in ("weights", "biases", "velocities_w", "velocities_b", "parameters", "velocity"):
+            with pytest.raises(AttributeError):
+                setattr(model, name, getattr(model, name))
+        with pytest.raises(TypeError):
+            model.weights[0] = np.zeros_like(model.weights[0])
+
+    def test_weights_first_then_biases_in_one_vector(self):
+        model = init(_config(hidden_layers=(4, 5)))
+        views = list(model.weights) + list(model.biases)
+        assert sum(v.size for v in views) == model.parameters.size
+        np.testing.assert_array_equal(np.concatenate([v.ravel() for v in views]), model.parameters)
+        for flat, layers in ((model.parameters, views),
+                             (model.velocity, list(model.velocities_w) + list(model.velocities_b))):
+            assert all(np.shares_memory(flat, v) for v in layers)
+
+    def test_constructor_copies_its_arrays(self):
+        weights, biases = init(_config()).copy_parameters()
+        model = NetworkModel(_config(), weights, biases)
+        model.weights[0][...] = 7.0
+        assert not (weights[0] == 7.0).any()
+
+    def test_wrong_layer_count_rejected(self):
+        weights, biases = init(_config()).copy_parameters()
+        with pytest.raises(ConfigError, match="chain"):
+            NetworkModel(_config(), weights[:-1], biases[:-1])
+
+
 class TestPredictClass:
     def test_down_wins_on_higher_first_output(self):
         model = init(_config(rng_seed=2))
@@ -322,7 +504,8 @@ class TestPredictClass:
 
     def test_exact_tie_goes_down(self):
         model = init(_config())
-        model.weights = [np.zeros_like(w) for w in model.weights]
+        for w in model.weights:
+            w[...] = 0.0
         assert predict_class(model, np.ones(3)) == DOWN  # outputs (0.5, 0.5)
 
     def test_batch_predictions_match_forward_argmax(self):
@@ -346,6 +529,16 @@ class TestCheckpoint:
         after, _ = forward(restored, x)
         assert (before == after).all()
         assert restored.config == model.config
+
+    def test_round_trip_keeps_the_parameters_bitwise(self, tmp_path):
+        x, y = TestTrain()._tiny_data(50, seed=4)
+        model = init(_config(rng_seed=23, max_epochs=5, batch_size=10))
+        train(model, (x[:40], y[:40]), (x[40:], y[40:]))
+        path = tmp_path / "model.json"
+        save_checkpoint(model, path)
+        restored = load_checkpoint(path)
+        assert restored.parameters.tobytes() == model.parameters.tobytes()
+        assert not restored.velocity.any()
 
     def test_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "not_a_model.json"
