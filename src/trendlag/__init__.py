@@ -12,7 +12,6 @@ testable without proprietary data.
 __version__ = "0.1.0"
 
 from .baselines import (
-    PredictionSet,
     accuracy,
     bestof_accuracy,
     class_baseline,

@@ -1,90 +1,60 @@
-"""Mock-prediction baselines: randomized shuffle, constant classes, best-of.
+"""Mock-prediction baselines on integer label arrays (``features.DOWN``/``UP``).
 
 The model's per-stock predictions have to clear four bars: its own
 predictions in shuffled order (tests whether only the label distribution
 was learned), the always-down and always-up constant predictors (tests
 majority-class learning), and the per-stock maximum of the three, which is
 at least 50% by construction since the constant predictors complement each
-other.
+other.  ``SERIES`` names the model's accuracy, then these four, in report order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
-SOURCES = ("model", "randomized", "class1", "class2", "bestof")
-CLASS_LABELS = {1: 0, 2: 1}  # class 1 predicts down-changes, class 2 up-changes
+from .features import DOWN, UP
+
+SERIES = ("model", "randomized", "class1", "class2", "bestof")
 
 
-@dataclass(frozen=True)
-class PredictionSet:
-    """Predicted vs true direction-change labels for one stock."""
-
-    predicted: np.ndarray
-    truth: np.ndarray
-    stock_id: str
-    source: str
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "predicted", np.asarray(self.predicted, dtype=np.int64))
-        object.__setattr__(self, "truth", np.asarray(self.truth, dtype=np.int64))
-        if self.predicted.shape != self.truth.shape:
-            raise ValueError("predicted and true label sequences differ in length")
-        if self.source not in SOURCES:
-            raise ValueError(f"unknown prediction source {self.source!r}")
-
-
-def accuracy(predictions: PredictionSet) -> float:
-    """Fraction of predictions matching the truth."""
-    if predictions.predicted.size == 0:
+def accuracy(predicted: np.ndarray, truth: np.ndarray) -> float:
+    """Fraction of predicted labels matching the true ones."""
+    predicted, truth = np.asarray(predicted), np.asarray(truth)
+    if predicted.shape != truth.shape:
+        raise ValueError("predicted and true label sequences differ in length")
+    if predicted.size == 0:
         raise ValueError("accuracy of an empty prediction set is undefined")
-    return float(np.mean(predictions.predicted == predictions.truth))
+    return float(np.mean(predicted == truth))
 
 
-def randomized_baseline(model_predictions: PredictionSet, seed: int) -> PredictionSet:
-    """The model's own predictions in uniformly shuffled order.
+def randomized_baseline(predicted: np.ndarray, seed: int) -> np.ndarray:
+    """The predicted labels in uniformly shuffled order.
 
-    The multiset of predicted labels is preserved exactly; only their
-    alignment with the truth is destroyed.
+    The multiset of labels is preserved exactly; only their alignment with
+    the truth is destroyed.
     """
-    if model_predictions.predicted.size == 0:
+    predicted = np.asarray(predicted)
+    if predicted.size == 0:
         raise ValueError("cannot shuffle an empty prediction set")
-    rng = np.random.default_rng(seed)
-    shuffled = model_predictions.predicted[rng.permutation(model_predictions.predicted.size)]
-    return replace(model_predictions, predicted=shuffled, source="randomized")
+    return predicted[np.random.default_rng(seed).permutation(predicted.size)]
 
 
-def class_baseline(
-    true_labels: np.ndarray, class_index: int, stock_id: str = ""
-) -> PredictionSet:
+def class_baseline(truth: np.ndarray, class_index: int) -> np.ndarray:
     """Constant predictor: class 1 = always down-change, class 2 = always up."""
-    truth = np.asarray(true_labels, dtype=np.int64)
+    truth = np.asarray(truth)
     if truth.size == 0:
         raise ValueError("cannot build a class baseline on empty labels")
-    if class_index not in CLASS_LABELS:
+    if class_index not in (1, 2):
         raise ValueError(f"class_index must be 1 or 2, got {class_index}")
-    constant = np.full(truth.shape, CLASS_LABELS[class_index], dtype=np.int64)
-    return PredictionSet(
-        predicted=constant,
-        truth=truth,
-        stock_id=stock_id,
-        source=f"class{class_index}",
-    )
+    return np.full(truth.shape, (DOWN, UP)[class_index - 1], dtype=np.int64)
 
 
 def bestof_accuracy(
-    randomized: PredictionSet, class1: PredictionSet, class2: PredictionSet
+    truth: np.ndarray, randomized: np.ndarray, class1: np.ndarray, class2: np.ndarray
 ) -> float:
     """Per-stock best-of baseline: max accuracy of the three mock predictors.
 
     Guaranteed >= 0.5 because the two constant predictors have
     complementary accuracies.
     """
-    if not (
-        np.array_equal(randomized.truth, class1.truth)
-        and np.array_equal(class1.truth, class2.truth)
-    ):
-        raise ValueError("best-of baselines must share identical truth labels")
-    return max(accuracy(randomized), accuracy(class1), accuracy(class2))
+    return max(accuracy(p, truth) for p in (randomized, class1, class2))

@@ -82,7 +82,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         config.out_dir = args.out
     if args.jobs is not None:
         config.jobs = args.jobs
-    config.validate()
     result = run(config)
     reports = result if isinstance(result, list) else [result]
     for report in reports:

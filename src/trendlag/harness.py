@@ -27,6 +27,7 @@ provenance; they serialize to JSON and flatten to CSV.
 from __future__ import annotations
 
 import configparser
+import csv
 import ctypes
 import hashlib
 import json
@@ -45,6 +46,7 @@ import numpy as np
 from . import baselines, features, neural, stats, synth
 from .errors import ConfigError, DataError
 from .market_data import (
+    PRICE_SOURCES,
     PriceMatrix,
     TickTable,
     TimeGrid,
@@ -58,8 +60,8 @@ from .market_data import (
 logger = logging.getLogger(__name__)
 
 MODES = ("cross_validated", "crisis", "bottleneck_sweep")
-BASELINE_SERIES = ("randomized", "class1", "class2", "bestof")
-ALL_SERIES = ("model",) + BASELINE_SERIES
+ALL_SERIES = baselines.SERIES
+BASELINE_SERIES = ALL_SERIES[1:]
 
 
 def derive_seed(*parts: Any) -> int:
@@ -100,6 +102,14 @@ class ExperimentConfig:
             raise ConfigError("exactly one data source (ticks, matrix, synthetic) is required")
         if self.step_size < 2:
             raise ConfigError("step_size must be >= 2")
+        if self.grid_step_seconds <= 0:
+            raise ConfigError("grid_step_seconds must be positive")
+        if self.price_source not in PRICE_SOURCES:
+            raise ConfigError(
+                f"unknown price_source {self.price_source!r}; use one of {PRICE_SOURCES}"
+            )
+        if not 0.0 < self.min_observed_fraction <= 1.0:
+            raise ConfigError("min_observed_fraction must lie in (0, 1]")
         if self.n_folds < 2:
             raise ConfigError("n_folds must be >= 2")
         if self.jobs < 1:
@@ -149,8 +159,6 @@ def load_price_matrix(config: ExperimentConfig) -> PriceMatrix:
 
 
 def _infer_grid(table: TickTable, step_seconds: float) -> TimeGrid:
-    if step_seconds <= 0:
-        raise ConfigError("grid_step_seconds must be positive")
     first = min(c.timestamp[0] for c in table.columns.values())
     last = max(c.timestamp[-1] for c in table.columns.values())
     step = np.timedelta64(int(round(step_seconds * 1000)), "ms")
@@ -164,12 +172,12 @@ class StockResult:
 
     stock_id: str
     n_examples: int
-    model_accuracy: float | None
-    fold_accuracies: tuple[float, ...]
-    randomized_accuracy: float | None
-    class1_accuracy: float | None
-    class2_accuracy: float | None
-    bestof_accuracy: float | None
+    model_accuracy: float | None = None
+    fold_accuracies: tuple[float, ...] = ()
+    randomized_accuracy: float | None = None
+    class1_accuracy: float | None = None
+    class2_accuracy: float | None = None
+    bestof_accuracy: float | None = None
     skipped: bool = False
     skip_reason: str = ""
 
@@ -194,11 +202,6 @@ class ExperimentReport:
 
     def evaluated_stocks(self) -> tuple[StockResult, ...]:
         return tuple(r for r in self.stocks if not r.skipped)
-
-    def accuracy_sample(self, series: str) -> np.ndarray:
-        return np.array(
-            [r.accuracy_for(series) for r in self.evaluated_stocks()], dtype=np.float64
-        )
 
     def to_dict(self) -> dict[str, Any]:
         return _plain(self)
@@ -302,38 +305,27 @@ def _run_stock(
             derive_seed(stock_seed, *name), stock_id, " ".join(map(str, name)),
         )
         predicted[test_idx] = pred
-        split_accuracies.append(float(np.mean(pred == truth[test_idx])))
+        split_accuracies.append(baselines.accuracy(pred, truth[test_idx]))
     scored = np.sort(np.concatenate([test_idx for *_, test_idx in splits]))
-    model_set = baselines.PredictionSet(predicted[scored], truth[scored], stock_id, "model")
-    randomized = baselines.randomized_baseline(model_set, derive_seed(stock_seed, "shuffle"))
-    class1 = baselines.class_baseline(model_set.truth, 1, stock_id)
-    class2 = baselines.class_baseline(model_set.truth, 2, stock_id)
+    predicted, truth = predicted[scored], truth[scored]
+    randomized = baselines.randomized_baseline(predicted, derive_seed(stock_seed, "shuffle"))
+    class1 = baselines.class_baseline(truth, 1)
+    class2 = baselines.class_baseline(truth, 2)
     return StockResult(
         stock_id=stock_id,
         n_examples=int(scored.size),
         model_accuracy=float(np.mean(split_accuracies)),
         fold_accuracies=tuple(split_accuracies),
-        randomized_accuracy=baselines.accuracy(randomized),
-        class1_accuracy=baselines.accuracy(class1),
-        class2_accuracy=baselines.accuracy(class2),
-        bestof_accuracy=baselines.bestof_accuracy(randomized, class1, class2),
+        randomized_accuracy=baselines.accuracy(randomized, truth),
+        class1_accuracy=baselines.accuracy(class1, truth),
+        class2_accuracy=baselines.accuracy(class2, truth),
+        bestof_accuracy=baselines.bestof_accuracy(truth, randomized, class1, class2),
     )
 
 
 def _skipped(stock_id: str, n_examples: int, reason: str) -> StockResult:
     logger.info("skipping %s: %s", stock_id, reason)
-    return StockResult(
-        stock_id=stock_id,
-        n_examples=n_examples,
-        model_accuracy=None,
-        fold_accuracies=(),
-        randomized_accuracy=None,
-        class1_accuracy=None,
-        class2_accuracy=None,
-        bestof_accuracy=None,
-        skipped=True,
-        skip_reason=reason,
-    )
+    return StockResult(stock_id, n_examples, skipped=True, skip_reason=reason)
 
 
 # Thread-count setters of the OpenBLAS builds numpy wheels ship, newest first.
@@ -563,10 +555,8 @@ def run_cross_validated(
 def run_crisis(config: ExperimentConfig, matrix: PriceMatrix | None = None) -> ExperimentReport:
     """Chronological split: train before the boundary, test inside it."""
     t0 = time_mod.perf_counter()
+    config = replace(config, mode="crisis")
     config.validate()
-    if config.mode != "crisis":
-        config = replace(config, mode="crisis")
-        config.validate()
     gradients = _gradients(config, matrix)
     boundary_start, boundary_end = config.resolved_crisis_window()
     if boundary_end < boundary_start:
@@ -651,32 +641,25 @@ def emit_report(
         elif fmt == "csv":
             path = out / f"{stem}.csv"
             with open(path, "w") as fh:
-                fh.write("stock_id,series,accuracy,n_examples,skipped,skip_reason\n")
-                for r in report.stocks:
-                    for series in ALL_SERIES:
-                        acc = r.accuracy_for(series)
-                        fh.write(
-                            f"{r.stock_id},{series},"
-                            f"{'' if acc is None else repr(acc)},"
-                            f"{r.n_examples},{r.skipped},{r.skip_reason}\n"
-                        )
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(
+                    ["stock_id", "series", "accuracy", "n_examples", "skipped", "skip_reason"]
+                )
+                writer.writerows(
+                    [r.stock_id, s, r.accuracy_for(s), r.n_examples, r.skipped, r.skip_reason]
+                    for r in report.stocks
+                    for s in ALL_SERIES
+                )
             written.append(path)
             box_path = out / f"{stem}_box.csv"
+            box_fields = [f.name for f in fields(stats.BoxStats)]
             with open(box_path, "w") as fh:
-                fh.write(
-                    "series,median,q1,q3,whisker_low,whisker_high,"
-                    "notch_half_width,outliers\n"
-                )
-                for series in ALL_SERIES:
-                    b = report.box_summaries.get(series)
-                    if b is None:
-                        continue
-                    outliers = ";".join(repr(v) for v in b.outliers)
-                    fh.write(
-                        f"{series},{b.median!r},{b.q1!r},{b.q3!r},"
-                        f"{b.whisker_low!r},{b.whisker_high!r},"
-                        f"{b.notch_half_width!r},{outliers}\n"
-                    )
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(["series", *box_fields])
+                for series, b in report.box_summaries.items():
+                    if b is not None:
+                        *numbers, outliers = (getattr(b, name) for name in box_fields)
+                        writer.writerow([series, *numbers, ";".join(map(repr, outliers))])
             written.append(box_path)
         else:
             raise ConfigError(f"unknown report format {fmt!r}")

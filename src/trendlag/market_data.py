@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from itertools import compress, islice
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -118,19 +118,45 @@ _BLOCK_ROWS = 2048
 _TS_LEN = len("2011-04-01T09:30:00.000Z")  # numpy's datetime64[ms] form, plus 'Z'
 
 
-def _numpy_timestamps(text: np.ndarray) -> np.ndarray:
-    """numpy's datetime64[ms] for each "...Z" field of ``text``, NaT where it raises.
+def _by_halves(
+    convert: Callable[[Sequence], np.ndarray], one: Callable[[object], object], items: Sequence
+) -> np.ndarray:
+    """``convert(items)``, where ``convert`` raises ValueError for all items if one is bad.
 
-    numpy rejects a whole array for one bad field (a day out of range, say), so a
-    rejected array is split in halves, down to the fields that numpy rejects alone.
+    A rejected sequence is split in halves, recursively, down to the items that
+    ``convert`` rejects alone; ``one(item)`` gives the value of each of those.
     """
     try:
-        return text.astype(f"U{_TS_LEN - 1}").astype("datetime64[ms]")
+        return convert(items)
     except ValueError:
-        if len(text) == 1:
-            return np.full(1, np.datetime64("NaT", "ms"))
-        half = len(text) // 2
-        return np.concatenate([_numpy_timestamps(text[:half]), _numpy_timestamps(text[half:])])
+        if len(items) == 1:
+            return np.array([one(items[0])])
+        half = len(items) // 2
+        return np.concatenate(
+            [_by_halves(convert, one, items[:half]), _by_halves(convert, one, items[half:])]
+        )
+
+
+def _numpy_timestamps(text: np.ndarray) -> np.ndarray:
+    """numpy's datetime64[ms] for each "...Z" field of ``text``."""
+    return text.astype(f"U{_TS_LEN - 1}").astype("datetime64[ms]")
+
+
+def _floats(fields: Sequence[str]) -> np.ndarray:
+    """float() of each field, NaN for a blank one, inf for "nan", "inf" or an overflow.
+
+    Blank fields (missing values) are common, so they read as "nan" here.  float()
+    still rejects a malformed field, or one padded with the ASCII separators
+    0x1C-0x1F, which only the str.strip() of _parse_number drops.
+    """
+    try:
+        values = np.fromiter(map(float, fields), np.float64, len(fields))
+    except ValueError:
+        blank_as_nan = map({"": "nan"}.get, fields, fields)
+        values = np.fromiter(map(float, blank_as_nan), np.float64, len(fields))
+    nonfinite = np.flatnonzero(~np.isfinite(values)).tolist()
+    values[[i for i in nonfinite if fields[i]]] = math.inf  # a blank stays NaN
+    return values
 
 
 def _parse_timestamps(fields: Sequence[str]) -> np.ndarray:
@@ -144,7 +170,7 @@ def _parse_timestamps(fields: Sequence[str]) -> np.ndarray:
     text = np.array([s if len(s) == _TS_LEN else "" for s in fields], dtype=f"U{_TS_LEN}")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # a time zone warns; the check below rejects it
-        out = _numpy_timestamps(text)
+        out = _by_halves(_numpy_timestamps, lambda _: np.datetime64("NaT", "ms"), text)
     printed = np.char.add(np.datetime_as_string(out, unit="ms"), "Z")
     rest = np.flatnonzero((printed != text) | (out < np.datetime64("0001-01-01")))
     out[rest] = np.datetime64("NaT")
@@ -154,16 +180,6 @@ def _parse_timestamps(fields: Sequence[str]) -> np.ndarray:
         except ValueError:
             pass
     return out
-
-
-def _parse_numbers(fields: Sequence[str]) -> np.ndarray:
-    """_parse_number over ``fields``: float() in one pass, field by field if it raises."""
-    try:
-        values = np.fromiter(map(float, fields), np.float64, len(fields))
-    except ValueError:  # blank, malformed, or padded with \x1c-\x1f, which only strip() drops
-        return np.fromiter(map(_parse_number, fields), np.float64, len(fields))
-    values[~np.isfinite(values)] = math.inf  # "nan", "inf" or an overflow
-    return values
 
 
 def _csv_rows(stream: IO[str], name: str | Path) -> Iterator[list[str]]:
@@ -229,7 +245,8 @@ def _parse_tick_rows(reader: Iterator[list[str]]) -> TickTable:
             continue
         ids, stamps, *fields = zip(*rows)
         timestamp = _parse_timestamps(stamps)
-        bid, ask, volume, avg_price = numbers = [_parse_numbers(f) for f in fields]
+        numbers = [_by_halves(_floats, _parse_number, f) for f in fields]
+        bid, ask, volume, avg_price = numbers
         # NaN (missing) fails every comparison, so it passes these checks
         keep = ~(np.isnat(timestamp) | np.isinf(numbers).any(axis=0) | (bid <= 0.0)
                  | (ask <= 0.0) | (avg_price <= 0.0) | (volume < 0.0))

@@ -30,8 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-
-DOWN, UP = 0, 1
+from .features import DOWN, UP
 
 
 @dataclass(frozen=True)
@@ -47,7 +46,6 @@ class NetworkConfig:
     input_dim: int
     hidden_layers: tuple[int, ...] = (400, 400, 400, 400, 400)
     bottleneck: int | None = None
-    output_dim: int = 2
     learning_rate: float = 0.05
     lr_decay: float = 0.97
     momentum: float = 0.9
@@ -64,8 +62,6 @@ class NetworkConfig:
     def validate(self) -> None:
         if self.input_dim < 1:
             raise ConfigError(f"input_dim must be >= 1, got {self.input_dim}")
-        if self.output_dim < 1:
-            raise ConfigError(f"output_dim must be >= 1, got {self.output_dim}")
         if not self.hidden_layers:
             raise ConfigError("at least one hidden layer is required")
         if any(h < 1 for h in self.hidden_layers):
@@ -98,7 +94,8 @@ class NetworkConfig:
         return self.hidden_layers[:pos] + (self.bottleneck,) + self.hidden_layers[pos:]
 
     def layer_sizes(self) -> tuple[int, ...]:
-        return (self.input_dim,) + self.hidden_with_bottleneck() + (self.output_dim,)
+        # one sigmoid output unit for each label, DOWN and UP
+        return (self.input_dim,) + self.hidden_with_bottleneck() + (2,)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -310,7 +307,7 @@ def backward(model: NetworkModel, inputs: np.ndarray, targets: np.ndarray) -> Gr
     y = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     if x.shape[0] == 0:
         raise ValueError("backward pass needs a non-empty batch")
-    if y.shape != (x.shape[0], model.config.output_dim):
+    if y.shape != (x.shape[0], model.config.layer_sizes()[-1]):
         raise ValueError(f"target shape {y.shape} does not match batch/output dims")
     grad_w, grad_b = _layer_views(np.empty_like(model.parameters), model.config.layer_sizes())
     _loss_and_gradients(model, x, y, _layer_buffers(model, x.shape[0]), grad_w, grad_b)
@@ -480,6 +477,8 @@ def load_checkpoint(path: str | Path) -> NetworkModel:
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ConfigError(f"{path}: unsupported checkpoint version {payload.get('version')}")
     raw = dict(payload["config"])
+    if raw.pop("output_dim", 2) != 2:  # older checkpoints store the output width
+        raise ConfigError(f"{path}: only two-unit (down, up) output layers are supported")
     raw["hidden_layers"] = tuple(raw["hidden_layers"])
     config = NetworkConfig(**raw)
     weights = [np.asarray(w, dtype=np.float64) for w in payload["weights"]]

@@ -131,6 +131,8 @@ class SyntheticConfig:
             raise ConfigError("step_duration_seconds must be positive")
         if self.start_price <= 0:
             raise ConfigError("start_price must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         try:
             parse_timestamp(self.start)
         except ValueError as exc:

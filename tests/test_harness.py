@@ -1,8 +1,10 @@
 """Experiment orchestration: folds, splits, reports, config files, CLI."""
 
+import csv
 import json
 import multiprocessing
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -124,8 +126,8 @@ class TestRunCrossValidated:
         assert len(report.stocks) == 4
         assert not any(r.skipped for r in report.stocks)
         for series in ALL_SERIES:
-            sample = report.accuracy_sample(series)
-            assert report.mean_accuracies[series] == pytest.approx(float(sample.mean()))
+            sample = [r.accuracy_for(series) for r in report.stocks]
+            assert report.mean_accuracies[series] == pytest.approx(float(np.mean(sample)))
         assert report.max_model_accuracy == pytest.approx(
             max(r.model_accuracy for r in report.stocks)
         )
@@ -321,20 +323,24 @@ class TestReportSerialization:
         assert clone == report
 
     def test_csv_row_count_is_stocks_times_series(self, tmp_path):
-        report = run_cross_validated(_config())
+        # ids with a comma and a quote are legal in tick and matrix CSVs
+        matrix = load_price_matrix(_config())
+        ids = ("A,B", 'C"D') + matrix.stock_ids[2:]
+        report = run_cross_validated(_config(), replace(matrix, stock_ids=ids))
         files = emit_report(report, tmp_path, formats=("csv",))
         flat = next(p for p in files if p.name.endswith(".csv") and "box" not in p.name)
-        rows = flat.read_text().strip().splitlines()[1:]
+        with open(flat, newline="") as fh:
+            header, *rows = csv.reader(fh)
         assert len(rows) == len(report.stocks) * len(ALL_SERIES)
+        assert {len(r) for r in rows} == {len(header)} == {6}
+        assert [r[0] for r in rows[:: len(ALL_SERIES)]] == list(ids)
 
     def test_aggregate_means_recomputable_from_csv(self, tmp_path):
         report = run_cross_validated(_config())
         files = emit_report(report, tmp_path, formats=("csv",))
         flat = next(p for p in files if "box" not in p.name)
-        import csv as csv_mod
-
         with open(flat) as fh:
-            rows = list(csv_mod.DictReader(fh))
+            rows = list(csv.DictReader(fh))
         for series in ALL_SERIES:
             values = [
                 float(r["accuracy"])
@@ -406,6 +412,13 @@ BAD_CONFIGS = [
                  id="bad-network-value-no-net-built"),
     pytest.param("[synthetic]\n", "[synthetic]\nnoise_sigma = inf\n", 1, id="inf-float"),
     pytest.param("[synthetic]\n", "[synthetic]\nstart = garbage\n", 1, id="bad-synthetic-start"),
+    # checked up front, although a synthetic source never reads the [data] values
+    pytest.param("[data]\n", "[data]\nmin_observed_fraction = 1.5\n", 1,
+                 id="observed-fraction-above-one"),
+    pytest.param("[data]\n", "[data]\nprice_source = bogus\n", 1, id="unknown-price-source"),
+    pytest.param("[data]\n", "[data]\ngrid_step_seconds = -1\n", 1, id="negative-grid-step"),
+    pytest.param("seed = 3", "seed = -1", 1, id="negative-synthetic-seed"),
+    pytest.param("[network]\n", "[network]\noutput_dim = 2\n", 1, id="output-dim-not-a-key"),
 ]
 
 GOLDEN_CONFIG = """

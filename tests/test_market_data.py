@@ -256,6 +256,25 @@ class TestBlockParser:
         assert np.isnat(out[1000])
         np.testing.assert_array_equal(np.delete(out, 1000), np.delete(grid.instants, 1000))
 
+    def test_only_a_field_float_rejects_takes_a_per_row_parse(self, monkeypatch):
+        calls = []
+
+        def counted(text):
+            calls.append(text)
+            return _parse_number(text)
+
+        grid = _grid(2048)
+        bid = {1000: "", 1500: "\x1c7\x1c"}  # blank is missing; \x1c: str.strip only
+        rows = [f"AAA,{_iso(grid, i)},{bid.get(i, 10)},11,5,{i + 1}" for i in range(2048)]
+        monkeypatch.setattr(market_data, "_BLOCK_ROWS", 2048)
+        monkeypatch.setattr(market_data, "_parse_number", counted)
+        col = parse_ticks(_tick_csv(rows)).columns["AAA"]
+        assert calls == ["\x1c7\x1c"]
+        expected = np.full(2048, 10.0)
+        expected[[1000, 1500]] = np.nan, 7.0
+        np.testing.assert_array_equal(col.bid, expected)
+        np.testing.assert_array_equal(col.avg_price, np.arange(1, 2049))
+
     @pytest.mark.parametrize("column", range(4))
     def test_number_fields_take_the_per_row_rules(self, column):
         fields = ["", "  ", "nan", "inf", "1_0", " 10.5 ", "\x1c2\x1c"]  # \x1c: str.strip only

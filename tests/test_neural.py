@@ -1,5 +1,6 @@
 """Network mechanics: initialization, forward/backward oracles, optimizer, training."""
 
+import json
 import math
 
 import numpy as np
@@ -544,4 +545,25 @@ class TestCheckpoint:
         path = tmp_path / "not_a_model.json"
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ConfigError, match="checkpoint"):
+            load_checkpoint(path)
+
+    def _with_stored_output_width(self, tmp_path, width):
+        """A checkpoint in the older layout, which stores ``output_dim``."""
+        model = init(_config(rng_seed=29, hidden_layers=(4,)))
+        path = tmp_path / "model.json"
+        save_checkpoint(model, path)
+        payload = json.loads(path.read_text())
+        assert "output_dim" not in payload["config"]
+        payload["config"]["output_dim"] = width
+        path.write_text(json.dumps(payload))
+        return model, path
+
+    def test_stored_output_width_of_two_loads(self, tmp_path):
+        model, path = self._with_stored_output_width(tmp_path, 2)
+        assert load_checkpoint(path).parameters.tobytes() == model.parameters.tobytes()
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_other_stored_output_widths_rejected(self, tmp_path, width):
+        _, path = self._with_stored_output_width(tmp_path, width)
+        with pytest.raises(ConfigError, match="output"):
             load_checkpoint(path)
