@@ -426,6 +426,9 @@ def _typed(hint: Any, value: Any) -> Any:
         return _typed(hint, value)
     if is_dataclass(hint):
         hints = get_type_hints(hint)
+        if missing := [f.name for f in fields(hint) if f.name not in value]:
+            # a default would hide a partial entry; the JSON always has every field
+            raise TypeError(f"{hint.__name__} lacks {', '.join(missing)}")
         return hint(**{k: _typed(hints[k], v) for k, v in value.items()})
     if origin is tuple:
         return tuple(_typed(args[0], v) for v in value)
@@ -656,8 +659,8 @@ def emit_report(
             with open(box_path, "w") as fh:
                 writer = csv.writer(fh, lineterminator="\n")
                 writer.writerow(["series", *box_fields])
-                for series, b in report.box_summaries.items():
-                    if b is not None:
+                for series in ALL_SERIES:
+                    if (b := report.box_summaries.get(series)) is not None:
                         *numbers, outliers = (getattr(b, name) for name in box_fields)
                         writer.writerow([series, *numbers, ";".join(map(repr, outliers))])
             written.append(box_path)

@@ -145,15 +145,12 @@ def _numpy_timestamps(text: np.ndarray) -> np.ndarray:
 def _floats(fields: Sequence[str]) -> np.ndarray:
     """float() of each field, NaN for a blank one, inf for "nan", "inf" or an overflow.
 
-    Blank fields (missing values) are common, so they read as "nan" here.  float()
-    still rejects a malformed field, or one padded with the ASCII separators
-    0x1C-0x1F, which only the str.strip() of _parse_number drops.
+    Blank fields (missing values) read as "nan" here.  float() still rejects a
+    malformed field, or one padded with the ASCII separators 0x1C-0x1F, which only
+    the str.strip() of _parse_number drops.
     """
-    try:
-        values = np.fromiter(map(float, fields), np.float64, len(fields))
-    except ValueError:
-        blank_as_nan = map({"": "nan"}.get, fields, fields)
-        values = np.fromiter(map(float, blank_as_nan), np.float64, len(fields))
+    blank_as_nan = map({"": "nan"}.get, fields, fields)
+    values = np.fromiter(map(float, blank_as_nan), np.float64, len(fields))
     nonfinite = np.flatnonzero(~np.isfinite(values)).tolist()
     values[[i for i in nonfinite if fields[i]]] = math.inf  # a blank stays NaN
     return values

@@ -662,3 +662,7 @@ class TestCli:
         bad.write_bytes(b'{"mode": "\xff"}')
         assert main(["report", "--in", str(bad)]) == 2  # not UTF-8
         assert main(["report", "--in", str(tmp_path)]) == 2  # a directory
+        partial = run_cross_validated(_config()).to_dict()
+        del partial["stocks"][0]["model_accuracy"]
+        bad.write_text(json.dumps(partial))
+        assert main(["report", "--in", str(bad)]) == 2  # a stock entry lacks a field
