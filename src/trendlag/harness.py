@@ -594,6 +594,7 @@ def run_bottleneck_sweep(
     All runs share the gradients, folds, per-stock seeds and worker pool;
     only the architecture differs, so reports are directly comparable.
     """
+    config = replace(config, mode="bottleneck_sweep")
     config.validate()
     widths = tuple(config.bottleneck_widths) + (None,)
     return _run_folds(config, matrix, [{**config.network, "bottleneck": w} for w in widths])

@@ -6,8 +6,10 @@ timestamps, empty field = missing).  The pipeline here is:
 
     parse_ticks -> fill_missing -> select_consistent_stocks
 
-parse_ticks reads the rows in bounded blocks, parses a block a column at a time
-(only non-canonical fields go through the per-row parsers) and gives one
+parse_ticks reads the lines in bounded blocks: a block without quotes is split
+into fields with string operations, any other block goes through csv.reader.  It
+parses a block a column at a time (canonical timestamps by digit arithmetic; only
+non-canonical fields go through the per-row parsers) and gives one
 TickColumns per stock: datetime64[ms] ``timestamp`` and float64 ``bid``, ``ask``,
 ``volume`` and ``avg_price`` arrays (NaN = missing), sorted by time.  fill_missing
 samples them onto a uniform time grid, giving a PriceMatrix: strictly positive
@@ -20,11 +22,11 @@ import csv
 import io
 import logging
 import math
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from itertools import compress, islice
+from itertools import chain, compress, islice, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
@@ -113,9 +115,23 @@ def _parse_number(text: str) -> float:
     return value if math.isfinite(value) else math.inf
 
 
-# Rows per block.  On a 182k-row file, 2048 cut peak RSS 23 MB below a per-row parser; 64k: +38 MB
+# Lines per block.  On a 182k-row file, 2048 cut peak RSS 23 MB below a per-row parser; 64k: +38 MB
 _BLOCK_ROWS = 2048
-_TS_LEN = len("2011-04-01T09:30:00.000Z")  # numpy's datetime64[ms] form, plus 'Z'
+
+# The canonical timestamp: an ASCII digit where _TS_FORM has "0", else its character
+_TS_FORM = "0000-00-00T00:00:00.000Z"
+_TS_LEN = len(_TS_FORM)
+_TS_SEP_AT = [i for i, c in enumerate(_TS_FORM) if c != "0"]
+_TS_SEP = np.array([ord(_TS_FORM[i]) for i in _TS_SEP_AT], dtype=np.uint32)
+_TS_DIGIT_AT = [i for i, c in enumerate(_TS_FORM) if c == "0"]
+_TS_RUNS = np.diff([-1, *_TS_SEP_AT]) - 1  # digits of year, month, day, hour, minute, second, ms
+# (digit, number) -> the place value of that digit in that number, or 0
+_TS_PLACE = np.zeros((len(_TS_DIGIT_AT), len(_TS_RUNS)))
+_TS_PLACE[np.arange(len(_TS_DIGIT_AT)), np.repeat(np.arange(len(_TS_RUNS)), _TS_RUNS)] = (
+    10.0 ** np.concatenate([np.arange(n - 1, -1, -1) for n in _TS_RUNS])
+)
+# days per month, by month number; 0 for the month numbers 0 and 13 (or more)
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31, 0])
 
 
 def _by_halves(
@@ -137,11 +153,6 @@ def _by_halves(
         )
 
 
-def _numpy_timestamps(text: np.ndarray) -> np.ndarray:
-    """numpy's datetime64[ms] for each "...Z" field of ``text``."""
-    return text.astype(f"U{_TS_LEN - 1}").astype("datetime64[ms]")
-
-
 def _floats(fields: Sequence[str]) -> np.ndarray:
     """float() of each field, NaN for a blank one, inf for "nan", "inf" or an overflow.
 
@@ -149,8 +160,8 @@ def _floats(fields: Sequence[str]) -> np.ndarray:
     malformed field, or one padded with the ASCII separators 0x1C-0x1F, which only
     the str.strip() of _parse_number drops.
     """
-    blank_as_nan = map({"": "nan"}.get, fields, fields)
-    values = np.fromiter(map(float, blank_as_nan), np.float64, len(fields))
+    text = list(map({"": "nan"}.get, fields, fields)) if "" in fields else fields
+    values = np.fromiter(map(float, text), np.float64, len(fields))
     nonfinite = np.flatnonzero(~np.isfinite(values)).tolist()
     values[[i for i in nonfinite if fields[i]]] = math.inf  # a blank stays NaN
     return values
@@ -159,17 +170,28 @@ def _floats(fields: Sequence[str]) -> np.ndarray:
 def _parse_timestamps(fields: Sequence[str]) -> np.ndarray:
     """parse_timestamp over ``fields`` as datetime64[ms], with NaT where it raises.
 
-    numpy parses the canonical-length fields at once (others as "", so that no long
-    field widens the array); its value stands where it prints back as the same field
-    with a year of at least 1 (numpy reads year 0 too).  parse_timestamp takes the
-    rest, including the fields that numpy rejects.
+    A field in the canonical form (``_TS_LEN`` characters, ASCII digits, a valid
+    Gregorian date and time from year 1 on) is decoded by arithmetic on the code
+    points of all fields at once; parse_timestamp takes the rest.
     """
-    text = np.array([s if len(s) == _TS_LEN else "" for s in fields], dtype=f"U{_TS_LEN}")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # a time zone warns; the check below rejects it
-        out = _by_halves(_numpy_timestamps, lambda _: np.datetime64("NaT", "ms"), text)
-    printed = np.char.add(np.datetime_as_string(out, unit="ms"), "Z")
-    rest = np.flatnonzero((printed != text) | (out < np.datetime64("0001-01-01")))
+    n = len(fields)
+    chars = np.array(fields, dtype=f"U{_TS_LEN}").view(np.uint32).reshape(n, _TS_LEN)
+    digits = np.minimum(chars[:, _TS_DIGIT_AT] - ord("0"), 10)  # 10: not a digit (< "0" wraps)
+    year, month, day, hour, minute, second, milli = (digits @ _TS_PLACE).astype(np.int64).T
+    leap_day = (month == 2) & (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    canonical = (
+        (np.fromiter(map(len, fields), np.intp, n) == _TS_LEN)  # the array cuts longer ones
+        & (chars[:, _TS_SEP_AT] == _TS_SEP).all(axis=1) & (digits < 10).all(axis=1)
+        & (year >= 1) & (day >= 1) & (day <= _MONTH_DAYS[np.minimum(month, 13)] + leap_day)
+        & (hour < 24) & (minute < 60) & (second < 60)
+    )
+    # days since 1970-01-01 (days-from-civil, with each year starting on 1 March)
+    era, year_of_era = np.divmod(year - (month <= 2), 400)
+    day_of_year = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
+    days = (era * 146097 + year_of_era * 365 + year_of_era // 4 - year_of_era // 100
+            + day_of_year - 719468)
+    out = ((((days * 24 + hour) * 60 + minute) * 60 + second) * 1000 + milli).view("datetime64[ms]")
+    rest = np.flatnonzero(~canonical).tolist()
     out[rest] = np.datetime64("NaT")
     for i in rest:
         try:
@@ -191,19 +213,79 @@ def _csv_rows(stream: IO[str], name: str | Path) -> Iterator[list[str]]:
 
 
 @contextmanager
-def _open_rows(path: str | Path) -> Iterator[Iterator[list[str]]]:
-    """The CSV rows of the UTF-8 file at ``path``; a file that cannot be read is a DataError."""
+def _open_text(path: str | Path) -> Iterator[IO[str]]:
+    """The UTF-8 file at ``path``, opened for CSV; a file that cannot be read is a DataError."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            yield _csv_rows(fh, path)
+            yield fh
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def _split_plain(lines: list[str]) -> list[str] | None:
+    """The rows of ``lines`` split by string operations, or None where csv.reader must read them.
+
+    csv.reader reads a block that holds a quote, a NUL (which Python 3.10's reader
+    rejects) or a line longer than csv.field_size_limit().  It also reads one with a
+    line break before the end of a line: a stream that ends lines at "\\n" alone can
+    leave a "\\r" inside one, which the reader may reject, and str.splitlines also
+    breaks at "\\x1c" and the like, which the reader keeps in a field.
+    """
+    text = "".join(lines)
+    if '"' in text or "\0" in text or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    rows = text.splitlines()
+    return rows if len(rows) == len(lines) else None
+
+
+def _non_blank(widths: np.ndarray, singles: Iterable[str]) -> int:
+    """Rows with more than one field, plus the one-field rows whose field is not blank."""
+    return int(np.count_nonzero(widths > 1)) + sum(map(bool, map(str.strip, singles)))
+
+
+def _tick_blocks(stream: IO[str], name: str | Path) -> Iterator:
+    """The header row of a tick CSV (None if there is none), then one item per block.
+
+    A block is up to ``_BLOCK_ROWS`` lines, or as many rows where csv.reader reads it
+    (a quoted field can span lines).  Its item is the number of its non-blank rows
+    and the six columns of its six-field rows.  Malformed CSV or text that is not
+    UTF-8 is a DataError.
+    """
+    width = len(TICK_HEADER)
+    read = 0  # lines read before the current reader started
+    reader = csv.reader(stream)
+    try:
+        yield next(reader, None)
+        read = reader.line_num
+        while lines := list(islice(stream, _BLOCK_ROWS)):
+            plain = _split_plain(lines)
+            if plain is not None:
+                read += len(lines)
+                commas = np.fromiter(map(str.count, plain, repeat(",")), np.intp, len(plain))
+                non_blank = _non_blank(commas + 1, compress(plain, (commas == 0).tolist()))
+                full = list(compress(plain, (commas == width - 1).tolist()))
+                fields = ",".join(full).split(",") if full else []
+                columns = [fields[k::width] for k in range(width)]
+            else:
+                # as many rows as lines reads them all; a quoted field may run on past them
+                reader = csv.reader(chain(lines, stream))
+                rows = list(islice(reader, len(lines)))
+                read += reader.line_num
+                widths = np.fromiter(map(len, rows), np.intp, len(rows))
+                singles = map(itemgetter(0), compress(rows, (widths == 1).tolist()))
+                non_blank = _non_blank(widths, singles)
+                columns = list(zip(*compress(rows, (widths == width).tolist()))) or [()] * width
+            yield non_blank, columns
+    except csv.Error as exc:
+        raise DataError(f"{name}: malformed CSV at line {read + reader.line_num}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{name} is not valid UTF-8: {exc}") from exc
 
 
 def parse_ticks(source: str | Path | bytes | IO) -> TickTable:
     """Read a tick CSV stream into per-stock, time-sorted columns.
 
-    Rows are read in bounded blocks, so the file is never held whole, and parsed
+    Lines are read in bounded blocks, so the file is never held whole, and parsed
     a column at a time; only non-canonical fields go through the per-row parsers.
     A malformed header is fatal; rows that cannot be parsed (wrong field count,
     empty stock id, bad timestamp, non-finite number, non-positive price,
@@ -211,45 +293,46 @@ def parse_ticks(source: str | Path | bytes | IO) -> TickTable:
     (UTF-8) or text stream stays open.
     """
     if isinstance(source, (str, Path)):
-        with _open_rows(source) as rows:
-            return _parse_tick_rows(rows)
+        with _open_text(source) as fh:
+            return _parse_tick_rows(fh, source)
     if isinstance(source, bytes):
         return parse_ticks(io.BytesIO(source))
     if isinstance(source.read(0), str):
-        return _parse_tick_rows(_csv_rows(source, "tick stream"))
+        return _parse_tick_rows(source, "tick stream")
     text = io.TextIOWrapper(source, encoding="utf-8", newline="")
     try:
-        return _parse_tick_rows(_csv_rows(text, "tick stream"))
+        return _parse_tick_rows(text, "tick stream")
     finally:
         text.detach()  # a collected wrapper would close the caller's stream
 
 
-def _parse_tick_rows(reader: Iterator[list[str]]) -> TickTable:
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError("tick stream is empty (missing header)") from None
+def _parse_tick_rows(stream: IO[str], name: str | Path) -> TickTable:
+    items = _tick_blocks(stream, name)
+    header = next(items)
+    if header is None:
+        raise DataError("tick stream is empty (missing header)")
     if tuple(h.strip().lower() for h in header) != TICK_HEADER:
         raise DataError(f"malformed tick header {header!r}; expected {','.join(TICK_HEADER)}")
 
     codes: dict[str, int] = {}  # stock id -> code, in order of first kept row
     blocks: list[tuple[np.ndarray, ...]] = []  # each block's kept (code, timestamp, *numbers)
     skipped = 0
-    while block := list(islice(reader, _BLOCK_ROWS)):
-        rows = [r for r in block if len(r) == len(TICK_HEADER) and r[0].strip()]
-        skipped += sum(len(r) > 1 or bool(r and r[0].strip()) for r in block) - len(rows)
-        if not rows:
-            continue
-        ids, stamps, *fields = zip(*rows)
+    for non_blank, (ids, stamps, *fields) in items:
+        ids = list(map(str.strip, ids))
         timestamp = _parse_timestamps(stamps)
         numbers = [_by_halves(_floats, _parse_number, f) for f in fields]
         bid, ask, volume, avg_price = numbers
         # NaN (missing) fails every comparison, so it passes these checks
-        keep = ~(np.isnat(timestamp) | np.isinf(numbers).any(axis=0) | (bid <= 0.0)
-                 | (ask <= 0.0) | (avg_price <= 0.0) | (volume < 0.0))
-        skipped += len(rows) - int(keep.sum())
-        code = [codes.setdefault(s.strip(), len(codes)) for s in compress(ids, keep.tolist())]
-        blocks.append((np.array(code, dtype=np.intp), *(a[keep] for a in (timestamp, *numbers))))
+        keep = np.fromiter(map(bool, ids), bool, len(ids)) & ~(
+            np.isnat(timestamp) | np.isinf(numbers).any(axis=0) | (bid <= 0.0)
+            | (ask <= 0.0) | (avg_price <= 0.0) | (volume < 0.0)
+        )
+        kept = list(compress(ids, keep.tolist()))
+        skipped += non_blank - len(kept)
+        for stock in dict.fromkeys(kept):  # this block's ids, in order of first kept row
+            codes.setdefault(stock, len(codes))
+        code = np.fromiter(map(codes.__getitem__, kept), np.intp, len(kept))
+        blocks.append((code, *(a[keep] for a in (timestamp, *numbers))))
 
     if skipped:
         logger.info("parse_ticks: skipped %d unparseable row(s)", skipped)
@@ -379,7 +462,8 @@ class PriceMatrix:
     @classmethod
     def from_csv(cls, path: str | Path) -> "PriceMatrix":
         """Load a matrix CSV.  Loaded cells count as observed (empty mask)."""
-        with _open_rows(path) as reader:
+        with _open_text(path) as fh:
+            reader = _csv_rows(fh, path)
             try:
                 header = next(reader)
             except StopIteration:

@@ -32,6 +32,7 @@ needs the persistent component.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, replace
 from datetime import timedelta
@@ -43,7 +44,9 @@ from scipy.special import ndtr
 
 from .errors import ConfigError
 from .features import slope_weights
-from .market_data import PriceMatrix, TimeGrid, format_timestamp, parse_timestamp
+from .market_data import (
+    _BLOCK_ROWS, TICK_HEADER, PriceMatrix, TimeGrid, format_timestamp, parse_timestamp,
+)
 
 DEFAULT_START = "2006-01-02T00:00:00.000Z"
 
@@ -273,6 +276,13 @@ def crisis_window(config: SyntheticConfig) -> tuple[np.datetime64, np.datetime64
     return start, grid.instants[-1]
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as csv.writer writes it before another field: quoted where it must be."""
+    out = io.StringIO()
+    csv.writer(out).writerow((text, ""))
+    return out.getvalue()[: -len(",\r\n")]
+
+
 def write_tick_csv(
     matrix: PriceMatrix,
     path: str | Path,
@@ -289,29 +299,26 @@ def write_tick_csv(
     if not 0.0 <= missing_fraction < 1.0:
         raise ConfigError("missing_fraction must lie in [0, 1)")
     rng = np.random.default_rng(seed)
-    written = 0
+    # one draw for the panel takes the same numbers as one draw per grid row
+    keep = rng.random((matrix.n_rows, matrix.n_stocks)) >= missing_fraction
+    row_of, stock_of = np.nonzero(keep)  # the kept cells, time-major
+    stamps = [format_timestamp(t) for t in matrix.grid.instants]
+    ids = [_csv_field(s) for s in matrix.stock_ids]
+    line = "{},{},{},{},100,{}\r\n".format  # csv.writer's row with its line terminator
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("stock_id", "timestamp", "bid", "ask", "volume", "avg_price"))
-        for i in range(matrix.n_rows):
-            ts = format_timestamp(matrix.grid.instants[i])
-            keep = rng.random(matrix.n_stocks) >= missing_fraction
-            for j, stock in enumerate(matrix.stock_ids):
-                if not keep[j]:
-                    continue
-                price = float(matrix.values[i, j])
-                writer.writerow(
-                    (
-                        stock,
-                        ts,
-                        repr(price * (1.0 - relative_spread)),
-                        repr(price * (1.0 + relative_spread)),
-                        "100",
-                        repr(price),
-                    )
-                )
-                written += 1
-    return written
+        csv.writer(fh).writerow(TICK_HEADER)
+        for start in range(0, row_of.size, _BLOCK_ROWS):  # so the text is never held whole
+            rows, stocks = row_of[start:start + _BLOCK_ROWS], stock_of[start:start + _BLOCK_ROWS]
+            price = matrix.values[rows, stocks]
+            fh.write("".join(map(
+                line,
+                map(ids.__getitem__, stocks.tolist()),
+                map(stamps.__getitem__, rows.tolist()),
+                map(repr, (price * (1.0 - relative_spread)).tolist()),
+                map(repr, (price * (1.0 + relative_spread)).tolist()),
+                map(repr, price.tolist()),
+            )))
+    return int(row_of.size)
 
 
 @dataclass(frozen=True)

@@ -292,6 +292,18 @@ class TestBottleneckSweep:
             _assert_same_results(report, alone)
             assert report.welch_tests == alone.welch_tests
 
+    def test_default_mode_config_runs_as_sweep(self, tmp_path):
+        reports = run_bottleneck_sweep(_config(bottleneck_widths=(2,)))
+        assert [(r.mode, r.bottleneck) for r in reports] == [
+            ("bottleneck_sweep", 2), ("bottleneck_sweep", None)
+        ]
+        for report in reports:
+            emit_report(report, tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"report_bottleneck_{w}{suffix}"
+            for w in ("2", "none") for suffix in (".csv", ".json", "_box.csv")
+        ]
+
     def test_seeds_shared_across_widths(self):
         config = _config(mode="bottleneck_sweep", bottleneck_widths=(1,))
         reports = run_bottleneck_sweep(config)

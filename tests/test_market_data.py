@@ -174,10 +174,10 @@ class TestParseTicks:
         assert a == b == c
 
 
-def _oracle(text):
+def _oracle(text, newline="\n"):
     """The per-row rules: stocks by first valid row, each sorted stably by time."""
     columns, skipped = {}, 0
-    for row in list(csv.reader(io.StringIO(text)))[1:]:
+    for row in list(csv.reader(io.StringIO(text, newline=newline)))[1:]:
         if not row or (len(row) == 1 and not row[0].strip()):
             continue  # blank line
         stock_id = row[0].strip()
@@ -219,10 +219,10 @@ class TestBlockParser:
 
     def test_non_canonical_timestamps_take_the_per_row_rules(self):
         stamps = [
-            ("0000-01-01T00:00:00.000Z", False),  # numpy reads year 0
+            ("0000-01-01T00:00:00.000Z", False),
             ("10000-01-01T00:00:00.000Z", False),
             ("NaTZ", False),
-            ("2011-02-29T09:30:00.000Z", False),  # numpy raises for the whole block
+            ("2011-02-29T09:30:00.000Z", False),
             ("2011-04-01T09:30:00.000z", True),
             ("2011-04-01T11:30:00.000+02:00", True),
             ("2011-04-01T09:30:00.000", True),
@@ -240,7 +240,7 @@ class TestBlockParser:
         assert (col.timestamp == parse_timestamp(T0)).all()
         assert col.avg_price.tolist() == expected  # one instant, so file order stays
 
-    def test_one_field_numpy_rejects_takes_one_per_row_parse(self, monkeypatch):
+    def test_one_rejected_field_takes_one_per_row_parse(self, monkeypatch):
         calls = []
 
         def counted(text):
@@ -249,7 +249,7 @@ class TestBlockParser:
 
         grid = _grid(2048)
         fields = [_iso(grid, i) for i in range(2048)]
-        fields[1000] = "2011-02-29T09:30:00.000Z"  # numpy raises for any array holding it
+        fields[1000] = "2011-02-29T09:30:00.000Z"
         monkeypatch.setattr(market_data, "parse_timestamp", counted)
         out = market_data._parse_timestamps(fields)
         assert calls == ["2011-02-29T09:30:00.000Z"]
@@ -320,6 +320,51 @@ class TestBlockParser:
         with pytest.raises(ValueError, match="out of range"):
             parse_timestamp("0001-01-01T00:00:00+01:00")
 
+    @pytest.mark.parametrize("stamp, decoded", [
+        ("1900-02-29T00:00:00.000Z", False),
+        ("2000-02-29T00:00:00.000Z", True),
+        ("2012-02-29T23:59:59.999Z", True),
+        ("2011-02-28T00:00:00.000Z", True),
+        ("2011-04-31T00:00:00.000Z", False),
+        ("2011-04-30T00:00:00.000Z", True),
+        ("2011-00-01T00:00:00.000Z", False),
+        ("2011-13-01T00:00:00.000Z", False),
+        ("2011-04-00T00:00:00.000Z", False),
+        ("2011-04-01T24:00:00.000Z", False),
+        ("2011-04-01T23:60:00.000Z", False),
+        ("2011-04-01T23:59:60.000Z", False),
+        ("0000-12-31T00:00:00.000Z", False),
+        ("0001-01-01T00:00:00.000Z", True),
+        ("1969-12-31T23:59:59.999Z", True),
+        ("1970-01-01T00:00:00.000Z", True),
+        ("9999-12-31T23:59:59.999Z", True),
+        ("\u0662\u0660\u0661\u0661-04-01T09:30:00.000Z", False),  # Arabic-Indic digits
+        ("\uff12011-04-01T09:30:00.000Z", False),  # a fullwidth digit
+        ("2011-04-01T09:30:00.000Z\x00", False),
+        ("2011-04-01T09:30:00.000Z+01:00", False),
+    ])
+    def test_timestamp_decoder_matches_parse_timestamp(self, monkeypatch, stamp, decoded):
+        """A canonical field is decoded without parse_timestamp, every other one by it."""
+        calls = []
+
+        def counted(text):
+            calls.append(text)
+            return parse_timestamp(text)
+
+        try:
+            expected = parse_timestamp(stamp)
+        except ValueError:
+            expected = np.datetime64("NaT", "ms")
+        monkeypatch.setattr(market_data, "parse_timestamp", counted)
+        out = market_data._parse_timestamps([T0, stamp])
+        np.testing.assert_array_equal(out, np.array([parse_timestamp(T0), expected]))
+        assert calls == ([] if decoded else [stamp])
+
+    def test_long_quote_free_field_is_malformed_csv_at_its_line(self):
+        rows = [f"AAA,{T0},1,1,1,1"] * 4 + [f"AAA,{T0},{'1' * 200_000},1,1,1"]
+        with pytest.raises(DataError, match="malformed CSV at line 6: field larger"):
+            parse_ticks(_tick_csv(rows))
+
 
 _CANONICAL = st.integers(
     int(np.datetime64("-001-01-01", "ms").astype(np.int64)),
@@ -348,23 +393,43 @@ _NUMBERS = st.one_of(
 )
 _ROWS = st.integers(0, 3).flatmap(  # one row in four blank or of the wrong length
     lambda k: st.sampled_from([[], [""], ["  "], ["AAA"], ["AAA", T0, "1", "1", "1"]]) if k == 0
-    else st.tuples(st.sampled_from(["AAA", "BBB", " CCC ", ""]), _STAMPS,
+    else st.tuples(st.sampled_from(["AAA", "BBB", " CCC ", "", "A,B", 'C"D', "E\nF", "G\x00"]),
+                   _STAMPS,
                    _NUMBERS, _NUMBERS, _NUMBERS, _NUMBERS).map(list)
 )
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
-@given(st.lists(_ROWS, max_size=25))
-def test_block_parser_matches_per_row_oracle(rows):
-    out = io.StringIO()
-    out.write(HEADER)
-    csv.writer(out).writerows(rows)
+@given(st.lists(_ROWS, max_size=25), st.sampled_from(["\n", "\r\n", "\r"]), st.booleans())
+def test_block_parser_matches_per_row_oracle(rows, line_end, final_line_end):
+    out = io.StringIO(newline="")
+    out.write(HEADER.replace("\n", line_end))
+    csv.writer(out, lineterminator=line_end).writerows(rows)
     text = out.getvalue()
-    expected, skipped = _oracle(text)
-    for block_rows in (1, 3, market_data._BLOCK_ROWS):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(market_data, "_BLOCK_ROWS", block_rows)
-            _assert_table(parse_ticks(io.StringIO(text)), expected, skipped)
+    if not final_line_end:
+        text = text.removesuffix(line_end)
+    # a stream opened with newline="" breaks lines at "\r" too, a default StringIO does not
+    for newline in ("", "\n"):
+        reader = csv.reader(io.StringIO(text, newline=newline))
+        try:
+            for _ in reader:
+                pass
+            error = None
+            expected, skipped = _oracle(text, newline)
+        except csv.Error:  # a "\r" inside a "\n"-split line; a NUL before Python 3.11
+            error = f"malformed CSV at line {reader.line_num}:"
+        for block_rows in (1, 3, market_data._BLOCK_ROWS):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(market_data, "_BLOCK_ROWS", block_rows)
+                sources = [io.StringIO(text, newline=newline)]
+                if newline == "":
+                    sources.append(text.encode())
+                for source in sources:
+                    if error:
+                        with pytest.raises(DataError, match=error):
+                            parse_ticks(source)
+                    else:
+                        _assert_table(parse_ticks(source), expected, skipped)
 
 
 class TestTimeGrid:

@@ -1,11 +1,19 @@
 """Synthetic panel generator: reproducibility, planted structure, oracle."""
 
+import csv
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from trendlag.errors import ConfigError
 from trendlag.features import build_gradients
-from trendlag.market_data import fill_missing, parse_ticks, select_consistent_stocks
+from trendlag.market_data import (
+    fill_missing,
+    format_timestamp,
+    parse_ticks,
+    select_consistent_stocks,
+)
 from trendlag.synth import (
     RegimeSwitch,
     SyntheticConfig,
@@ -142,6 +150,30 @@ class TestTickEmission:
             np.testing.assert_array_equal(refilled.values[observed, j], col[observed])
         kept = select_consistent_stocks(refilled, 0.5, config.ticks_per_step)
         assert kept.n_rows % config.ticks_per_step == 0
+
+
+    def test_bytes_match_per_row_writer(self, tmp_path):
+        """The column-at-a-time writer against one csv.writer row per kept cell."""
+        matrix = generate(_config(n_stocks=4, n_steps=300, ticks_per_step=8))
+        matrix = replace(matrix, stock_ids=("A,B", 'C"D') + matrix.stock_ids[2:])
+        path, reference = tmp_path / "ticks.csv", tmp_path / "reference.csv"
+        n_rows = write_tick_csv(matrix, path, missing_fraction=0.3, seed=8, relative_spread=1e-3)
+        rng = np.random.default_rng(8)
+        written = 0
+        with open(reference, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(("stock_id", "timestamp", "bid", "ask", "volume", "avg_price"))
+            for i in range(matrix.n_rows):
+                keep = rng.random(matrix.n_stocks) >= 0.3
+                for j in np.flatnonzero(keep):
+                    price = float(matrix.values[i, j])
+                    writer.writerow((
+                        matrix.stock_ids[j], format_timestamp(matrix.grid.instants[i]),
+                        repr(price * (1.0 - 1e-3)), repr(price * (1.0 + 1e-3)), "100", repr(price),
+                    ))
+                    written += 1
+        assert n_rows == written > 2048  # more than one block
+        assert path.read_bytes() == reference.read_bytes()
 
 
 class TestOracle:
