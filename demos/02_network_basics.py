@@ -22,17 +22,18 @@ print("layer sizes:", config.layer_sizes())
 rng = np.random.default_rng(2)
 x = rng.normal(size=(5, 3))
 y = np.eye(2)[rng.integers(0, 2, 5)]
-grads = nn.backward(model, x, y)
+grad = nn.backward(model, x, y)  # one vector, laid out like model.parameters
 
-eps = 1e-5
-w = model.weights[1]
-w[2, 1] += eps
+# entry 31 of the flat vector: weights of layer 0 (3 x 6) come first, so this
+# is weight (2, 1) of layer 1, the same number as model.weights[1][2, 1]
+i, eps = 3 * 6 + 2 * 6 + 1, 1e-5
+model.parameters[i] += eps
 up = nn.loss(model, x, y)
-w[2, 1] -= 2 * eps
+model.parameters[i] -= 2 * eps
 down = nn.loss(model, x, y)
-w[2, 1] += eps
+model.parameters[i] += eps
 numeric = (up - down) / (2 * eps)
-analytic = grads.weights[1][2, 1]
+analytic = grad[i]
 print(f"gradient spot check: analytic {analytic:+.8f} vs numeric {numeric:+.8f}")
 
 # --- XOR: the classic separability sanity check --------------------------

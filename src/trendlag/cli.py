@@ -22,6 +22,7 @@ from .harness import (
     ExperimentReport,
     emit_report,
     load_experiment_config,
+    load_synthetic_config,
     run,
 )
 from .synth import generate, write_tick_csv
@@ -93,10 +94,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    config = load_experiment_config(args.config)
-    if config.synthetic is None:
-        raise ConfigError(f"{args.config} has no [synthetic] section")
-    matrix = generate(config.synthetic)
+    matrix = generate(load_synthetic_config(args.config))
     out = Path(args.out)
     if out.parent and not out.parent.exists():
         out.parent.mkdir(parents=True, exist_ok=True)

@@ -102,8 +102,10 @@ class ExperimentConfig:
             raise ConfigError("exactly one data source (ticks, matrix, synthetic) is required")
         if self.step_size < 2:
             raise ConfigError("step_size must be >= 2")
-        if self.grid_step_seconds <= 0:
-            raise ConfigError("grid_step_seconds must be positive")
+        if round(self.grid_step_seconds * 1000) < 1:  # the grid step in whole ms, as _infer_grid
+            raise ConfigError(
+                f"grid_step_seconds must round to at least 1 ms, got {self.grid_step_seconds}"
+            )
         if self.price_source not in PRICE_SOURCES:
             raise ConfigError(
                 f"unknown price_source {self.price_source!r}; use one of {PRICE_SOURCES}"
@@ -122,11 +124,13 @@ class ExperimentConfig:
         if "input_dim" in self.network or "rng_seed" in self.network:
             raise ConfigError("input_dim and rng_seed are derived, not configurable")
         neural.NetworkConfig(input_dim=1, **self.network).validate()
-        if self.mode == "crisis":
-            if (self.crisis_start is None or self.crisis_end is None) and not (
-                self.synthetic is not None and self.synthetic.regime_switch is not None
-            ):
-                raise ConfigError("crisis mode requires crisis_start and crisis_end")
+        window = self.crisis_start is not None and self.crisis_end is not None
+        if window and self.crisis_end < self.crisis_start:
+            raise ConfigError("crisis_end precedes crisis_start")
+        if self.mode == "crisis" and not window and not (
+            self.synthetic is not None and self.synthetic.regime_switch is not None
+        ):
+            raise ConfigError("crisis mode requires crisis_start and crisis_end")
 
     def resolved_crisis_window(self) -> tuple[np.datetime64, np.datetime64]:
         if self.crisis_start is not None and self.crisis_end is not None:
@@ -491,7 +495,7 @@ def _assemble_report(
 
 
 def _gradients(config: ExperimentConfig, matrix: PriceMatrix | None) -> features.GradientMatrix:
-    """Gradients of ``matrix``, or of the configured source when it is None."""
+    """Trend gradients of ``matrix``, or of the configured source when it is None."""
     if matrix is None:
         matrix = load_price_matrix(config)
     gradients = features.build_gradients(matrix, config.step_size)
@@ -562,8 +566,6 @@ def run_crisis(config: ExperimentConfig, matrix: PriceMatrix | None = None) -> E
     config.validate()
     gradients = _gradients(config, matrix)
     boundary_start, boundary_end = config.resolved_crisis_window()
-    if boundary_end < boundary_start:
-        raise DataError("crisis_end precedes crisis_start")
     # example i predicts interval i+1; it belongs to that interval's end time
     example_times = gradients.interval_timestamps[1:]
     train_idx = np.flatnonzero(example_times < boundary_start)
@@ -741,7 +743,24 @@ def _cast(hint: Any, text: str) -> Any:
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
-    """Parse the flat key-value experiment config file."""
+    """Parse the flat key-value experiment config file.
+
+    ``[data] source = ticks`` or ``matrix`` makes that file the run's data; a
+    ``[synthetic]`` section beside it only feeds ``load_synthetic_config``.
+    """
+    return _load_config(path)[0]
+
+
+def load_synthetic_config(path: str | Path) -> synth.SyntheticConfig:
+    """The ``[synthetic]`` section of a valid config file, whatever its source."""
+    synthetic = _load_config(path)[1]
+    if synthetic is None:
+        raise ConfigError(f"{path} has no [synthetic] section")
+    return synthetic
+
+
+def _load_config(path: str | Path) -> tuple[ExperimentConfig, synth.SyntheticConfig | None]:
+    """The validated run config and the ``[synthetic]`` section's generator config."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(path)
@@ -775,9 +794,10 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
         config = ExperimentConfig(**values["data"], **values["experiment"], network=values["network"])
         mode = config.mode.lower()
         config.mode = MODE_ALIASES.get(mode, mode)
+        syn = None
         if parser.has_section("synthetic"):
             sec = parser["synthetic"]
-            config.synthetic = syn = synth.SyntheticConfig(**values["synthetic"])
+            syn = synth.SyntheticConfig(**values["synthetic"])
             if "coupling_seed" in sec:
                 syn.coupling_matrix = synth.random_coupling(syn.n_stocks, int(sec["coupling_seed"]))
             if "regime_switch_step" in sec:
@@ -791,5 +811,7 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
+    if source not in ("ticks", "matrix"):
+        config.synthetic = syn
     config.validate()
-    return config
+    return config, syn

@@ -28,7 +28,7 @@ from datetime import datetime, timedelta, timezone
 from itertools import chain, compress, islice, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -134,36 +134,31 @@ _TS_PLACE[np.arange(len(_TS_DIGIT_AT)), np.repeat(np.arange(len(_TS_RUNS)), _TS_
 _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31, 0])
 
 
-def _by_halves(
-    convert: Callable[[Sequence], np.ndarray], one: Callable[[object], object], items: Sequence
-) -> np.ndarray:
-    """``convert(items)``, where ``convert`` raises ValueError for all items if one is bad.
-
-    A rejected sequence is split in halves, recursively, down to the items that
-    ``convert`` rejects alone; ``one(item)`` gives the value of each of those.
-    """
+def _float_or_none(text: str) -> float | None:
     try:
-        return convert(items)
+        return float(text)
     except ValueError:
-        if len(items) == 1:
-            return np.array([one(items[0])])
-        half = len(items) // 2
-        return np.concatenate(
-            [_by_halves(convert, one, items[:half]), _by_halves(convert, one, items[half:])]
-        )
+        return None
 
 
 def _floats(fields: Sequence[str]) -> np.ndarray:
     """float() of each field, NaN for a blank one, inf for "nan", "inf" or an overflow.
 
-    Blank fields (missing values) read as "nan" here.  float() still rejects a
-    malformed field, or one padded with the ASCII separators 0x1C-0x1F, which only
-    the str.strip() of _parse_number drops.
+    Blank fields (missing values) read as "nan" here.  When float() rejects a
+    field (a malformed one, or one padded with the ASCII separators 0x1C-0x1F,
+    which only the str.strip() of _parse_number drops), the column takes one
+    per-field float() pass, and only the fields it rejects go to _parse_number.
     """
     text = list(map({"": "nan"}.get, fields, fields)) if "" in fields else fields
-    values = np.fromiter(map(float, text), np.float64, len(fields))
+    try:
+        values, rejected = np.fromiter(map(float, text), np.float64, len(fields)), []
+    except ValueError:
+        parsed = list(map(_float_or_none, text))
+        rejected = [i for i, v in enumerate(parsed) if v is None]
+        values = np.array([math.nan if v is None else v for v in parsed])
     nonfinite = np.flatnonzero(~np.isfinite(values)).tolist()
     values[[i for i in nonfinite if fields[i]]] = math.inf  # a blank stays NaN
+    values[rejected] = [_parse_number(fields[i]) for i in rejected]
     return values
 
 
@@ -320,7 +315,7 @@ def _parse_tick_rows(stream: IO[str], name: str | Path) -> TickTable:
     for non_blank, (ids, stamps, *fields) in items:
         ids = list(map(str.strip, ids))
         timestamp = _parse_timestamps(stamps)
-        numbers = [_by_halves(_floats, _parse_number, f) for f in fields]
+        numbers = [_floats(f) for f in fields]
         bid, ask, volume, avg_price = numbers
         # NaN (missing) fails every comparison, so it passes these checks
         keep = np.fromiter(map(bool, ids), bool, len(ids)) & ~(

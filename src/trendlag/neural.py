@@ -10,12 +10,11 @@ far the problem compresses.
 
 A model keeps its parameters in one flat float64 vector: every weight
 matrix (row-major, in layer order) first, then every bias vector, so weight
-decay covers one prefix slice.  The momentum velocity is a second vector
-with the same layout.  The per-layer ``weights``, ``biases``,
-``velocities_w`` and ``velocities_b`` are read-only tuples of views into
-those two vectors, so writing into one of them changes the model, and one
-descent step is a few whole-vector in-place operations.  Training fills
-one flat gradient vector of the same layout per step.
+decay covers one prefix slice.  The momentum velocity and the gradient that
+``backward`` returns share that layout, and ``sgd_step``, the update
+``train`` makes per mini-batch, is a few whole-vector operations.  The
+per-layer ``weights`` and ``biases`` are read-only tuples of views into the
+parameter vector, so writing into one of them changes the model.
 
 Everything is plain numpy and deterministic under the configured seed.
 """
@@ -106,14 +105,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.divide(numerator, e, out=z)
 
 
-@dataclass
-class Gradients:
-    """Cost gradients w.r.t. every weight matrix and bias vector."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-
 def _layer_views(
     flat: np.ndarray, sizes: tuple[int, ...]
 ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
@@ -129,10 +120,11 @@ def _layer_views(
 
 
 class NetworkModel:
-    """Layer weights, biases, and momentum velocities in two flat vectors.
+    """Layer weights and biases in one flat vector, momentum velocity in another.
 
     The constructor copies ``weights`` and ``biases`` into ``parameters``;
-    ``velocity`` starts at zero.  The per-layer tuples are views into them.
+    ``velocity`` starts at zero.  The per-layer tuples are views into
+    ``parameters``.
     """
 
     def __init__(
@@ -157,7 +149,6 @@ class NetworkModel:
         )
         self._velocity = np.zeros_like(self._parameters)
         self._weights, self._biases = _layer_views(self._parameters, sizes)
-        self._velocities_w, self._velocities_b = _layer_views(self._velocity, sizes)
         self.n_weights = sum(w.size for w in self._weights)
         self.rng = np.random.default_rng(config.rng_seed)
 
@@ -178,19 +169,8 @@ class NetworkModel:
         return self._biases
 
     @property
-    def velocities_w(self) -> tuple[np.ndarray, ...]:
-        return self._velocities_w
-
-    @property
-    def velocities_b(self) -> tuple[np.ndarray, ...]:
-        return self._velocities_b
-
-    @property
     def n_layers(self) -> int:
         return len(self._weights)
-
-    def copy_parameters(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        return [w.copy() for w in self.weights], [b.copy() for b in self.biases]
 
 
 def init(config: NetworkConfig) -> NetworkModel:
@@ -233,10 +213,6 @@ def _forward_into(
     return activations
 
 
-def _forward_batch(model: NetworkModel, x: np.ndarray) -> list[np.ndarray]:
-    return _forward_into(model, x, _layer_buffers(model, x.shape[0]))
-
-
 def forward(model: NetworkModel, inputs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Network outputs plus cached per-layer activations.
 
@@ -250,7 +226,7 @@ def forward(model: NetworkModel, inputs: np.ndarray) -> tuple[np.ndarray, list[n
         raise ValueError(
             f"input has {x2.shape[1]} features, model expects {model.config.input_dim}"
         )
-    activations = _forward_batch(model, x2)
+    activations = _forward_into(model, x2, _layer_buffers(model, x2.shape[0]))
     if single:
         activations = [a[0] for a in activations]
     return activations[-1], activations
@@ -260,7 +236,7 @@ def loss(model: NetworkModel, inputs: np.ndarray, targets: np.ndarray) -> float:
     """Mean-reduced quadratic cost: 0.5 * mean_i sum_j (yhat - y)^2."""
     x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     y = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    outputs = _forward_batch(model, x)[-1]
+    outputs = _forward_into(model, x, _layer_buffers(model, x.shape[0]))[-1]
     return float(0.5 * np.sum((outputs - y) ** 2) / x.shape[0])
 
 
@@ -301,32 +277,25 @@ def _loss_and_gradients(
     return batch_loss
 
 
-def backward(model: NetworkModel, inputs: np.ndarray, targets: np.ndarray) -> Gradients:
-    """Reverse-mode gradients of the mean-reduced quadratic cost."""
+def backward(model: NetworkModel, inputs: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Reverse-mode gradient of the mean-reduced quadratic cost.
+
+    One float64 vector laid out like ``model.parameters``: every weight
+    matrix row-major in layer order, then every bias.
+    """
     x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     y = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     if x.shape[0] == 0:
         raise ValueError("backward pass needs a non-empty batch")
     if y.shape != (x.shape[0], model.config.layer_sizes()[-1]):
         raise ValueError(f"target shape {y.shape} does not match batch/output dims")
-    grad_w, grad_b = _layer_views(np.empty_like(model.parameters), model.config.layer_sizes())
+    gradient = np.empty_like(model.parameters)
+    grad_w, grad_b = _layer_views(gradient, model.config.layer_sizes())
     _loss_and_gradients(model, x, y, _layer_buffers(model, x.shape[0]), grad_w, grad_b)
-    return Gradients(weights=list(grad_w), biases=list(grad_b))
+    return gradient
 
 
-def _descend(model: NetworkModel, gradient: np.ndarray, epoch: int) -> None:
-    """sgd_step on a flat gradient vector, which it overwrites."""
-    cfg = model.config
-    eta = cfg.learning_rate * cfg.lr_decay**epoch
-    parameters, velocity, n_weights = model.parameters, model.velocity, model.n_weights
-    gradient[:n_weights] += cfg.l2_lambda * parameters[:n_weights]
-    gradient *= eta
-    velocity *= cfg.momentum
-    velocity -= gradient
-    parameters += velocity
-
-
-def sgd_step(model: NetworkModel, gradients: Gradients, epoch: int) -> None:
+def sgd_step(model: NetworkModel, gradient: np.ndarray, epoch: int) -> None:
     """One momentum + weight-decay descent update at the epoch's decayed rate.
 
     velocity <- momentum * velocity - eta_e * (gradient + lambda * w)
@@ -334,12 +303,19 @@ def sgd_step(model: NetworkModel, gradients: Gradients, epoch: int) -> None:
 
     with eta_e = learning_rate * lr_decay ** epoch.  Weight decay applies
     to weight matrices only, not biases.  With momentum 0 and decay 1 this
-    is exactly w - eta * (dE/dw + lambda * w).  ``gradients`` is left as is.
+    is exactly w - eta * (dE/dw + lambda * w).  ``gradient`` is laid out
+    like ``model.parameters``, as ``backward`` returns it, and is left as is.
     """
-    flat = np.concatenate(
-        [np.ravel(g) for g in (*gradients.weights, *gradients.biases)], dtype=np.float64
-    )
-    _descend(model, flat, epoch)
+    cfg = model.config
+    eta = cfg.learning_rate * cfg.lr_decay**epoch
+    parameters, velocity = model.parameters, model.velocity
+    step = cfg.l2_lambda * parameters
+    step[model.n_weights :] = -0.0  # no bias decay: -0.0 + g is exactly g, signed zeros too
+    step += gradient
+    step *= eta
+    velocity *= cfg.momentum
+    velocity -= step
+    parameters += velocity
 
 
 @dataclass
@@ -412,7 +388,7 @@ def train(model: NetworkModel, train_set, validation_set) -> TrainReport:
             if not math.isfinite(batch_loss):
                 diverged = True
                 break
-            _descend(model, gradient, epoch)
+            sgd_step(model, gradient, epoch)
             batch_losses.append(batch_loss)
         if diverged:
             break

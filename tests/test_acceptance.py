@@ -22,7 +22,7 @@ from trendlag.harness import (
     run_cross_validated,
     run_crisis,
 )
-from trendlag.neural import Gradients, NetworkConfig, backward, init, loss, sgd_step, train
+from trendlag.neural import NetworkConfig, backward, init, loss, sgd_step, train
 from trendlag.stats import box_stats, welch_upper_tail
 from trendlag.synth import RegimeSwitch, SyntheticConfig, crisis_window, oracle_accuracy
 
@@ -41,21 +41,19 @@ def _verdict(number: int, name: str, passed: bool, detail: str) -> None:
 # 1. analytic backpropagation vs central finite differences
 # -----------------------------------------------------------------------
 
-def _numeric_gradients(model, x, y, eps=1e-5):
-    grads_w = [np.zeros_like(w) for w in model.weights]
-    grads_b = [np.zeros_like(b) for b in model.biases]
-    for store, params in ((grads_w, model.weights), (grads_b, model.biases)):
-        for layer, param in enumerate(params):
-            flat = param.reshape(-1)
-            for i in range(flat.size):
-                original = flat[i]
-                flat[i] = original + eps
-                up = loss(model, x, y)
-                flat[i] = original - eps
-                down = loss(model, x, y)
-                flat[i] = original
-                store[layer].reshape(-1)[i] = (up - down) / (2 * eps)
-    return Gradients(weights=grads_w, biases=grads_b)
+def _numeric_gradient(model, x, y, eps=1e-5):
+    """Central differences, laid out like ``model.parameters``."""
+    params = model.parameters
+    numeric = np.zeros_like(params)
+    for i in range(params.size):
+        original = params[i]
+        params[i] = original + eps
+        up = loss(model, x, y)
+        params[i] = original - eps
+        down = loss(model, x, y)
+        params[i] = original
+        numeric[i] = (up - down) / (2 * eps)
+    return numeric
 
 
 def test_criterion_1_gradient_check_suite():
@@ -77,12 +75,11 @@ def test_criterion_1_gradient_check_suite():
         batch = int(rng.integers(1, 5))
         x = rng.normal(size=(batch, config.input_dim))
         y = np.eye(2)[rng.integers(0, 2, batch)]
-        analytic = backward(model, x, y)
-        numeric = _numeric_gradients(model, x, y)
-        for a, n in zip(analytic.weights + analytic.biases, numeric.weights + numeric.biases):
-            np.testing.assert_allclose(a, n, rtol=1e-5, atol=1e-9)
-            denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-4)
-            worst = max(worst, float((np.abs(a - n) / denom).max()))
+        a = backward(model, x, y)
+        n = _numeric_gradient(model, x, y)
+        np.testing.assert_allclose(a, n, rtol=1e-5, atol=1e-9)
+        denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-4)
+        worst = max(worst, float((np.abs(a - n) / denom).max()))
     elapsed = time.perf_counter() - t0
     _verdict(
         1, "gradient-check suite",
@@ -102,25 +99,19 @@ def test_criterion_2_plain_descent_equivalence():
     )
     model = init(config)
     rng = np.random.default_rng(2002)
-    grads = Gradients(
-        weights=[rng.normal(size=w.shape) for w in model.weights],
-        biases=[rng.normal(size=b.shape) for b in model.biases],
-    )
+    # the same draws as one normal per weight matrix and bias vector in turn
+    grad = rng.normal(size=model.parameters.size)
     eta, lam = config.learning_rate, config.l2_lambda
+    nw = model.n_weights
+    w, g = model.parameters[:nw], grad[:nw]
     # the plain update with the decay term grouped as eta*(grad + lambda*w);
     # the fully expanded w - eta*grad - eta*lambda*w is the same real number,
     # one floating-point associativity away
-    expected_w = [w - eta * (g + lam * w) for w, g in zip(model.weights, grads.weights)]
-    expected_b = [b - eta * g for b, g in zip(model.biases, grads.biases)]
-    expanded_w = [w - eta * g - eta * lam * w for w, g in zip(model.weights, grads.weights)]
-    sgd_step(model, grads, epoch=0)
-    bitwise = all(
-        (got == want).all() for got, want in zip(model.weights, expected_w)
-    ) and all((got == want).all() for got, want in zip(model.biases, expected_b))
-    expanded_close = all(
-        np.allclose(got, want, rtol=1e-14, atol=0)
-        for got, want in zip(model.weights, expanded_w)
-    )
+    expected = np.concatenate([w - eta * (g + lam * w), model.parameters[nw:] - eta * grad[nw:]])
+    expanded_w = w - eta * g - eta * lam * w
+    sgd_step(model, grad, epoch=0)
+    bitwise = (model.parameters == expected).all()
+    expanded_close = np.allclose(model.parameters[:nw], expanded_w, rtol=1e-14, atol=0)
     _verdict(2, "plain-descent equivalence", bitwise and expanded_close,
              "momentum 0 / decay 1 step bitwise equal to w - eta*(grad + lambda*w)")
 

@@ -413,6 +413,7 @@ BAD_CONFIGS = [
     pytest.param("[network]\n", "[network]\ninput_dim = 3\n", 1, id="derived-network-key"),
     pytest.param("mode = cross", "mode = sideways", 1, id="unknown-mode"),
     pytest.param("[data]\n", "[data]\nmatrix_csv = panel.csv\n", 1, id="two-sources"),
+    pytest.param("source = synthetic\n", "matrix_csv = panel.csv\n", 1, id="two-sources-no-source-key"),
     pytest.param("[data]\n", "[data]\nstock_filter = ZZZ\n", 2, id="unknown-stock"),
     pytest.param("step_size = 4", "step_size = 1000", 2, id="step-beyond-data"),
     pytest.param("[experiment]\n", "[experiment]\njobs = 1\n[experiment]\n", 1,
@@ -429,6 +430,10 @@ BAD_CONFIGS = [
                  id="observed-fraction-above-one"),
     pytest.param("[data]\n", "[data]\nprice_source = bogus\n", 1, id="unknown-price-source"),
     pytest.param("[data]\n", "[data]\ngrid_step_seconds = -1\n", 1, id="negative-grid-step"),
+    # rounds to a 0 ms grid step
+    pytest.param("[data]\n", "[data]\ngrid_step_seconds = 0.0004\n", 1, id="sub-millisecond-grid-step"),
+    pytest.param("[experiment]\n", "[experiment]\ncrisis_start = 2006-01-02T00:00:00Z\n"
+                 "crisis_end = 2006-01-01T00:00:00Z\n", 1, id="crisis-end-before-start"),
     pytest.param("seed = 3", "seed = -1", 1, id="negative-synthetic-seed"),
     pytest.param("[network]\n", "[network]\noutput_dim = 2\n", 1, id="output-dim-not-a-key"),
 ]
@@ -500,6 +505,19 @@ class TestConfigFile:
         config = load_experiment_config(path)
         assert config.synthetic.regime_switch.switch_step == 150
         config.validate()  # boundaries derivable from the regime switch
+
+    @pytest.mark.parametrize("source, key", [("ticks", "tick_csv"), ("matrix", "matrix_csv")])
+    def test_source_picks_the_run_data_beside_a_synthetic_section(self, tmp_path, source, key):
+        # synth generates the file from [synthetic]; run then reads that file
+        data, out, path = tmp_path / "panel.csv", tmp_path / "results", tmp_path / "exp.ini"
+        text = CONFIG_TEMPLATE.format(out=out)
+        path.write_text(text.replace("source = synthetic\n", f"source = {source}\n{key} = {data}\n"))
+        assert main(["synth", "--config", str(path), "--out", str(data), "--format", source]) == 0
+        assert main(["run", "--config", str(path)]) == 0
+        payload = json.loads((out / "report_cross_validated.json").read_text())
+        snapshot = payload["provenance"]["config"]
+        assert (snapshot[key], snapshot["synthetic"]) == (str(data), None)
+        assert len(payload["stocks"]) == 4
 
     @pytest.mark.parametrize("old, new, code", BAD_CONFIGS)
     def test_bad_config_exit_code(self, tmp_path, old, new, code):

@@ -10,7 +10,6 @@ from trendlag.errors import ConfigError
 from trendlag.neural import (
     DOWN,
     UP,
-    Gradients,
     NetworkConfig,
     NetworkModel,
     TrainReport,
@@ -32,27 +31,22 @@ def _config(**kwargs):
     return NetworkConfig(**defaults)
 
 
-def numeric_gradients(model, x, y, eps=1e-5):
-    """Central finite differences of the mean-reduced quadratic cost."""
-    grads_w = [np.zeros_like(w) for w in model.weights]
-    grads_b = [np.zeros_like(b) for b in model.biases]
-    for store, params in ((grads_w, model.weights), (grads_b, model.biases)):
-        for layer, param in enumerate(params):
-            flat = param.reshape(-1)
-            for i in range(flat.size):
-                original = flat[i]
-                flat[i] = original + eps
-                up = loss(model, x, y)
-                flat[i] = original - eps
-                down = loss(model, x, y)
-                flat[i] = original
-                store[layer].reshape(-1)[i] = (up - down) / (2 * eps)
-    return Gradients(weights=grads_w, biases=grads_b)
+def numeric_gradient(model, x, y, eps=1e-5):
+    """Central finite differences of the mean-reduced quadratic cost.
 
-
-def assert_gradients_close(analytic, numeric, rtol=1e-5, atol=1e-9):
-    for a, n in zip(analytic.weights + analytic.biases, numeric.weights + numeric.biases):
-        np.testing.assert_allclose(a, n, rtol=rtol, atol=atol)
+    Laid out like ``model.parameters``, as ``backward`` returns the gradient.
+    """
+    params = model.parameters
+    numeric = np.zeros_like(params)
+    for i in range(params.size):
+        original = params[i]
+        params[i] = original + eps
+        up = loss(model, x, y)
+        params[i] = original - eps
+        down = loss(model, x, y)
+        params[i] = original
+        numeric[i] = (up - down) / (2 * eps)
+    return numeric
 
 
 class TestInit:
@@ -69,7 +63,7 @@ class TestInit:
     def test_biases_and_velocities_start_at_zero(self):
         model = init(_config())
         assert all((b == 0).all() for b in model.biases)
-        assert all((v == 0).all() for v in model.velocities_w)
+        assert not model.velocity.any()
 
     def test_bottleneck_shape_chain(self):
         config = NetworkConfig(input_dim=448, hidden_layers=(400,) * 5, bottleneck=1)
@@ -151,22 +145,25 @@ class TestBackward:
         model = init(NetworkConfig(input_dim=5, hidden_layers=(4, 4), rng_seed=11))
         x = rng.normal(size=(6, 5))
         y = rng.integers(0, 2, size=(6, 2)).astype(float)
-        assert_gradients_close(backward(model, x, y), numeric_gradients(model, x, y))
+        np.testing.assert_allclose(
+            backward(model, x, y), numeric_gradient(model, x, y), rtol=1e-5, atol=1e-9
+        )
 
     def test_matches_finite_differences_with_bottleneck(self):
         rng = np.random.default_rng(102)
         model = init(NetworkConfig(input_dim=4, hidden_layers=(3, 3, 3), bottleneck=1, rng_seed=2))
         x = rng.normal(size=(5, 4))
         y = np.eye(2)[rng.integers(0, 2, 5)]
-        assert_gradients_close(backward(model, x, y), numeric_gradients(model, x, y))
+        np.testing.assert_allclose(
+            backward(model, x, y), numeric_gradient(model, x, y), rtol=1e-5, atol=1e-9
+        )
 
     def test_perfect_predictions_zero_gradients(self):
         model = init(_config(rng_seed=9))
         x = np.random.default_rng(1).normal(size=(4, 3))
         outputs, _ = forward(model, x)
-        grads = backward(model, x, outputs)  # targets equal the outputs
-        for g in grads.weights + grads.biases:
-            np.testing.assert_array_equal(g, np.zeros_like(g))
+        grad = backward(model, x, outputs)  # targets equal the outputs
+        np.testing.assert_array_equal(grad, np.zeros_like(model.parameters))
 
     def test_duplicating_the_batch_leaves_gradients_unchanged(self):
         rng = np.random.default_rng(103)
@@ -175,8 +172,7 @@ class TestBackward:
         y = np.eye(2)[rng.integers(0, 2, 5)]
         once = backward(model, x, y)
         twice = backward(model, np.vstack([x, x]), np.vstack([y, y]))
-        for a, b in zip(once.weights + once.biases, twice.weights + twice.biases):
-            np.testing.assert_allclose(a, b, rtol=1e-14, atol=1e-16)
+        np.testing.assert_allclose(once, twice, rtol=1e-14, atol=1e-16)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
@@ -189,65 +185,47 @@ class TestSgdStep:
         config = _config(momentum=0.0, lr_decay=1.0, learning_rate=0.05, l2_lambda=0.01)
         model = init(config)
         rng = np.random.default_rng(55)
-        grads = Gradients(
-            weights=[rng.normal(size=w.shape) for w in model.weights],
-            biases=[rng.normal(size=b.shape) for b in model.biases],
-        )
-        expected_w = [w - 0.05 * (g + 0.01 * w) for w, g in zip(model.weights, grads.weights)]
-        expected_b = [b - 0.05 * g for b, g in zip(model.biases, grads.biases)]
-        sgd_step(model, grads, epoch=0)
-        for got, want in zip(model.weights, expected_w):
-            assert (got == want).all()  # bitwise
-        for got, want in zip(model.biases, expected_b):
-            assert (got == want).all()
+        grad = rng.normal(size=model.parameters.size)
+        nw = model.n_weights
+        w = model.parameters[:nw]
+        expected_w = w - 0.05 * (grad[:nw] + 0.01 * w)
+        expected_b = model.parameters[nw:] - 0.05 * grad[nw:]
+        sgd_step(model, grad, epoch=0)
+        assert (model.parameters[:nw] == expected_w).all()  # bitwise
+        assert (model.parameters[nw:] == expected_b).all()
 
     def test_pure_decay_shrinks_weights(self):
         config = _config(momentum=0.0, lr_decay=1.0, learning_rate=0.1, l2_lambda=0.5)
         model = init(config)
         before = [w.copy() for w in model.weights]
-        zero = Gradients(
-            weights=[np.zeros_like(w) for w in model.weights],
-            biases=[np.zeros_like(b) for b in model.biases],
-        )
-        sgd_step(model, zero, epoch=0)
+        sgd_step(model, np.zeros_like(model.parameters), epoch=0)
         for w_new, w_old in zip(model.weights, before):
             np.testing.assert_allclose(w_new, w_old * (1 - 0.1 * 0.5), rtol=1e-15)
 
     def test_learning_rate_decays_per_epoch(self):
         config = _config(momentum=0.0, lr_decay=0.95, learning_rate=0.2, l2_lambda=0.0)
         model = init(config)
-        frozen = Gradients(
-            weights=[np.ones_like(w) for w in model.weights],
-            biases=[np.ones_like(b) for b in model.biases],
-        )
         before = model.weights[0].copy()
-        sgd_step(model, frozen, epoch=10)
+        sgd_step(model, np.ones_like(model.parameters), epoch=10)
         step = before - model.weights[0]
         np.testing.assert_allclose(step, np.full_like(step, 0.2 * 0.95**10), rtol=1e-13)
 
     def test_leaves_its_gradients_unchanged(self):
         model = init(_config(l2_lambda=0.01))
         rng = np.random.default_rng(56)
-        grads = Gradients(
-            weights=[rng.normal(size=w.shape) for w in model.weights],
-            biases=[rng.normal(size=b.shape) for b in model.biases],
-        )
-        before = [g.copy() for g in grads.weights + grads.biases]
-        sgd_step(model, grads, epoch=0)
-        for got, want in zip(grads.weights + grads.biases, before):
-            assert (got == want).all()
+        grad = rng.normal(size=model.parameters.size)
+        before = grad.copy()
+        sgd_step(model, grad, epoch=0)
+        assert grad.tobytes() == before.tobytes()
 
     def test_momentum_accumulates_velocity(self):
         config = _config(momentum=0.9, lr_decay=1.0, learning_rate=0.1, l2_lambda=0.0)
         model = init(config)
-        ones = Gradients(
-            weights=[np.ones_like(w) for w in model.weights],
-            biases=[np.ones_like(b) for b in model.biases],
-        )
+        ones = np.ones_like(model.parameters)
         sgd_step(model, ones, epoch=0)
         sgd_step(model, ones, epoch=0)
         # velocity after two steps: -0.1, then -0.19
-        np.testing.assert_allclose(model.velocities_w[0], np.full_like(model.velocities_w[0], -0.19))
+        np.testing.assert_allclose(model.velocity, np.full_like(model.velocity, -0.19))
 
 
 class TestTrain:
@@ -294,7 +272,7 @@ class TestTrain:
     def test_non_finite_loss_stops_training_and_is_flagged(self):
         x, y = self._tiny_data(60, seed=3)
         model = init(_config(max_epochs=20, batch_size=20, learning_rate=1e300))
-        initial = model.copy_parameters()
+        initial = model.parameters.copy()
         with np.errstate(all="ignore"):
             report = train(model, (x[:40], y[:40]), (x[40:], y[40:]))
         assert report.diverged
@@ -302,8 +280,7 @@ class TestTrain:
         assert len(report.validation_losses) == report.epochs_run
         # no epoch ended with a finite validation loss: the initial weights return
         assert report.best_validation_loss == math.inf
-        for restored, start in zip(model.weights, initial[0]):
-            np.testing.assert_array_equal(restored, start)
+        np.testing.assert_array_equal(model.parameters, initial)
 
     def test_finite_run_is_not_flagged(self):
         x, y = self._tiny_data(60, seed=3)
@@ -339,7 +316,8 @@ def _reference_train(config, train_set, validation_set):
     """The per-layer trainer the flat-vector one replaced, kept as an oracle.
 
     Fresh arrays per layer and step, masked sigmoid, fancy-indexed batches;
-    returns the weights, biases, velocities and TrainReport it ends with.
+    returns the weights, biases, the velocity as one vector laid out like
+    ``NetworkModel.velocity``, and the TrainReport it ends with.
     """
     rng = np.random.default_rng(config.rng_seed)
     sizes = config.layer_sizes()
@@ -418,7 +396,8 @@ def _reference_train(config, train_set, validation_set):
                 break
     report = TrainReport(epochs_run, float(best_val), stopped_early,
                          tuple(train_curve), tuple(val_curve), diverged)
-    return best[0], best[1], vel_w, vel_b, report
+    velocity = np.concatenate([v.ravel() for v in vel_w + vel_b])
+    return best[0], best[1], velocity, report
 
 
 class TestTrainMatchesPerLayerOracle:
@@ -432,15 +411,15 @@ class TestTrainMatchesPerLayerOracle:
         model = init(config)
         with np.errstate(all="ignore"):
             report = train(model, train_set, val_set)
-            weights, biases, vel_w, vel_b, expected = _reference_train(config, train_set, val_set)
+            weights, biases, velocity, expected = _reference_train(config, train_set, val_set)
         assert repr(report) == repr(expected)  # float repr round-trips; nan equals nan
         assert (report.stopped_early, report.diverged) == expect
-        got = (model.weights, model.biases, model.velocities_w, model.velocities_b)
-        for got_arrays, want_arrays in zip(got, (weights, biases, vel_w, vel_b)):
+        for got_arrays, want_arrays in ((model.weights, weights), (model.biases, biases)):
             assert len(got_arrays) == len(want_arrays)
             for a, b in zip(got_arrays, want_arrays):
                 assert a.shape == b.shape
                 assert a.tobytes() == b.tobytes()  # bitwise, signed zeros included
+        assert model.velocity.tobytes() == velocity.tobytes()
 
     def test_small_net_with_early_stopping(self):
         config = NetworkConfig(input_dim=19, hidden_layers=(32, 32), max_epochs=60,
@@ -469,7 +448,7 @@ class TestFlatParameters:
 
     def test_layer_lists_cannot_be_rebound(self):
         model = init(_config())
-        for name in ("weights", "biases", "velocities_w", "velocities_b", "parameters", "velocity"):
+        for name in ("weights", "biases", "parameters", "velocity"):
             with pytest.raises(AttributeError):
                 setattr(model, name, getattr(model, name))
         with pytest.raises(TypeError):
@@ -480,18 +459,19 @@ class TestFlatParameters:
         views = list(model.weights) + list(model.biases)
         assert sum(v.size for v in views) == model.parameters.size
         np.testing.assert_array_equal(np.concatenate([v.ravel() for v in views]), model.parameters)
-        for flat, layers in ((model.parameters, views),
-                             (model.velocity, list(model.velocities_w) + list(model.velocities_b))):
-            assert all(np.shares_memory(flat, v) for v in layers)
+        assert all(np.shares_memory(model.parameters, v) for v in views)
+        assert model.velocity.shape == model.parameters.shape
 
     def test_constructor_copies_its_arrays(self):
-        weights, biases = init(_config()).copy_parameters()
+        source = init(_config())
+        weights, biases = [w.copy() for w in source.weights], [b.copy() for b in source.biases]
         model = NetworkModel(_config(), weights, biases)
         model.weights[0][...] = 7.0
         assert not (weights[0] == 7.0).any()
 
     def test_wrong_layer_count_rejected(self):
-        weights, biases = init(_config()).copy_parameters()
+        model = init(_config())
+        weights, biases = list(model.weights), list(model.biases)
         with pytest.raises(ConfigError, match="chain"):
             NetworkModel(_config(), weights[:-1], biases[:-1])
 
