@@ -11,8 +11,11 @@ far the problem compresses.
 A model keeps its parameters in one flat float64 vector: every weight
 matrix (row-major, in layer order) first, then every bias vector, so weight
 decay covers one prefix slice.  The momentum velocity and the gradient that
-``backward`` returns share that layout, and ``sgd_step``, the update
-``train`` makes per mini-batch, is a few whole-vector operations.  The
+``backward`` returns share that layout.  ``init`` draws every weight
+straight into the vector's weight prefix and scales each layer's view in
+place.  ``sgd_step``, the update ``train`` makes per mini-batch, runs its
+elementwise operations over cache-sized blocks of the vectors, so the
+paper-size net allocates no parameter-sized temporary per step.  The
 per-layer ``weights`` and ``biases`` are read-only tuples of views into the
 parameter vector, so writing into one of them changes the model.
 
@@ -25,6 +28,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -119,22 +123,52 @@ def _layer_views(
     return tuple(weights), tuple(biases)
 
 
+# elements per sgd_step block: 256 KiB per float64 operand stays in cache
+_UPDATE_BLOCK = 32768
+
+
+def _update_blocks(
+    parameters: np.ndarray, velocity: np.ndarray, n_weights: int
+) -> tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray, int], ...]:
+    """``sgd_step``'s blocks of at most ``_UPDATE_BLOCK`` elements.
+
+    Each is (start, parameter view, velocity view, view of one shared
+    scratch buffer, offset of the first bias in the block or its length).
+    """
+    buffer = np.empty(min(parameters.size, _UPDATE_BLOCK))
+    blocks = []
+    for start in range(0, parameters.size, _UPDATE_BLOCK):
+        w, v = parameters[start : start + _UPDATE_BLOCK], velocity[start : start + _UPDATE_BLOCK]
+        blocks.append((start, w, v, buffer[: w.size], min(max(n_weights - start, 0), w.size)))
+    return tuple(blocks)
+
+
 class NetworkModel:
     """Layer weights and biases in one flat vector, momentum velocity in another.
 
-    The constructor copies ``weights`` and ``biases`` into ``parameters``;
-    ``velocity`` starts at zero.  The per-layer tuples are views into
+    Both vectors start at zero; ``weights`` and ``biases``, when given, are
+    copied into ``parameters``.  The per-layer tuples are views into
     ``parameters``.
     """
 
     def __init__(
         self,
         config: NetworkConfig,
-        weights: list[np.ndarray],
-        biases: list[np.ndarray],
+        weights: Sequence[np.ndarray] = (),
+        biases: Sequence[np.ndarray] = (),
     ) -> None:
         self.config = config
         sizes = config.layer_sizes()
+        size = sum(i * o + o for i, o in zip(sizes[:-1], sizes[1:]))
+        # np.zeros, not zeros_like: calloc hands a large vector fresh zero pages, no memset
+        self._parameters = np.zeros(size)
+        self._velocity = np.zeros(size)
+        self._weights, self._biases = _layer_views(self._parameters, sizes)
+        self.n_weights = sum(w.size for w in self._weights)
+        self._blocks = _update_blocks(self._parameters, self._velocity, self.n_weights)
+        self.rng = np.random.default_rng(config.rng_seed)
+        if not (weights or biases):
+            return
         if len(weights) != len(sizes) - 1 or len(biases) != len(sizes) - 1:
             raise ConfigError(
                 f"{len(weights)} weight and {len(biases)} bias arrays for the chain {sizes}"
@@ -144,13 +178,8 @@ class NetworkModel:
                 raise ConfigError(
                     f"layer {i} shapes {w.shape}/{b.shape} break the chain {sizes}"
                 )
-        self._parameters = np.concatenate(
-            [np.ravel(a) for a in (*weights, *biases)], dtype=np.float64
-        )
-        self._velocity = np.zeros_like(self._parameters)
-        self._weights, self._biases = _layer_views(self._parameters, sizes)
-        self.n_weights = sum(w.size for w in self._weights)
-        self.rng = np.random.default_rng(config.rng_seed)
+            self._weights[i][...] = w
+            self._biases[i][...] = b
 
     @property
     def parameters(self) -> np.ndarray:
@@ -174,16 +203,17 @@ class NetworkModel:
 
 
 def init(config: NetworkConfig) -> NetworkModel:
-    """Gaussian-initialised model: weights ~ N(0, 2/fan_in), biases zero."""
+    """Gaussian-initialised model: weights ~ N(0, 2/fan_in), biases zero.
+
+    One standard-normal draw into the weight prefix, then each layer scaled
+    in place: the values and ``model.rng`` state of per-layer ``rng.normal``
+    calls.  ``model.rng`` goes on to shuffle the batches.
+    """
     config.validate()
-    rng = np.random.default_rng(config.rng_seed)
-    sizes = config.layer_sizes()
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        weights.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    model = NetworkModel(config, weights, biases)
-    model.rng = rng  # continue the same stream for batch shuffling
+    model = NetworkModel(config)
+    model.rng.standard_normal(out=model.parameters[: model.n_weights])
+    for w in model.weights:
+        w *= np.sqrt(2.0 / w.shape[0])
     return model
 
 
@@ -305,17 +335,19 @@ def sgd_step(model: NetworkModel, gradient: np.ndarray, epoch: int) -> None:
     to weight matrices only, not biases.  With momentum 0 and decay 1 this
     is exactly w - eta * (dE/dw + lambda * w).  ``gradient`` is laid out
     like ``model.parameters``, as ``backward`` returns it, and is left as is.
+    The update runs block by block (``_update_blocks``) through one scratch
+    buffer; every element gets the same operations in the same order.
     """
     cfg = model.config
     eta = cfg.learning_rate * cfg.lr_decay**epoch
-    parameters, velocity = model.parameters, model.velocity
-    step = cfg.l2_lambda * parameters
-    step[model.n_weights :] = -0.0  # no bias decay: -0.0 + g is exactly g, signed zeros too
-    step += gradient
-    step *= eta
-    velocity *= cfg.momentum
-    velocity -= step
-    parameters += velocity
+    for start, w, v, step, first_bias in model._blocks:
+        np.multiply(w, cfg.l2_lambda, out=step)
+        step[first_bias:] = -0.0  # no bias decay: -0.0 + g is exactly g, signed zeros too
+        step += gradient[start : start + step.size]
+        step *= eta
+        v *= cfg.momentum
+        v -= step
+        w += v
 
 
 @dataclass
@@ -446,17 +478,24 @@ def save_checkpoint(model: NetworkModel, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> NetworkModel:
+    """A model from ``save_checkpoint``'s file; a malformed one is a ConfigError."""
     with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("format") != CHECKPOINT_FORMAT:
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ConfigError(f"{path}: not a network checkpoint: {exc}") from exc
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ConfigError(f"{path}: not a network checkpoint")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ConfigError(f"{path}: unsupported checkpoint version {payload.get('version')}")
-    raw = dict(payload["config"])
-    if raw.pop("output_dim", 2) != 2:  # older checkpoints store the output width
-        raise ConfigError(f"{path}: only two-unit (down, up) output layers are supported")
-    raw["hidden_layers"] = tuple(raw["hidden_layers"])
-    config = NetworkConfig(**raw)
-    weights = [np.asarray(w, dtype=np.float64) for w in payload["weights"]]
-    biases = [np.asarray(b, dtype=np.float64) for b in payload["biases"]]
+    try:
+        raw = dict(payload["config"])
+        if raw.pop("output_dim", 2) != 2:  # older checkpoints store the output width
+            raise ConfigError(f"{path}: only two-unit (down, up) output layers are supported")
+        config = NetworkConfig(**raw)
+        config.validate()
+        weights = [np.asarray(w, dtype=np.float64) for w in payload["weights"]]
+        biases = [np.asarray(b, dtype=np.float64) for b in payload["biases"]]
+    except (KeyError, TypeError, ValueError) as exc:  # a missing, unknown or mistyped entry
+        raise ConfigError(f"{path}: malformed checkpoint: {exc!r}") from exc
     return NetworkModel(config, weights, biases)

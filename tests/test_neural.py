@@ -1,5 +1,6 @@
 """Network mechanics: initialization, forward/backward oracles, optimizer, training."""
 
+import itertools
 import json
 import math
 
@@ -8,6 +9,7 @@ import pytest
 
 from trendlag.errors import ConfigError
 from trendlag.neural import (
+    _UPDATE_BLOCK,
     DOWN,
     UP,
     NetworkConfig,
@@ -71,6 +73,19 @@ class TestInit:
         model = init(NetworkConfig(input_dim=6, hidden_layers=(5, 5, 5, 5, 5), bottleneck=2))
         shapes = [w.shape for w in model.weights]
         assert shapes == [(6, 5), (5, 5), (5, 5), (5, 2), (2, 5), (5, 5), (5, 2)]
+
+    @pytest.mark.parametrize("bottleneck", [None, 3])
+    def test_paper_net_matches_per_layer_normal_draws(self, bottleneck):
+        config = NetworkConfig(input_dim=19, bottleneck=bottleneck, rng_seed=8)
+        rng = np.random.default_rng(config.rng_seed)
+        sizes = config.layer_sizes()
+        expected = [rng.normal(0.0, np.sqrt(2.0 / i), size=(i, o))
+                    for i, o in zip(sizes[:-1], sizes[1:])]
+        model = init(config)
+        assert [w.tobytes() for w in model.weights] == [w.tobytes() for w in expected]
+        assert not model.parameters[model.n_weights :].any()
+        assert not model.velocity.any()
+        assert model.rng.permutation(500).tobytes() == rng.permutation(500).tobytes()
 
     def test_zero_width_layer_rejected(self):
         with pytest.raises(ConfigError):
@@ -217,6 +232,47 @@ class TestSgdStep:
         before = grad.copy()
         sgd_step(model, grad, epoch=0)
         assert grad.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("input_dim, hidden", [
+        (19, (300, 300)),  # three blocks, the biases start inside the third
+        (126, (128, 128)),  # the biases start exactly at the second block's edge
+        (125, (128, 128)),  # the biases straddle the first block's edge
+    ])
+    def test_blocks_match_the_whole_vector_update(self, input_dim, hidden):
+        config = NetworkConfig(input_dim=input_dim, hidden_layers=hidden, momentum=0.9,
+                               lr_decay=0.9, l2_lambda=0.01, rng_seed=14)
+        model = init(config)
+        size, nw = model.parameters.size, model.n_weights
+        assert size > _UPDATE_BLOCK
+        rng = np.random.default_rng(57)
+        # nonzero biases, so that decaying one would show
+        params, velocity, grad = (rng.normal(size=size) for _ in range(3))
+        edges = [0, _UPDATE_BLOCK, 2 * _UPDATE_BLOCK, nw, size]
+        spots = sorted({i + d for i in edges for d in (-2, -1, 0, 1) if 0 <= i + d < size})
+        # (gradient, weight, velocity) mixes; over all shifts each spot meets each mix
+        mixes = np.array(list(itertools.product(
+            [0.0, -0.0, np.inf, -np.inf, np.nan], [-0.0, 0.5], [-0.0, 0.25]
+        )))
+        eta = config.learning_rate * config.lr_decay**3
+        for shift in range(len(mixes)):
+            picked = mixes[(np.arange(len(spots)) + shift) % len(mixes)]
+            grad[spots], params[spots], velocity[spots] = picked.T
+            model.parameters[...], model.velocity[...] = params, velocity
+            before = grad.copy()
+            p, v = params.copy(), velocity.copy()
+            with np.errstate(invalid="ignore"):
+                # the update as whole-vector operations
+                step = config.l2_lambda * p
+                step[nw:] = -0.0
+                step += grad
+                step *= eta
+                v *= config.momentum
+                v -= step
+                p += v
+                sgd_step(model, grad, epoch=3)
+            assert model.parameters.tobytes() == p.tobytes()
+            assert model.velocity.tobytes() == v.tobytes()
+            assert grad.tobytes() == before.tobytes()
 
     def test_momentum_accumulates_velocity(self):
         config = _config(momentum=0.9, lr_decay=1.0, learning_rate=0.1, l2_lambda=0.0)
@@ -432,6 +488,15 @@ class TestTrainMatchesPerLayerOracle:
                                max_epochs=8, early_stop_patience=100, rng_seed=4)
         self._check(config, 70, 30, expect=(False, False))  # 70 = 4 * 16 + 6
 
+    def test_net_spanning_two_update_blocks(self):
+        # 44,602 parameters; the biases start inside the second block
+        config = NetworkConfig(input_dim=19, hidden_layers=(200, 200), batch_size=50,
+                               max_epochs=3, early_stop_patience=10, rng_seed=11)
+        sizes = config.layer_sizes()
+        n_weights = sum(i * o for i, o in zip(sizes[:-1], sizes[1:]))
+        assert _UPDATE_BLOCK < n_weights < 2 * _UPDATE_BLOCK
+        self._check(config, 200, 50, expect=(False, False))
+
     def test_divergence(self):
         self._check(_config(max_epochs=20, batch_size=20, learning_rate=1e300), 40, 20,
                     expect=(False, True))
@@ -527,6 +592,14 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match="checkpoint"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("content", [b"[1, 2]", b'{"format": ', b'{"format": "\xff"}'],
+                             ids=["json-list", "truncated-json", "not-utf8"])
+    def test_rejects_files_that_are_not_a_json_object(self, tmp_path, content):
+        path = tmp_path / "model.json"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError, match="checkpoint"):
+            load_checkpoint(path)
+
     def _with_stored_output_width(self, tmp_path, width):
         """A checkpoint in the older layout, which stores ``output_dim``."""
         model = init(_config(rng_seed=29, hidden_layers=(4,)))
@@ -546,4 +619,25 @@ class TestCheckpoint:
     def test_other_stored_output_widths_rejected(self, tmp_path, width):
         _, path = self._with_stored_output_width(tmp_path, width)
         with pytest.raises(ConfigError, match="output"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda payload: payload.pop("weights"),
+        lambda payload: payload.pop("biases"),
+        lambda payload: payload.pop("config"),
+        lambda payload: payload["config"].pop("input_dim"),
+        lambda payload: payload["config"].update(hidden_units=3),
+        lambda payload: payload["config"].update(learning_rate=-1),
+        lambda payload: payload["config"].update(batch_size="ten"),
+        lambda payload: payload.update(config=[1, 2]),
+        lambda payload: payload["weights"].__setitem__(0, [[1.0], [1.0, 2.0]]),
+    ], ids=["no-weights", "no-biases", "no-config", "no-input-dim", "unknown-key",
+            "negative-learning-rate", "mistyped-value", "config-not-a-table", "ragged-weights"])
+    def test_malformed_checkpoints_are_config_errors(self, tmp_path, edit):
+        path = tmp_path / "model.json"
+        save_checkpoint(init(_config(rng_seed=31)), path)
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError):
             load_checkpoint(path)
