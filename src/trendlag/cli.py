@@ -71,6 +71,12 @@ def _print_summary(report: ExperimentReport) -> None:
         print(f"  max model accuracy {report.max_model_accuracy:.4f}")
 
 
+def _check_out_dir(path: str | Path) -> None:
+    """A ConfigError for an output path that exists but is not a directory."""
+    if Path(path).exists() and not Path(path).is_dir():
+        raise ConfigError(f"output path {path} exists and is not a directory")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     config = load_experiment_config(args.config)
     if args.mode:
@@ -83,6 +89,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         config.out_dir = args.out
     if args.jobs is not None:
         config.jobs = args.jobs
+    _check_out_dir(config.out_dir)  # before the experiment, not after it
     result = run(config)
     reports = result if isinstance(result, list) else [result]
     for report in reports:
@@ -116,6 +123,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: not valid JSON: {exc}") from exc
     out_dir = Path(args.out) if args.out else path.parent
+    _check_out_dir(out_dir)
     try:
         report = ExperimentReport.from_dict(payload)
     except (KeyError, TypeError, AttributeError) as exc:

@@ -251,12 +251,17 @@ def _train_and_predict(
     rng_seed: int,
     stock_id: str,
     split: str,
-) -> np.ndarray:
-    """Fit normalizer on the training split only, train, predict the test split."""
+    model: neural.NetworkModel | None,
+) -> tuple[np.ndarray, neural.NetworkModel]:
+    """Fit normalizer on the training split only, train, predict the test split.
+
+    The net is drawn into ``model``'s memory when one is given; the model is
+    returned with the predictions, for the stock's next split.
+    """
     params = features.fit_normalizer(x[train_idx])
     xn = features.apply_normalizer(params, x)
     net_config = config.network_config(input_dim=x.shape[1], rng_seed=rng_seed)
-    model = neural.init(net_config)
+    model = neural.init(net_config, model)
     fit = neural.train(model, (xn[train_idx], y[train_idx]), (xn[val_idx], y[val_idx]))
     if fit.diverged:
         logger.warning(
@@ -264,7 +269,7 @@ def _train_and_predict(
             "predicting with the best finite weights",
             stock_id, split, fit.epochs_run,
         )
-    return np.atleast_1d(neural.predict_class(model, xn[test_idx]))
+    return np.atleast_1d(neural.predict_class(model, xn[test_idx])), model
 
 
 def _split_train_pool(pool: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -298,15 +303,19 @@ def _run_stock(
     stock_id: str,
     stock_seed: int,
 ) -> StockResult:
-    """Train one net per split and score the stock on the union of the test sets."""
+    """Train one net per split and score the stock on the union of the test sets.
+
+    Every split's net is drawn into the first split's model.
+    """
     x, y = features.dataset_arrays(gradients, stock_id)
     truth = features.truth_labels(y)
     predicted = np.full(truth.size, -1, dtype=np.int64)
     split_accuracies = []
+    model = None
     for name, train_idx, val_idx, test_idx in splits:
-        pred = _train_and_predict(
+        pred, model = _train_and_predict(
             config, x, y, train_idx, val_idx, test_idx,
-            derive_seed(stock_seed, *name), stock_id, " ".join(map(str, name)),
+            derive_seed(stock_seed, *name), stock_id, " ".join(map(str, name)), model,
         )
         predicted[test_idx] = pred
         split_accuracies.append(baselines.accuracy(pred, truth[test_idx]))
@@ -642,11 +651,11 @@ def emit_report(
     for fmt in formats:
         if fmt == "json":
             path = out / f"{stem}.json"
-            path.write_text(report.to_json())
+            path.write_text(report.to_json(), encoding="utf-8")
             written.append(path)
         elif fmt == "csv":
             path = out / f"{stem}.csv"
-            with open(path, "w") as fh:
+            with open(path, "w", encoding="utf-8") as fh:
                 writer = csv.writer(fh, lineterminator="\n")
                 writer.writerow(
                     ["stock_id", "series", "accuracy", "n_examples", "skipped", "skip_reason"]
@@ -659,7 +668,7 @@ def emit_report(
             written.append(path)
             box_path = out / f"{stem}_box.csv"
             box_fields = [f.name for f in fields(stats.BoxStats)]
-            with open(box_path, "w") as fh:
+            with open(box_path, "w", encoding="utf-8") as fh:
                 writer = csv.writer(fh, lineterminator="\n")
                 writer.writerow(["series", *box_fields])
                 for series in ALL_SERIES:
@@ -763,8 +772,8 @@ def _load_config(path: str | Path) -> tuple[ExperimentConfig, synth.SyntheticCon
     """The validated run config and the ``[synthetic]`` section's generator config."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        read = parser.read(path)
-    except configparser.Error as exc:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")

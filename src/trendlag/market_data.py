@@ -343,7 +343,7 @@ def write_matrix_csv(
     path: str | Path, stock_ids: tuple[str, ...], instants: np.ndarray, values: np.ndarray
 ) -> None:
     """Write `timestamp,<stock>,...` rows, one per instant, with full float precision."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(("timestamp",) + stock_ids)
         for ts, row in zip(instants, values):

@@ -19,6 +19,12 @@ paper-size net allocates no parameter-sized temporary per step.  The
 per-layer ``weights`` and ``biases`` are read-only tuples of views into the
 parameter vector, so writing into one of them changes the model.
 
+A model also owns ``train``'s scratch, a gradient vector and a
+best-weights vector in the same layout, so training allocates nothing
+parameter-sized.  ``init`` can redraw into a model of the same layer sizes:
+the harness trains all of a stock's splits in one model's memory, and the
+paper-size net does not fault four fresh vectors in for every split.
+
 Everything is plain numpy and deterministic under the configured seed.
 """
 
@@ -148,7 +154,9 @@ class NetworkModel:
 
     Both vectors start at zero; ``weights`` and ``biases``, when given, are
     copied into ``parameters``.  The per-layer tuples are views into
-    ``parameters``.
+    ``parameters``.  ``train``'s gradient and best-weights vectors are
+    allocated here uninitialised, so their pages are touched only once a
+    model trains.
     """
 
     def __init__(
@@ -166,6 +174,7 @@ class NetworkModel:
         self._weights, self._biases = _layer_views(self._parameters, sizes)
         self.n_weights = sum(w.size for w in self._weights)
         self._blocks = _update_blocks(self._parameters, self._velocity, self.n_weights)
+        self._gradient, self._best = np.empty(size), np.empty(size)
         self.rng = np.random.default_rng(config.rng_seed)
         if not (weights or biases):
             return
@@ -202,15 +211,32 @@ class NetworkModel:
         return len(self._weights)
 
 
-def init(config: NetworkConfig) -> NetworkModel:
+def init(config: NetworkConfig, model: NetworkModel | None = None) -> NetworkModel:
     """Gaussian-initialised model: weights ~ N(0, 2/fan_in), biases zero.
 
     One standard-normal draw into the weight prefix, then each layer scaled
     in place: the values and ``model.rng`` state of per-layer ``rng.normal``
     calls.  ``model.rng`` goes on to shuffle the batches.
+
+    Given a ``model`` with ``config``'s layer sizes, the net is drawn into
+    its memory instead: it takes ``config``, zero biases and velocity and a
+    fresh ``rng``, and equals a new model bitwise.  Its vectors and training
+    scratch are reused, so no fresh pages are faulted in.  A model with
+    other layer sizes is a ValueError and is left as it was.
     """
     config.validate()
-    model = NetworkModel(config)
+    if model is None:
+        model = NetworkModel(config)
+    elif model.config.layer_sizes() != config.layer_sizes():
+        raise ValueError(
+            f"cannot draw the chain {config.layer_sizes()} into a model of "
+            f"{model.config.layer_sizes()}"
+        )
+    else:
+        model.config = config
+        model.parameters[model.n_weights :] = 0.0
+        model.velocity.fill(0.0)
+        model.rng = np.random.default_rng(config.rng_seed)
     model.rng.standard_normal(out=model.parameters[: model.n_weights])
     for w in model.weights:
         w *= np.sqrt(2.0 / w.shape[0])
@@ -397,11 +423,11 @@ def train(model: NetworkModel, train_set, validation_set) -> TrainReport:
         raise ConfigError(
             f"batch_size {cfg.batch_size} exceeds training-set size {n}"
         )
-    gradient = np.empty_like(model.parameters)
+    gradient, best_params = model._gradient, model._best
     grad_w, grad_b = _layer_views(gradient, cfg.layer_sizes())
     buffers = _layer_buffers(model, cfg.batch_size)
     best_val = np.inf
-    best_params = model.parameters.copy()
+    np.copyto(best_params, model.parameters)
     epochs_since_best = 0
     stopped_early = False
     train_curve: list[float] = []
@@ -473,13 +499,13 @@ def save_checkpoint(model: NetworkModel, path: str | Path) -> None:
         "weights": [w.tolist() for w in model.weights],
         "biases": [b.tolist() for b in model.biases],
     }
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
 
 
 def load_checkpoint(path: str | Path) -> NetworkModel:
     """A model from ``save_checkpoint``'s file; a malformed one is a ConfigError."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
         except ValueError as exc:  # not UTF-8, or not JSON

@@ -305,7 +305,7 @@ def write_tick_csv(
     stamps = [format_timestamp(t) for t in matrix.grid.instants]
     ids = [_csv_field(s) for s in matrix.stock_ids]
     line = "{},{},{},{},100,{}\r\n".format  # csv.writer's row with its line terminator
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(TICK_HEADER)
         for start in range(0, row_of.size, _BLOCK_ROWS):  # so the text is never held whole
             rows, stocks = row_of[start:start + _BLOCK_ROWS], stock_of[start:start + _BLOCK_ROWS]

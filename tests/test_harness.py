@@ -4,12 +4,16 @@ import csv
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
+from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from trendlag import features, harness
+from trendlag import features, harness, neural
 from trendlag.cli import main
 from trendlag.errors import ConfigError, DataError
 from trendlag.features import build_gradients, dataset_arrays
@@ -79,6 +83,19 @@ def _crisis_config(**kwargs):
     )
     defaults.update(kwargs)
     return ExperimentConfig(**defaults)
+
+
+def _count_models(monkeypatch):
+    """Patch ``neural.NetworkModel`` to log the layer sizes of every model built."""
+    built = []
+
+    class Counted(neural.NetworkModel):
+        def __init__(self, config, *args):
+            built.append(config.layer_sizes())
+            super().__init__(config, *args)
+
+    monkeypatch.setattr(neural, "NetworkModel", Counted)
+    return built
 
 
 def _sweep_config(**kwargs):
@@ -177,6 +194,12 @@ class TestRunCrossValidated:
         getters = [getattr(lib, name.replace("_set_", "_get_")) for lib, name in libs]
         counts = _run_per_stock(_config(jobs=2), lambda _: [g() for g in getters], ["a", "b"])
         assert counts == [[1] * len(libs)] * 2
+
+    def test_one_model_per_stock(self, monkeypatch):
+        built = _count_models(monkeypatch)
+        report = run_cross_validated(_config())
+        assert not any(s.skipped for s in report.stocks)
+        assert len(built) == len(report.stocks) == 4
 
     def test_different_seed_changes_results(self):
         a = run_cross_validated(_config())
@@ -283,6 +306,12 @@ class TestBottleneckSweep:
         counted(harness, "_run_per_stock")
         assert len(run_bottleneck_sweep(_sweep_config(jobs=2))) == 3
         assert calls == {"build_gradients": 1, "_run_per_stock": 1}
+
+    def test_one_model_per_width_and_stock(self, monkeypatch):
+        built = _count_models(monkeypatch)
+        reports = run_bottleneck_sweep(_config(bottleneck_widths=(2,)))
+        assert len(reports) == 2
+        assert Counter(built) == {(3, 8, 2, 2): 4, (3, 8, 2): 4}
 
     def test_each_width_matches_its_cross_validated_run(self):
         for report in run_bottleneck_sweep(_sweep_config(jobs=2)):
@@ -396,6 +425,21 @@ mode = cross
 step_size = 4
 seed = 11
 out = {out}
+"""
+
+
+# Writes a 5-stock matrix CSV and tick CSV whose first stock id is not ASCII,
+# and checks that the tick file parses back to that id.
+NON_ASCII_PANEL = """
+import sys
+from dataclasses import replace
+from trendlag import market_data, synth
+matrix = synth.generate(synth.SyntheticConfig(
+    n_stocks=5, n_steps=120, ticks_per_step=4, signal_strength=0.6, seed=3))
+matrix = replace(matrix, stock_ids=("\\u00c41",) + matrix.stock_ids[1:])
+matrix.to_csv(sys.argv[1])
+synth.write_tick_csv(matrix, sys.argv[2])
+assert "\\u00c41" in market_data.parse_ticks(sys.argv[2]).columns
 """
 
 
@@ -624,6 +668,8 @@ class TestCli:
         path = tmp_path / "broken.ini"
         path.write_text("[experiment]\nmode = nonsense\n")
         assert main(["run", "--config", str(path)]) == 1
+        path.write_bytes(b"[experiment]\n# \xff\nstep_size = 4\n")
+        assert main(["run", "--config", str(path)]) == 1  # not UTF-8
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_config_error_raised_in_a_worker_exit_code(self, tmp_path, monkeypatch, jobs):
@@ -642,6 +688,25 @@ class TestCli:
         text = CONFIG_TEMPLATE.format(out=tmp_path / "results")
         path.write_text(text.replace("[network]\n", "[network]\nlearning_rate = -1\n", 1))
         assert main(["run", "--config", str(path), "--jobs", str(jobs)]) == 1
+
+    def test_out_path_that_is_a_file_rejected_before_training(self, tmp_path, monkeypatch, capsys):
+        reached = []
+
+        def train_and_predict(*args, **kwargs):
+            reached.append(args)
+            raise RuntimeError("trained although the output path is a file")
+
+        monkeypatch.setattr(harness, "_train_and_predict", train_and_predict)
+        taken = tmp_path / "taken"
+        taken.write_text("a file\n")
+        path = tmp_path / "exp.ini"
+        path.write_text(CONFIG_TEMPLATE.format(out=tmp_path / "results"))
+        assert main(["run", "--config", str(path), "--out", str(taken)]) == 1
+        path.write_text(CONFIG_TEMPLATE.format(out=taken))
+        assert main(["run", "--config", str(path)]) == 1
+        assert reached == []
+        assert capsys.readouterr().err.count(str(taken)) == 2
+        assert taken.read_text() == "a file\n"
 
     def test_data_error_exit_code(self, tmp_path):
         path = tmp_path / "exp.ini"
@@ -684,6 +749,46 @@ class TestCli:
         report_json = out / "report_cross_validated.json"
         assert main(["report", "--in", str(report_json), "--format", "csv"]) == 0
         assert (out / "report_cross_validated.csv").exists()
+
+    def test_report_out_path_that_is_a_file_rejected(self, tmp_path):
+        report_json = tmp_path / "report.json"
+        report_json.write_text(run_cross_validated(_config()).to_json())
+        assert main(["report", "--in", str(report_json), "--out", str(report_json)]) == 1
+
+    def test_non_ascii_stock_id_under_an_ascii_locale(self, tmp_path):
+        """Files are written and read back as UTF-8 whatever the locale says."""
+        env = {k: v for k, v in os.environ.items() if k not in ("PYTHONUTF8", "PYTHONIOENCODING")}
+        src = str(Path(harness.__file__).parents[1])
+        env.update(
+            PYTHONCOERCECLOCALE="0", LC_ALL="C",
+            PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])),
+        )
+
+        def ascii_python(*args):
+            done = subprocess.run(
+                [sys.executable, "-X", "utf8=0", *args],
+                env=env, cwd=tmp_path, capture_output=True, text=True, errors="replace",
+            )
+            assert done.returncode == 0, done.stderr
+            return done.stdout
+
+        locale_codec = "import codecs, locale; print(codecs.lookup(locale.getpreferredencoding()).name)"
+        assert ascii_python("-c", locale_codec).strip() == "ascii"
+        ascii_python("-c", NON_ASCII_PANEL, "panel.csv", "ticks.csv")
+        (tmp_path / "exp.ini").write_text(
+            CONFIG_TEMPLATE.replace("source = synthetic", "source = matrix\nmatrix_csv = panel.csv")
+            .format(out="results") + "# the panel's first stock is \u00c41\n",
+            encoding="utf-8",
+        )
+        ascii_python("-m", "trendlag.cli", "run", "--config", "exp.ini")
+        report_json = tmp_path / "results" / "report_cross_validated.json"
+        ascii_python("-m", "trendlag.cli", "report", "--in", str(report_json), "--out", "rebuilt")
+        for name in ("report_cross_validated.csv", "report_cross_validated_box.csv"):
+            written = (tmp_path / "results" / name).read_bytes()
+            assert (tmp_path / "rebuilt" / name).read_bytes() == written
+        rows = (tmp_path / "results" / "report_cross_validated.csv").read_text(encoding="utf-8")
+        assert rows.splitlines()[1].startswith("\u00c41,model,")
+        assert json.loads(report_json.read_text(encoding="utf-8"))["stocks"][0]["stock_id"] == "\u00c41"
 
     def test_report_subcommand_rejects_foreign_json(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -98,6 +99,59 @@ class TestInit:
     def test_non_finite_hyperparameter_rejected(self, name, value):
         with pytest.raises(ConfigError, match=name):
             init(_config(**{name: value}))
+
+
+def _labelled_rows(rows, dim, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(rows, dim))
+    return x, np.eye(2)[(x[:, 0] > 0).astype(int)]
+
+
+def _model_state(model):
+    """Bytes of every piece of state ``init`` sets, for bitwise comparison."""
+    return (
+        model.config,
+        model.parameters.tobytes(),
+        model.velocity.tobytes(),
+        json.dumps(model.rng.bit_generator.state),
+    )
+
+
+class TestInitIntoModel:
+    @pytest.mark.parametrize(
+        "hidden, bottleneck",
+        [((32, 32), None), ((400,) * 5, None), ((400,) * 5, 3)],
+        ids=["19-32-32-2", "5x400", "5x400-b3"],
+    )
+    def test_matches_a_fresh_model_bitwise(self, hidden, bottleneck):
+        config = NetworkConfig(
+            input_dim=19, hidden_layers=hidden, bottleneck=bottleneck, max_epochs=3, rng_seed=5
+        )
+        x, y = _labelled_rows(400, 19, seed=2)
+        used = init(replace(config, rng_seed=6, learning_rate=0.2))
+        train(used, _labelled_rows(300, 19, seed=3), _labelled_rows(100, 19, seed=4))
+        assert used.velocity.any()
+
+        fresh = init(config)
+        reused = init(config, used)
+        assert reused is used
+        assert _model_state(reused) == _model_state(fresh)
+        reports = [train(m, (x[:300], y[:300]), (x[300:], y[300:])) for m in (fresh, reused)]
+        assert reports[0] == reports[1]
+        assert _model_state(reused) == _model_state(fresh)
+
+    @pytest.mark.parametrize(
+        "change",
+        [dict(input_dim=4), dict(hidden_layers=(4, 5)), dict(bottleneck=2)],
+        ids=["input", "hidden", "bottleneck"],
+    )
+    def test_other_layer_sizes_rejected_untouched(self, change):
+        model = init(_config(max_epochs=2, batch_size=10))
+        train(model, _labelled_rows(30, 3, seed=1), _labelled_rows(10, 3, seed=2))
+        before = _model_state(model)
+        with pytest.raises(ValueError, match="chain"):
+            init(_config(**change), model)
+        assert _model_state(model) == before
 
 
 class TestForward:
