@@ -101,8 +101,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    matrix = generate(load_synthetic_config(args.config))
     out = Path(args.out)
+    if out.is_dir():  # before the panel is generated, not after it
+        raise ConfigError(f"output path {out} is a directory, not a CSV file")
+    matrix = generate(load_synthetic_config(args.config))
     if out.parent and not out.parent.exists():
         out.parent.mkdir(parents=True, exist_ok=True)
     if args.format == "matrix":

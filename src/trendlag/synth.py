@@ -40,7 +40,6 @@ from pathlib import Path
 from typing import Iterator
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import ConfigError
 from .features import slope_weights
@@ -339,6 +338,14 @@ def _oracle_panels(config: SyntheticConfig, n_mc: int) -> Iterator[_StepTrace]:
         yield _simulate(cfg, rng)
 
 
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _ndtr(x: np.ndarray) -> np.ndarray:
+    """Standard normal CDF, elementwise: 0.5 erfc(-x / sqrt 2)."""
+    return 0.5 * _erfc(-x / math.sqrt(2.0)).astype(np.float64)
+
+
 def _oracle_up_probability(config: SyntheticConfig, trace: _StepTrace) -> np.ndarray:
     """P(gradient change > 0 | rule + other stocks' history) per (interval, stock).
 
@@ -373,11 +380,11 @@ def _oracle_up_probability(config: SyntheticConfig, trace: _StepTrace) -> np.nda
     mu = base + (drifts[2:] + persistent - known_prev)[:, None]
     spread = np.sqrt(sigmas[2:] ** 2 + sigmas[1:-1] ** 2 + 2.0 * est_var)
     spread = np.maximum(spread, 1e-12)[:, None]
-    p_up = ndtr(mu / spread)
+    p_up = _ndtr(mu / spread)
     if rs is not None and in_crisis.any():
-        mix = RALLY_PROBABILITY * ndtr((mu + rally) / spread) + (
+        mix = RALLY_PROBABILITY * _ndtr((mu + rally) / spread) + (
             1.0 - RALLY_PROBABILITY
-        ) * ndtr((mu + grind) / spread)
+        ) * _ndtr((mu + grind) / spread)
         p_up = np.where(in_crisis[:, None], mix, p_up)
     return p_up
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trendlag import features, harness, neural
+from trendlag import cli, features, harness, neural
 from trendlag.cli import main
 from trendlag.errors import ConfigError, DataError
 from trendlag.features import build_gradients, dataset_arrays
@@ -671,6 +671,20 @@ class TestCli:
         path.write_bytes(b"[experiment]\n# \xff\nstep_size = 4\n")
         assert main(["run", "--config", str(path)]) == 1  # not UTF-8
 
+    @pytest.mark.parametrize("fmt", ["matrix", "ticks"])
+    def test_synth_out_path_that_is_a_directory_rejected_before_generating(
+        self, tmp_path, monkeypatch, capsys, fmt
+    ):
+        generated = []
+        monkeypatch.setattr(cli, "generate", lambda config: generated.append(config))
+        path = tmp_path / "exp.ini"
+        path.write_text(CONFIG_TEMPLATE.format(out=tmp_path / "results"))
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        assert main(["synth", "--config", str(path), "--out", str(taken), "--format", fmt]) == 1
+        assert generated == []
+        assert str(taken) in capsys.readouterr().err
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_config_error_raised_in_a_worker_exit_code(self, tmp_path, monkeypatch, jobs):
         def reject(*args, **kwargs):
@@ -789,6 +803,23 @@ class TestCli:
         rows = (tmp_path / "results" / "report_cross_validated.csv").read_text(encoding="utf-8")
         assert rows.splitlines()[1].startswith("\u00c41,model,")
         assert json.loads(report_json.read_text(encoding="utf-8"))["stocks"][0]["stock_id"] == "\u00c41"
+
+    def test_runs_with_scipy_blocked(self, tmp_path):
+        """The package imports and runs a cross-validated experiment without scipy."""
+        path = tmp_path / "exp.ini"
+        path.write_text(CONFIG_TEMPLATE.format(out=tmp_path / "results"))
+        src = str(Path(harness.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = (
+            "import sys; sys.modules['scipy'] = None; from trendlag import cli; "
+            "raise SystemExit(cli.main(['run', '--config', sys.argv[1]]))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(path)], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        payload = json.loads((tmp_path / "results" / "report_cross_validated.json").read_text())
+        assert payload["welch_tests"]  # the t tail and quantile ran
 
     def test_report_subcommand_rejects_foreign_json(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,8 +1,9 @@
 """Welch test, t tail probabilities, and box-whisker statistics.
 
 Reference values were computed independently at 40-digit precision with
-mpmath (regularized incomplete beta for the tail, exact Fraction
-arithmetic for the Welch statistics) and are frozen here.
+mpmath (regularized incomplete beta for the tail, a root of it for the
+quantile, erfc for the normal limit, exact Fraction arithmetic for the
+Welch statistics) and are frozen here: mpmath is not a test dependency.
 """
 
 import math
@@ -32,11 +33,94 @@ T_TAIL_REFERENCE = [
     (17.320508075688775, 6.0, 1.186667271948123703e-6),
 ]
 
+# (p, dof, t with P(T <= t) = p) at 22 significant digits (mpmath), for p
+# as the float it rounds to
+T_QUANTILE_REFERENCE = [
+    (0.95, 1.0, 6.313751514675037397925),
+    (0.99, 1.0, 31.82051595377392975844),
+    (0.999, 1.0, 318.3088389855501632048),
+    (0.95, 2.5, 2.558218614135935458588),
+    (0.99, 2.5, 5.353111173030872286627),
+    (0.999, 2.5, 13.82219311086595967891),
+    (0.95, 6.0, 1.943180280515302565984),
+    (0.99, 6.0, 3.142668403290982659755),
+    (0.999, 6.0, 5.207626238725362796329),
+    (0.95, 34322.0 / 15643.0, 2.751244209816398048337),
+    (0.99, 34322.0 / 15643.0, 6.185348827375729046227),
+    (0.999, 34322.0 / 15643.0, 17.99953519618628154780),
+    (0.95, 30.0, 1.697260886593957383683),
+    (0.99, 30.0, 2.457261542400590987301),
+    (0.999, 30.0, 3.385184866829304785318),
+    (0.95, 1000.0, 1.646378817285464284023),
+    (0.99, 1000.0, 2.330082674755512647176),
+    (0.999, 1000.0, 3.098402163912922647006),
+]
+
+# standard normal quantiles at the same p (mpmath), the infinite-dof limit
+NORMAL_QUANTILE_REFERENCE = [
+    (0.95, 1.644853626951472284276),
+    (0.99, 2.326347874040840767637),
+    (0.999, 3.090232306167813277758),
+]
+
+
+class TestTQuantile:
+    def test_reference_values_within_relative_1e_12(self):
+        for p, dof, expected in T_QUANTILE_REFERENCE:
+            assert t_quantile(p, dof) == pytest.approx(expected, rel=1e-12, abs=0)
+            assert t_quantile(1.0 - p, dof) == pytest.approx(-expected, rel=1e-12, abs=0)
+
+    def test_round_trip_through_the_tail(self):
+        for p in (0.6, 0.9, 0.95, 0.99, 0.999, 0.999999):
+            for dof in (0.5, 1.0, 2.5, 6.0, 34322.0 / 15643.0, 30.0, 1000.0, 1e6):
+                t = t_quantile(p, dof)
+                assert t_distribution_upper_tail(t, dof) == pytest.approx(1.0 - p, rel=1e-13, abs=0)
+
+    def test_median_and_tiny_tails(self):
+        assert t_quantile(0.5, 3.0) == 0.0
+        # the Cauchy quantile is -cot(pi p), here -1/(pi p) to 30 digits
+        assert t_quantile(1e-15, 1.0) == pytest.approx(-1.0 / (math.pi * 1e-15), rel=1e-12)
+
+    def test_infinite_dof_is_the_normal_quantile(self):
+        for p, expected in NORMAL_QUANTILE_REFERENCE:
+            assert t_quantile(p, math.inf) == pytest.approx(expected, rel=1e-12, abs=0)
+            t = t_quantile(p, math.inf)
+            assert t_distribution_upper_tail(t, math.inf) == pytest.approx(1.0 - p, rel=1e-13, abs=0)
+
+    def test_invalid_arguments(self):
+        for p in (0.0, 1.0, -0.1, math.nan):
+            with pytest.raises(ValueError, match="probability"):
+                t_quantile(p, 5.0)
+        for dof in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="degrees of freedom"):
+                t_quantile(0.9, dof)
+
 
 class TestTDistributionUpperTail:
     def test_reference_values_within_1e_10(self):
         for t, dof, expected in T_TAIL_REFERENCE:
             assert t_distribution_upper_tail(t, dof) == pytest.approx(expected, abs=1e-10)
+
+    def test_reference_values_within_relative_1e_12(self):
+        for t, dof, expected in T_TAIL_REFERENCE:
+            assert t_distribution_upper_tail(t, dof) == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_large_dof_keeps_its_precision(self):
+        # x = dof / (dof + t^2) lies near 1 here, where an incomplete beta
+        # fraction written in x alone cancels; 40-digit mpmath values
+        for t, dof, expected in [
+            (2.0, 1e6, 0.02275026692565960421059),
+            (3.0, 1e12, 1.349898031663333389742e-3),
+            (8.0, 1e15, 6.220960574278352075925e-16),
+        ]:
+            assert t_distribution_upper_tail(t, dof) == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_infinite_dof_is_the_normal_tail(self):
+        assert t_distribution_upper_tail(1.0, math.inf) == pytest.approx(
+            0.1586552539314570514, rel=1e-14, abs=0
+        )
+        for t in (-3.0, -0.5, 0.0, 0.7, 2.0, 6.0):
+            assert t_distribution_upper_tail(t, math.inf) == 0.5 * math.erfc(t / math.sqrt(2.0))
 
     def test_t_table_entry(self):
         # standard table: one-tail 0.10 critical value for dof=10 is 1.372

@@ -17,6 +17,7 @@ from trendlag.market_data import (
 from trendlag.synth import (
     RegimeSwitch,
     SyntheticConfig,
+    _ndtr,
     crisis_window,
     generate,
     oracle_accuracy,
@@ -174,6 +175,37 @@ class TestTickEmission:
                     written += 1
         assert n_rows == written > 2048  # more than one block
         assert path.read_bytes() == reference.read_bytes()
+
+
+# standard normal CDF at 22 significant digits (mpmath ncdf), frozen
+NDTR_REFERENCE = [
+    (-8.0, 6.220960574271784123516e-16),
+    (-5.0, 2.866515718791939116738e-7),
+    (-1.959963984540054, 0.02500000000000001087617),
+    (-1.0, 0.1586552539314570514148),
+    (-0.25, 0.4012936743170762757591),
+    (0.0, 0.5),
+    (0.5, 0.6914624612740131036377),
+    (1.0, 0.8413447460685429485852),
+    (2.0, 0.9772498680518207927997),
+    (3.0, 0.9986501019683699054733),
+    (6.0, 0.9999999990134123549623),
+]
+
+
+class TestNdtr:
+    def test_reference_values(self):
+        x, expected = np.array(NDTR_REFERENCE).T
+        np.testing.assert_allclose(_ndtr(x), expected, rtol=1e-14, atol=0)
+
+    def test_symmetry(self):
+        x = np.linspace(-9.0, 9.0, 721).reshape(7, -1)
+        np.testing.assert_allclose(_ndtr(x) + _ndtr(-x), 1.0, rtol=0, atol=2e-16)
+        assert _ndtr(x).shape == x.shape and _ndtr(x).dtype == np.float64
+
+    def test_limits(self):
+        np.testing.assert_array_equal(_ndtr(np.array([-np.inf, np.inf])), [0.0, 1.0])
+        assert 0.0 < _ndtr(np.array([-37.0]))[0] < 1e-290  # the left tail does not underflow early
 
 
 class TestOracle:
