@@ -1,14 +1,11 @@
 #!/usr/bin/env python3
-"""Exercise the from-scratch network: forward, gradients, XOR, checkpoints.
+"""Exercise the from-scratch network: forward, gradients, XOR, early stopping.
 
 Shows the pieces the experiment harness builds on: Gaussian initialization,
 tanh/sigmoid forward passes, backpropagation checked against finite
-differences, momentum descent with learning-rate decay, early stopping,
-and bit-exact checkpoint round trips.
+differences, momentum descent with learning-rate decay, and early stopping
+that restores the best-validation weights.
 """
-
-import tempfile
-from pathlib import Path
 
 import numpy as np
 
@@ -64,11 +61,3 @@ print(f"\nearly stopping: ran {es_report.epochs_run}/40 epochs, "
       f"best validation loss {es_report.best_validation_loss:.5f}")
 print("restored-weight validation loss:",
       round(nn.loss(es_model, data_x[half:], data_y[half:]), 5))
-
-# --- checkpoints reproduce predictions bitwise ----------------------------
-with tempfile.TemporaryDirectory() as tmp:
-    path = Path(tmp) / "model.json"
-    nn.save_checkpoint(es_model, path)
-    clone = nn.load_checkpoint(path)
-    same = (nn.forward(clone, data_x)[0] == nn.forward(es_model, data_x)[0]).all()
-    print(f"\ncheckpoint round trip bit-identical: {same}")

@@ -55,9 +55,7 @@ from .neural import (
     backward,
     forward,
     init,
-    load_checkpoint,
     predict_class,
-    save_checkpoint,
     sgd_step,
     train,
 )

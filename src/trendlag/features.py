@@ -10,13 +10,12 @@ target stock's gradient moved up or down from t-1 to t.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DataError
-from .market_data import PriceMatrix, write_matrix_csv
+from .market_data import PriceMatrix
 
 DOWN, UP = 0, 1  # one-hot component order: (down-change, up-change)
 
@@ -79,9 +78,6 @@ class GradientMatrix:
     @property
     def n_stocks(self) -> int:
         return self.values.shape[1]
-
-    def to_csv(self, path: str | Path) -> None:
-        write_matrix_csv(path, self.stock_ids, self.interval_timestamps, self.values)
 
 
 def build_gradients(matrix: PriceMatrix, step_size: int) -> GradientMatrix:

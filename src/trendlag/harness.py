@@ -35,6 +35,7 @@ import logging
 import math
 import multiprocessing
 import time as time_mod
+from collections import defaultdict
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -216,10 +217,6 @@ class ExperimentReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentReport":
-        return cls.from_dict(json.loads(text))
 
 
 def _contiguous_folds(
@@ -564,6 +561,7 @@ def run_cross_validated(
     config: ExperimentConfig, matrix: PriceMatrix | None = None
 ) -> ExperimentReport:
     """Five-fold leave-target-out experiment over every stock in the panel."""
+    config = replace(config, mode="cross_validated")
     (report,) = _run_folds(config, matrix, [config.network])
     return report
 
@@ -691,33 +689,29 @@ _DATA_FIELDS = {
     "tick_csv", "matrix_csv", "grid_step_seconds", "min_observed_fraction",
     "price_source", "stock_filter",
 }
-_RENAMED = {"out_dir": "out"}
+_RENAMED = {"out_dir": "out", "switch_step": "regime_switch_step"}
 _DERIVED = {"synthetic", "network", "input_dim", "rng_seed", "coupling_matrix", "regime_switch"}
-_EXTRA_KEYS = {
-    "data": {"source"},
-    "synthetic": {
-        "coupling_seed", "regime_switch_step", "crisis_drift", "crisis_sigma_multiplier",
-    },
-}
+_EXTRA_KEYS = {"data": {"source"}, "synthetic": {"coupling_seed"}}
 
 MODE_ALIASES = {"cross": "cross_validated", "crisis": "crisis", "bottleneck": "bottleneck_sweep"}
 
 
-def _section_fields() -> dict[str, dict[str, tuple[str, Any]]]:
-    """Per section, INI key -> (field name, type hint), in dataclass field order."""
-    tables: dict[str, dict[str, tuple[str, Any]]] = {
+def _section_fields() -> dict[str, dict[str, tuple[type, str, Any]]]:
+    """Per section, INI key -> (dataclass, field name, type hint), in field order."""
+    tables: dict[str, dict[str, tuple[type, str, Any]]] = {
         "data": {}, "synthetic": {}, "network": {}, "experiment": {},
     }
     for cls, section in (
         (ExperimentConfig, "experiment"),
         (neural.NetworkConfig, "network"),
         (synth.SyntheticConfig, "synthetic"),
+        (synth.RegimeSwitch, "synthetic"),
     ):
         hints = get_type_hints(cls)
         for f in fields(cls):
             if f.name not in _DERIVED:
                 home = "data" if f.name in _DATA_FIELDS else section
-                tables[home][_RENAMED.get(f.name, f.name)] = (f.name, hints[f.name])
+                tables[home][_RENAMED.get(f.name, f.name)] = (cls, f.name, hints[f.name])
     return tables
 
 
@@ -782,40 +776,38 @@ def _load_config(path: str | Path) -> tuple[ExperimentConfig, synth.SyntheticCon
     if unknown:
         raise ConfigError(f"unknown config section(s): {', '.join(sorted(unknown))}")
     try:
-        values: dict[str, dict[str, Any]] = {}
+        values: defaultdict[type, dict[str, Any]] = defaultdict(dict)  # dataclass -> its fields
         for name, table in tables.items():
             sec = parser[name] if parser.has_section(name) else {}
             unknown = set(sec.keys()) - set(table) - _EXTRA_KEYS.get(name, set())
             if unknown:
                 raise ConfigError(f"[{name}] has unknown key(s): {', '.join(sorted(unknown))}")
-            values[name] = {f: _cast(hint, sec[key]) for key, (f, hint) in table.items() if key in sec}
+            for key, (cls, f, hint) in table.items():
+                if key in sec:
+                    values[cls][f] = _cast(hint, sec[key])
 
         source = parser.get("data", "source", fallback="").strip().lower()
         if source and source not in ("ticks", "matrix", "synthetic"):
             raise ConfigError(f"[data] source must be ticks, matrix, or synthetic, got {source!r}")
         if source == "synthetic" and not parser.has_section("synthetic"):
             raise ConfigError("source=synthetic requires a [synthetic] section")
-        if source == "ticks" and values["data"].get("tick_csv") is None:
+        if source == "ticks" and values[ExperimentConfig].get("tick_csv") is None:
             raise ConfigError("source=ticks requires tick_csv")
-        if source == "matrix" and values["data"].get("matrix_csv") is None:
+        if source == "matrix" and values[ExperimentConfig].get("matrix_csv") is None:
             raise ConfigError("source=matrix requires matrix_csv")
 
-        config = ExperimentConfig(**values["data"], **values["experiment"], network=values["network"])
+        config = ExperimentConfig(**values[ExperimentConfig], network=values[neural.NetworkConfig])
         mode = config.mode.lower()
         config.mode = MODE_ALIASES.get(mode, mode)
         syn = None
         if parser.has_section("synthetic"):
             sec = parser["synthetic"]
-            syn = synth.SyntheticConfig(**values["synthetic"])
+            syn = synth.SyntheticConfig(**values[synth.SyntheticConfig])
             if "coupling_seed" in sec:
                 syn.coupling_matrix = synth.random_coupling(syn.n_stocks, int(sec["coupling_seed"]))
-            if "regime_switch_step" in sec:
-                syn.regime_switch = synth.RegimeSwitch(
-                    switch_step=int(sec["regime_switch_step"]),
-                    crisis_drift=_cast(float, sec.get("crisis_drift", "0")),
-                    crisis_sigma_multiplier=_cast(float, sec.get("crisis_sigma_multiplier", "1")),
-                )
-            elif "crisis_drift" in sec or "crisis_sigma_multiplier" in sec:
+            if "switch_step" in values[synth.RegimeSwitch]:
+                syn.regime_switch = synth.RegimeSwitch(**values[synth.RegimeSwitch])
+            elif values[synth.RegimeSwitch]:
                 raise ConfigError("crisis_* settings require regime_switch_step")
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc

@@ -339,17 +339,6 @@ def _parse_tick_rows(stream: IO[str], name: str | Path) -> TickTable:
     return TickTable({s: TickColumns(*c) for s, *c in zip(codes, *split)}, skipped)
 
 
-def write_matrix_csv(
-    path: str | Path, stock_ids: tuple[str, ...], instants: np.ndarray, values: np.ndarray
-) -> None:
-    """Write `timestamp,<stock>,...` rows, one per instant, with full float precision."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("timestamp",) + stock_ids)
-        for ts, row in zip(instants, values):
-            writer.writerow([format_timestamp(ts)] + [repr(float(v)) for v in row])
-
-
 @dataclass(frozen=True)
 class TimeGrid:
     """Strictly increasing sampling instants around the clock, nominally ``step`` apart."""
@@ -452,7 +441,11 @@ class PriceMatrix:
 
     def to_csv(self, path: str | Path) -> None:
         """Write `timestamp,<stock>,...` rows with full float precision."""
-        write_matrix_csv(path, self.stock_ids, self.grid.instants, self.values)
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(("timestamp",) + self.stock_ids)
+            for ts, row in zip(self.grid.instants, self.values):
+                writer.writerow([format_timestamp(ts)] + [repr(float(v)) for v in row])
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "PriceMatrix":

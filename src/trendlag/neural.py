@@ -30,11 +30,8 @@ Everything is plain numpy and deterministic under the configured seed.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
-from typing import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -152,19 +149,13 @@ def _update_blocks(
 class NetworkModel:
     """Layer weights and biases in one flat vector, momentum velocity in another.
 
-    Both vectors start at zero; ``weights`` and ``biases``, when given, are
-    copied into ``parameters``.  The per-layer tuples are views into
-    ``parameters``.  ``train``'s gradient and best-weights vectors are
-    allocated here uninitialised, so their pages are touched only once a
-    model trains.
+    Both vectors start at zero.  The per-layer ``weights`` and ``biases``
+    tuples are views into ``parameters``.  ``train``'s gradient and
+    best-weights vectors are allocated here uninitialised, so their pages
+    are touched only once a model trains.
     """
 
-    def __init__(
-        self,
-        config: NetworkConfig,
-        weights: Sequence[np.ndarray] = (),
-        biases: Sequence[np.ndarray] = (),
-    ) -> None:
+    def __init__(self, config: NetworkConfig) -> None:
         self.config = config
         sizes = config.layer_sizes()
         size = sum(i * o + o for i, o in zip(sizes[:-1], sizes[1:]))
@@ -176,19 +167,6 @@ class NetworkModel:
         self._blocks = _update_blocks(self._parameters, self._velocity, self.n_weights)
         self._gradient, self._best = np.empty(size), np.empty(size)
         self.rng = np.random.default_rng(config.rng_seed)
-        if not (weights or biases):
-            return
-        if len(weights) != len(sizes) - 1 or len(biases) != len(sizes) - 1:
-            raise ConfigError(
-                f"{len(weights)} weight and {len(biases)} bias arrays for the chain {sizes}"
-            )
-        for i, (w, b) in enumerate(zip(weights, biases)):
-            if w.shape != (sizes[i], sizes[i + 1]) or b.shape != (sizes[i + 1],):
-                raise ConfigError(
-                    f"layer {i} shapes {w.shape}/{b.shape} break the chain {sizes}"
-                )
-            self._weights[i][...] = w
-            self._biases[i][...] = b
 
     @property
     def parameters(self) -> np.ndarray:
@@ -484,44 +462,3 @@ def predict_class(model: NetworkModel, inputs: np.ndarray) -> int | np.ndarray:
         return UP if outputs[UP] > outputs[DOWN] else DOWN
     return np.where(outputs[:, UP] > outputs[:, DOWN], UP, DOWN).astype(np.int64)
 
-
-CHECKPOINT_FORMAT = "trendlag-network"
-CHECKPOINT_VERSION = 1
-
-
-def save_checkpoint(model: NetworkModel, path: str | Path) -> None:
-    """Write config and parameters as JSON; reload reproduces predictions bitwise."""
-    payload = {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
-        "config": asdict(model.config),
-        "layer_sizes": list(model.config.layer_sizes()),
-        "weights": [w.tolist() for w in model.weights],
-        "biases": [b.tolist() for b in model.biases],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-
-
-def load_checkpoint(path: str | Path) -> NetworkModel:
-    """A model from ``save_checkpoint``'s file; a malformed one is a ConfigError."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except ValueError as exc:  # not UTF-8, or not JSON
-            raise ConfigError(f"{path}: not a network checkpoint: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
-        raise ConfigError(f"{path}: not a network checkpoint")
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise ConfigError(f"{path}: unsupported checkpoint version {payload.get('version')}")
-    try:
-        raw = dict(payload["config"])
-        if raw.pop("output_dim", 2) != 2:  # older checkpoints store the output width
-            raise ConfigError(f"{path}: only two-unit (down, up) output layers are supported")
-        config = NetworkConfig(**raw)
-        config.validate()
-        weights = [np.asarray(w, dtype=np.float64) for w in payload["weights"]]
-        biases = [np.asarray(b, dtype=np.float64) for b in payload["biases"]]
-    except (KeyError, TypeError, ValueError) as exc:  # a missing, unknown or mistyped entry
-        raise ConfigError(f"{path}: malformed checkpoint: {exc!r}") from exc
-    return NetworkModel(config, weights, biases)

@@ -70,7 +70,7 @@ class RegimeSwitch:
     """Crisis regime: drift level, volatility multiplier, grind-and-rally skew."""
 
     switch_step: int
-    crisis_drift: float
+    crisis_drift: float = 0.0
     crisis_sigma_multiplier: float = 1.0
 
 

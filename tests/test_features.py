@@ -167,23 +167,6 @@ class TestBuildLabels:
         np.testing.assert_array_equal(truth_labels(y), [DOWN, UP])
 
 
-class TestGradientCsv:
-    def test_serializes_like_price_matrix_with_interval_ends(self, tmp_path):
-        rng = np.random.default_rng(10)
-        matrix = _matrix(rng.uniform(5, 15, (12, 2)))
-        grads = build_gradients(matrix, 4)
-        path = tmp_path / "gradients.csv"
-        grads.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "timestamp,S0,S1"
-        assert len(lines) == 1 + grads.n_intervals
-        # timestamp column carries the window-end instants
-        first_ts = lines[1].split(",")[0]
-        assert first_ts == f"{matrix.grid.instants[3]}Z"
-        reloaded = [float(v) for v in lines[1].split(",")[1:]]
-        np.testing.assert_array_equal(reloaded, grads.values[0])
-
-
 class TestNormalizer:
     def test_endpoints_map_to_unit_interval(self):
         params = fit_normalizer(np.array([[2.0], [4.0], [6.0]]))

@@ -90,9 +90,9 @@ def _count_models(monkeypatch):
     built = []
 
     class Counted(neural.NetworkModel):
-        def __init__(self, config, *args):
+        def __init__(self, config):
             built.append(config.layer_sizes())
-            super().__init__(config, *args)
+            super().__init__(config)
 
     monkeypatch.setattr(neural, "NetworkModel", Counted)
     return built
@@ -205,6 +205,13 @@ class TestRunCrossValidated:
         a = run_cross_validated(_config())
         b = run_cross_validated(_config(seed=12))
         assert a.stocks != b.stocks
+
+    def test_report_is_labelled_cross_validated_whatever_the_mode(self, tmp_path):
+        # like run_crisis and run_bottleneck_sweep, the runner sets its own mode
+        report = run_cross_validated(_crisis_config())
+        assert report.mode == report.provenance["config"]["mode"] == "cross_validated"
+        files = emit_report(report, tmp_path, formats=("json",))
+        assert [p.name for p in files] == ["report_cross_validated.json"]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize(
@@ -360,7 +367,7 @@ class TestBottleneckSweep:
 class TestReportSerialization:
     def test_json_round_trip_is_exact(self):
         report = run_cross_validated(_config())
-        clone = ExperimentReport.from_json(report.to_json())
+        clone = ExperimentReport.from_dict(json.loads(report.to_json()))
         assert clone == report
 
     def test_csv_row_count_is_stocks_times_series(self, tmp_path):
@@ -450,6 +457,12 @@ BAD_CONFIGS = [
     pytest.param("hidden_layers = 8", "hidden_layers =", 1, id="no-hidden-layers"),
     pytest.param("[synthetic]\n", "[synthetic]\ncrisis_drift = -0.01\n", 1,
                  id="crisis-drift-without-switch"),
+    pytest.param("[synthetic]\n", "[synthetic]\ncrisis_sigma_multiplier = 1.5\n", 1,
+                 id="crisis-sigma-without-switch"),
+    pytest.param("[synthetic]\n", "[synthetic]\nregime_switch_step = ten\n", 1,
+                 id="switch-step-not-a-number"),
+    pytest.param("[synthetic]\n", "[synthetic]\nregime_switch_step = 60\ncrisis_drift = inf\n", 1,
+                 id="inf-crisis-drift"),
     pytest.param("[experiment]\n", "[experiment]\ncrisis_start = garbage\n", 1,
                  id="bad-timestamp"),
     pytest.param("[experiment]\n", "[experiment]\njobs = 0\n", 1, id="jobs-zero"),
@@ -549,6 +562,12 @@ class TestConfigFile:
         config = load_experiment_config(path)
         assert config.synthetic.regime_switch.switch_step == 150
         config.validate()  # boundaries derivable from the regime switch
+
+    def test_switch_step_alone_takes_the_regime_defaults(self, tmp_path):
+        path = tmp_path / "exp.ini"
+        text = CONFIG_TEMPLATE.format(out=tmp_path / "results")
+        path.write_text(text.replace("[synthetic]\n", "[synthetic]\nregime_switch_step = 60\n"))
+        assert load_experiment_config(path).synthetic.regime_switch == RegimeSwitch(60, 0.0, 1.0)
 
     @pytest.mark.parametrize("source, key", [("ticks", "tick_csv"), ("matrix", "matrix_csv")])
     def test_source_picks_the_run_data_beside_a_synthetic_section(self, tmp_path, source, key):

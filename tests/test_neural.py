@@ -14,15 +14,12 @@ from trendlag.neural import (
     DOWN,
     UP,
     NetworkConfig,
-    NetworkModel,
     TrainReport,
     backward,
     forward,
     init,
-    load_checkpoint,
     loss,
     predict_class,
-    save_checkpoint,
     sgd_step,
     train,
 )
@@ -581,19 +578,6 @@ class TestFlatParameters:
         assert all(np.shares_memory(model.parameters, v) for v in views)
         assert model.velocity.shape == model.parameters.shape
 
-    def test_constructor_copies_its_arrays(self):
-        source = init(_config())
-        weights, biases = [w.copy() for w in source.weights], [b.copy() for b in source.biases]
-        model = NetworkModel(_config(), weights, biases)
-        model.weights[0][...] = 7.0
-        assert not (weights[0] == 7.0).any()
-
-    def test_wrong_layer_count_rejected(self):
-        model = init(_config())
-        weights, biases = list(model.weights), list(model.biases)
-        with pytest.raises(ConfigError, match="chain"):
-            NetworkModel(_config(), weights[:-1], biases[:-1])
-
 
 class TestPredictClass:
     def test_down_wins_on_higher_first_output(self):
@@ -616,82 +600,3 @@ class TestPredictClass:
         expected = (outputs[:, UP] > outputs[:, DOWN]).astype(int)
         np.testing.assert_array_equal(predict_class(model, x), expected)
 
-
-class TestCheckpoint:
-    def test_round_trip_reproduces_predictions_bitwise(self, tmp_path):
-        rng = np.random.default_rng(50)
-        model = init(_config(rng_seed=19, hidden_layers=(6, 5), bottleneck=2))
-        x = rng.normal(size=(10, 3))
-        before, _ = forward(model, x)
-        path = tmp_path / "model.json"
-        save_checkpoint(model, path)
-        restored = load_checkpoint(path)
-        after, _ = forward(restored, x)
-        assert (before == after).all()
-        assert restored.config == model.config
-
-    def test_round_trip_keeps_the_parameters_bitwise(self, tmp_path):
-        x, y = TestTrain()._tiny_data(50, seed=4)
-        model = init(_config(rng_seed=23, max_epochs=5, batch_size=10))
-        train(model, (x[:40], y[:40]), (x[40:], y[40:]))
-        path = tmp_path / "model.json"
-        save_checkpoint(model, path)
-        restored = load_checkpoint(path)
-        assert restored.parameters.tobytes() == model.parameters.tobytes()
-        assert not restored.velocity.any()
-
-    def test_rejects_foreign_files(self, tmp_path):
-        path = tmp_path / "not_a_model.json"
-        path.write_text('{"format": "something-else"}')
-        with pytest.raises(ConfigError, match="checkpoint"):
-            load_checkpoint(path)
-
-    @pytest.mark.parametrize("content", [b"[1, 2]", b'{"format": ', b'{"format": "\xff"}'],
-                             ids=["json-list", "truncated-json", "not-utf8"])
-    def test_rejects_files_that_are_not_a_json_object(self, tmp_path, content):
-        path = tmp_path / "model.json"
-        path.write_bytes(content)
-        with pytest.raises(ConfigError, match="checkpoint"):
-            load_checkpoint(path)
-
-    def _with_stored_output_width(self, tmp_path, width):
-        """A checkpoint in the older layout, which stores ``output_dim``."""
-        model = init(_config(rng_seed=29, hidden_layers=(4,)))
-        path = tmp_path / "model.json"
-        save_checkpoint(model, path)
-        payload = json.loads(path.read_text())
-        assert "output_dim" not in payload["config"]
-        payload["config"]["output_dim"] = width
-        path.write_text(json.dumps(payload))
-        return model, path
-
-    def test_stored_output_width_of_two_loads(self, tmp_path):
-        model, path = self._with_stored_output_width(tmp_path, 2)
-        assert load_checkpoint(path).parameters.tobytes() == model.parameters.tobytes()
-
-    @pytest.mark.parametrize("width", [1, 3])
-    def test_other_stored_output_widths_rejected(self, tmp_path, width):
-        _, path = self._with_stored_output_width(tmp_path, width)
-        with pytest.raises(ConfigError, match="output"):
-            load_checkpoint(path)
-
-    @pytest.mark.parametrize("edit", [
-        lambda payload: payload.pop("weights"),
-        lambda payload: payload.pop("biases"),
-        lambda payload: payload.pop("config"),
-        lambda payload: payload["config"].pop("input_dim"),
-        lambda payload: payload["config"].update(hidden_units=3),
-        lambda payload: payload["config"].update(learning_rate=-1),
-        lambda payload: payload["config"].update(batch_size="ten"),
-        lambda payload: payload.update(config=[1, 2]),
-        lambda payload: payload["weights"].__setitem__(0, [[1.0], [1.0, 2.0]]),
-    ], ids=["no-weights", "no-biases", "no-config", "no-input-dim", "unknown-key",
-            "negative-learning-rate", "mistyped-value", "config-not-a-table", "ragged-weights"])
-    def test_malformed_checkpoints_are_config_errors(self, tmp_path, edit):
-        path = tmp_path / "model.json"
-        save_checkpoint(init(_config(rng_seed=31)), path)
-        payload = json.loads(path.read_text())
-        edit(payload)
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ConfigError):
-            load_checkpoint(path)
