@@ -90,9 +90,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.jobs is not None:
         config.jobs = args.jobs
     _check_out_dir(config.out_dir)  # before the experiment, not after it
-    result = run(config)
-    reports = result if isinstance(result, list) else [result]
-    for report in reports:
+    for report in run(config):
         files = emit_report(report, config.out_dir)
         _print_summary(report)
         for path in files:

@@ -2,22 +2,24 @@
 
 For every stock in the panel a separate model is trained to predict that
 stock's gradient direction change from all other stocks' preceding-interval
-gradients.  Three modes are supported:
+gradients.  ``run`` is the one engine for every mode.  It builds the
+gradients once and takes from a plan the (name, train, validation, test)
+index splits every stock shares, their hash, and whether they are too small
+for any stock:
 
-* ``cross_validated``: five contiguous folds per stock; within each fold's
-  training portion the most recent quarter is split off for early stopping,
-  yielding the 60-20-20 train/validation/test arithmetic per fold.
-* ``crisis``: one chronological split; everything before the boundary
-  trains (validation = most recent quarter of it), the bounded window is
-  the test set.  No cross-validation.
-* ``bottleneck_sweep``: the cross-validated experiment at each bottleneck
-  width plus once without, as one plan: one set of gradients, folds and
-  seeds, with every (width, stock) task in one worker pool.
+* ``_fold_plan``: five contiguous folds; within each fold's training portion
+  the most recent quarter is split off for early stopping, yielding the
+  60-20-20 train/validation/test arithmetic per fold.  ``cross_validated``
+  runs it with the configured net, ``bottleneck_sweep`` with one net per
+  bottleneck width plus one without.
+* ``_crisis_plan``: one chronological split for ``crisis``; everything before
+  the boundary trains (validation = most recent quarter of it), the bounded
+  window is the test set.  No cross-validation.
 
-Each mode is a list of (name, train, validation, test) index splits that
-every stock shares, run by one per-stock function: it trains one net per
-split and scores the stock on the union of the test sets.  Whether the
-splits are too small is decided once per experiment, before any stock runs.
+Every (network, stock) task runs in one worker pool: one net per split, the
+stock scored on the union of the test sets.  ``run`` returns one report per
+network; ``run_cross_validated``, ``run_crisis`` and ``run_bottleneck_sweep``
+call it with their mode set.
 
 Reports carry per-stock model and baseline accuracies, Welch tests and
 minimum differences against each baseline, box-whisker summaries, and full
@@ -500,48 +502,10 @@ def _assemble_report(
     )
 
 
-def _gradients(config: ExperimentConfig, matrix: PriceMatrix | None) -> features.GradientMatrix:
-    """Trend gradients of ``matrix``, or of the configured source when it is None."""
-    if matrix is None:
-        matrix = load_price_matrix(config)
-    gradients = features.build_gradients(matrix, config.step_size)
-    if gradients.n_intervals < 2:
-        raise DataError("need at least 2 gradient intervals to build labels")
-    return gradients
-
-
-def _run_splits(
-    configs: list[ExperimentConfig],
-    gradients: features.GradientMatrix,
-    splits: list[Split],
-    fold_hash: str,
-    skip_reason: str,
-    t0: float,
-) -> list[ExperimentReport]:
-    """One report per network config; all their stock tasks run in one pool, or all skip."""
-    stock_seeds = {s: derive_seed(configs[0].seed, s) for s in gradients.stock_ids}
-    tasks = [(i, s) for s in gradients.stock_ids for i in range(len(configs))]
-    if skip_reason:
-        results = [_skipped(s, gradients.n_intervals - 1, skip_reason) for _, s in tasks]
-    else:
-        results = _run_per_stock(
-            configs[0],
-            lambda t: _run_stock(configs[t[0]], gradients, splits, t[1], stock_seeds[t[1]]),
-            tasks,
-        )
-    per_network = [results[i :: len(configs)] for i in range(len(configs))]
-    return [_assemble_report(c, r, fold_hash, stock_seeds, t0) for c, r in zip(configs, per_network)]
-
-
-def _run_folds(
-    config: ExperimentConfig, matrix: PriceMatrix | None, networks: list[dict[str, Any]]
-) -> list[ExperimentReport]:
-    """The cross-validated experiment once per network setting, over one fold plan."""
-    t0 = time_mod.perf_counter()
-    configs = [replace(config, network=network) for network in networks]
-    for c in configs:
-        c.validate()
-    gradients = _gradients(config, matrix)
+def _fold_plan(
+    config: ExperimentConfig, gradients: features.GradientMatrix
+) -> tuple[list[Split], str, str]:
+    """Contiguous CV folds: the splits, their hash, and why no stock can run them."""
     n_examples = gradients.n_intervals - 1
     folds = _contiguous_folds(
         n_examples, config.n_folds, config.shuffled_folds, derive_seed(config.seed, "folds")
@@ -553,25 +517,13 @@ def _run_folds(
     skip_reason = _skip_reason(
         config, splits, "too few examples for a 60-20-20 fold split", "fold training"
     )
-    fold_hash = _fold_hash(folds, extra=f"n={n_examples}")
-    return _run_splits(configs, gradients, splits, fold_hash, skip_reason, t0)
+    return splits, _fold_hash(folds, extra=f"n={n_examples}"), skip_reason
 
 
-def run_cross_validated(
-    config: ExperimentConfig, matrix: PriceMatrix | None = None
-) -> ExperimentReport:
-    """Five-fold leave-target-out experiment over every stock in the panel."""
-    config = replace(config, mode="cross_validated")
-    (report,) = _run_folds(config, matrix, [config.network])
-    return report
-
-
-def run_crisis(config: ExperimentConfig, matrix: PriceMatrix | None = None) -> ExperimentReport:
-    """Chronological split: train before the boundary, test inside it."""
-    t0 = time_mod.perf_counter()
-    config = replace(config, mode="crisis")
-    config.validate()
-    gradients = _gradients(config, matrix)
+def _crisis_plan(
+    config: ExperimentConfig, gradients: features.GradientMatrix
+) -> tuple[list[Split], str, str]:
+    """The chronological split: train before the crisis window, test inside it."""
     boundary_start, boundary_end = config.resolved_crisis_window()
     # example i predicts interval i+1; it belongs to that interval's end time
     example_times = gradients.interval_timestamps[1:]
@@ -590,33 +542,63 @@ def run_crisis(config: ExperimentConfig, matrix: PriceMatrix | None = None) -> E
     skip_reason = _skip_reason(
         config, splits, "training side too small for a validation split", "training"
     )
-    fold_hash = _fold_hash([fit_idx, val_idx, test_idx], extra="crisis")
-    (report,) = _run_splits([config], gradients, splits, fold_hash, skip_reason, t0)
-    return report
+    return splits, _fold_hash([fit_idx, val_idx, test_idx], extra="crisis"), skip_reason
+
+
+def run(config: ExperimentConfig, matrix: PriceMatrix | None = None) -> list[ExperimentReport]:
+    """The experiment ``config.mode`` names, on ``matrix`` or the configured source.
+
+    Returns one report per network: the configured net, or in a sweep each
+    bottleneck width plus the unconstrained net.  The networks share the
+    gradients, splits, per-stock seeds and worker pool, so their reports
+    are directly comparable; all their stock tasks run, or all skip.
+    """
+    t0 = time_mod.perf_counter()
+    config.validate()
+    networks = [config.network]
+    if config.mode == "bottleneck_sweep":
+        networks = [{**config.network, "bottleneck": w} for w in (*config.bottleneck_widths, None)]
+    configs = [replace(config, network=network) for network in networks]
+    for c in configs:
+        c.validate()
+    if matrix is None:
+        matrix = load_price_matrix(config)
+    gradients = features.build_gradients(matrix, config.step_size)
+    if gradients.n_intervals < 2:
+        raise DataError("need at least 2 gradient intervals to build labels")
+    plan = _crisis_plan if config.mode == "crisis" else _fold_plan
+    splits, fold_hash, skip_reason = plan(config, gradients)
+    stock_seeds = {s: derive_seed(config.seed, s) for s in gradients.stock_ids}
+    tasks = [(i, s) for s in gradients.stock_ids for i in range(len(configs))]
+    if skip_reason:
+        results = [_skipped(s, gradients.n_intervals - 1, skip_reason) for _, s in tasks]
+    else:
+        results = _run_per_stock(
+            config,
+            lambda t: _run_stock(configs[t[0]], gradients, splits, t[1], stock_seeds[t[1]]),
+            tasks,
+        )
+    per_network = [results[i :: len(configs)] for i in range(len(configs))]
+    return [_assemble_report(c, r, fold_hash, stock_seeds, t0) for c, r in zip(configs, per_network)]
+
+
+def run_cross_validated(
+    config: ExperimentConfig, matrix: PriceMatrix | None = None
+) -> ExperimentReport:
+    """Five-fold leave-target-out experiment over every stock in the panel."""
+    return run(replace(config, mode="cross_validated"), matrix)[0]
+
+
+def run_crisis(config: ExperimentConfig, matrix: PriceMatrix | None = None) -> ExperimentReport:
+    """Chronological split: train before the boundary, test inside it."""
+    return run(replace(config, mode="crisis"), matrix)[0]
 
 
 def run_bottleneck_sweep(
     config: ExperimentConfig, matrix: PriceMatrix | None = None
 ) -> list[ExperimentReport]:
-    """Cross-validated runs at each bottleneck width plus the unconstrained net.
-
-    All runs share the gradients, folds, per-stock seeds and worker pool;
-    only the architecture differs, so reports are directly comparable.
-    """
-    config = replace(config, mode="bottleneck_sweep")
-    config.validate()
-    widths = tuple(config.bottleneck_widths) + (None,)
-    return _run_folds(config, matrix, [{**config.network, "bottleneck": w} for w in widths])
-
-
-def run(config: ExperimentConfig) -> ExperimentReport | list[ExperimentReport]:
-    """Dispatch on config.mode."""
-    config.validate()
-    if config.mode == "cross_validated":
-        return run_cross_validated(config)
-    if config.mode == "crisis":
-        return run_crisis(config)
-    return run_bottleneck_sweep(config)
+    """Cross-validated runs at each bottleneck width plus the unconstrained net."""
+    return run(replace(config, mode="bottleneck_sweep"), matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -784,7 +766,10 @@ def _load_config(path: str | Path) -> tuple[ExperimentConfig, synth.SyntheticCon
                 raise ConfigError(f"[{name}] has unknown key(s): {', '.join(sorted(unknown))}")
             for key, (cls, f, hint) in table.items():
                 if key in sec:
-                    values[cls][f] = _cast(hint, sec[key])
+                    try:
+                        values[cls][f] = _cast(hint, sec[key])
+                    except (ValueError, ConfigError) as exc:
+                        raise ConfigError(f"{path}: [{name}] {key}: {exc}") from exc
 
         source = parser.get("data", "source", fallback="").strip().lower()
         if source and source not in ("ticks", "matrix", "synthetic"):

@@ -341,10 +341,9 @@ def _parse_tick_rows(stream: IO[str], name: str | Path) -> TickTable:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing sampling instants around the clock, nominally ``step`` apart."""
+    """Strictly increasing sampling instants around the clock."""
 
     instants: np.ndarray
-    step: np.timedelta64
 
     def __post_init__(self) -> None:
         inst = np.asarray(self.instants, dtype="datetime64[ms]")
@@ -362,7 +361,7 @@ class TimeGrid:
         """Grid over the most recent ``keep_last`` instants."""
         if not 0 < keep_last <= self.count:
             raise DataError(f"cannot keep {keep_last} of {self.count} instants")
-        return TimeGrid(self.instants[self.count - keep_last:], self.step)
+        return TimeGrid(self.instants[self.count - keep_last:])
 
     @classmethod
     def regular(
@@ -381,7 +380,7 @@ class TimeGrid:
         step64 = step64.astype("timedelta64[ms]")
         if step64 <= np.timedelta64(0, "ms"):
             raise DataError("grid step must be a positive duration")
-        return cls(start64 + step64 * np.arange(count), step64)
+        return cls(start64 + step64 * np.arange(count))
 
 
 @dataclass
@@ -472,9 +471,8 @@ class PriceMatrix:
                 values.append([float(v) for v in row[1:]])
             except ValueError as exc:
                 raise DataError(f"{path}: unparseable row {row!r}: {exc}") from exc
-        step = inst[1] - inst[0] if inst.size > 1 else np.timedelta64(1, "ms")
         ids = tuple(h.strip() for h in header[1:])
-        return cls(TimeGrid(inst, step), ids, values, np.zeros((len(rows), len(ids)), bool))
+        return cls(TimeGrid(inst), ids, values, np.zeros((len(rows), len(ids)), bool))
 
 
 def _ffill_bfill(column: np.ndarray) -> np.ndarray:

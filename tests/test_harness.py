@@ -223,8 +223,7 @@ class TestRunCrossValidated:
 
         monkeypatch.setattr(harness, "_run_per_stock", no_pool)
         config = make_config(network={**FAST_NET, "batch_size": 1000}, jobs=jobs)
-        result = run(config)
-        for report in result if isinstance(result, list) else [result]:
+        for report in run(config):
             assert report.stocks and all(r.skipped for r in report.stocks)
             assert all("batch size" in r.skip_reason for r in report.stocks)
             assert report.mean_accuracies == {}
@@ -297,7 +296,12 @@ class TestBottleneckSweep:
         for a, b in zip(serial, parallel):
             _assert_same_results(a, b)
 
-    def test_one_gradient_build_and_one_pool(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "make_config, n_reports",
+        [(_config, 1), (_crisis_config, 1), (_sweep_config, 3)],
+        ids=["cross", "crisis", "sweep"],
+    )
+    def test_one_gradient_build_and_one_pool(self, monkeypatch, make_config, n_reports):
         calls = {"build_gradients": 0, "_run_per_stock": 0}
 
         def counted(module, name):
@@ -311,7 +315,7 @@ class TestBottleneckSweep:
 
         counted(features, "build_gradients")
         counted(harness, "_run_per_stock")
-        assert len(run_bottleneck_sweep(_sweep_config(jobs=2))) == 3
+        assert len(run(make_config(jobs=2))) == n_reports
         assert calls == {"build_gradients": 1, "_run_per_stock": 1}
 
     def test_one_model_per_width_and_stock(self, monkeypatch):
@@ -495,6 +499,15 @@ BAD_CONFIGS = [
     pytest.param("[network]\n", "[network]\noutput_dim = 2\n", 1, id="output-dim-not-a-key"),
 ]
 
+# BAD_CONFIGS cases with a value its field's type cannot parse, and the key named
+CAST_ERRORS = {
+    "int-not-a-number": "[synthetic] n_stocks",
+    "bool": "[experiment] shuffled_folds",
+    "inf-crisis-drift": "[synthetic] crisis_drift",
+    "bad-timestamp": "[experiment] crisis_start",
+    "nan-float": "[network] learning_rate",
+}
+
 GOLDEN_CONFIG = """
 [data]
 source = synthetic
@@ -590,10 +603,21 @@ class TestConfigFile:
         path.write_text(text.replace(old, new, 1))
         assert main(["run", "--config", str(path)]) == code
 
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [pytest.param(*p.values[:2], CAST_ERRORS[p.id], id=p.id)
+         for p in BAD_CONFIGS if p.id in CAST_ERRORS],
+    )
+    def test_cast_error_names_section_and_key(self, tmp_path, capsys, old, new, key):
+        path = tmp_path / "exp.ini"
+        path.write_text(CONFIG_TEMPLATE.format(out=tmp_path / "results").replace(old, new, 1))
+        assert main(["run", "--config", str(path)]) == 1
+        assert f"{path}: {key}: " in capsys.readouterr().err
+
     def test_config_snapshot_covers_every_irregular_key(self, tmp_path):
         path = tmp_path / "exp.ini"
         path.write_text(GOLDEN_CONFIG.format(out=tmp_path / "results"))
-        report = run(load_experiment_config(path))
+        (report,) = run(load_experiment_config(path))
         expected = {
             "mode": "crisis",
             "tick_csv": None,

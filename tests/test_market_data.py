@@ -436,7 +436,7 @@ class TestTimeGrid:
     def test_instants_strictly_increasing_required(self):
         inst = np.array(["2011-04-01T09:30", "2011-04-01T09:30"], dtype="datetime64[ms]")
         with pytest.raises(DataError, match="strictly increasing"):
-            TimeGrid(inst, np.timedelta64(60_000, "ms"))
+            TimeGrid(inst)
 
     def test_truncated_keeps_most_recent(self):
         grid = _grid(10)
