@@ -14,6 +14,7 @@ import argparse
 import json
 import logging
 import sys
+import time
 from pathlib import Path
 
 from .errors import ConfigError, DataError
@@ -90,7 +91,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.jobs is not None:
         config.jobs = args.jobs
     _check_out_dir(config.out_dir)  # before the experiment, not after it
-    for report in run(config):
+    start = time.perf_counter()
+    reports = run(config)
+    print(f"experiment ran in {time.perf_counter() - start:.2f} s")
+    for report in reports:
         files = emit_report(report, config.out_dir)
         _print_summary(report)
         for path in files:

@@ -36,10 +36,9 @@ import json
 import logging
 import math
 import multiprocessing
-import time as time_mod
+import os
 from collections import defaultdict
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from datetime import datetime, timezone
 from pathlib import Path
 from types import UnionType
 from typing import Any, Callable, Sequence, Union, get_args, get_origin, get_type_hints
@@ -170,6 +169,13 @@ def _infer_grid(table: TickTable, step_seconds: float) -> TimeGrid:
     last = max(c.timestamp[-1] for c in table.columns.values())
     step = np.timedelta64(int(round(step_seconds * 1000)), "ms")
     count = int((last - first) // step) + 1
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if count * len(table.columns) * 8 > memory:
+        raise DataError(
+            f"a {step_seconds} s grid from {format_timestamp(first)} to {format_timestamp(last)} "
+            f"has {count} instants; their {len(table.columns)} price columns would exceed "
+            f"the {memory} B of physical memory"
+        )
     return TimeGrid.regular(first, step, count)
 
 
@@ -449,24 +455,13 @@ def _typed(hint: Any, value: Any) -> Any:
     return value
 
 
-def _config_snapshot(config: ExperimentConfig) -> dict[str, Any]:
-    # out_dir is where the report goes, not what produced it
-    snap = _plain(config)
-    del snap["out_dir"]
-    return snap
-
-
-def _provenance(config: ExperimentConfig, stock_seeds: dict[str, int], t0: float) -> dict[str, Any]:
+def _provenance(config: ExperimentConfig, stock_seeds: dict[str, int]) -> dict[str, Any]:
+    """What determines the report besides its data: config, seeds, library version."""
     from . import __version__
 
-    return {
-        "config": _config_snapshot(config),
-        "master_seed": config.seed,
-        "stock_seeds": stock_seeds,
-        "library_version": __version__,
-        "wall_clock_seconds": time_mod.perf_counter() - t0,
-        "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-    }
+    # where the report goes and how many workers ran it do not change it
+    snapshot = {k: v for k, v in _plain(config).items() if k not in ("out_dir", "jobs")}
+    return {"config": snapshot, "stock_seeds": stock_seeds, "library_version": __version__}
 
 
 def _welch_or_none(model: np.ndarray, baseline: np.ndarray) -> stats.WelchResult | None:
@@ -482,7 +477,6 @@ def _assemble_report(
     results: list[StockResult],
     fold_hash: str,
     stock_seeds: dict[str, int],
-    t0: float,
 ) -> ExperimentReport:
     evaluated = [r for r in results if not r.skipped]
     samples = {s: np.array([r.accuracy_for(s) for r in evaluated]) for s in ALL_SERIES}
@@ -498,7 +492,7 @@ def _assemble_report(
             s: stats.box_stats(v) if v.size >= 5 else None for s, v in samples.items()
         },
         fold_hash=fold_hash,
-        provenance=_provenance(config, stock_seeds, t0),
+        provenance=_provenance(config, stock_seeds),
     )
 
 
@@ -553,7 +547,6 @@ def run(config: ExperimentConfig, matrix: PriceMatrix | None = None) -> list[Exp
     gradients, splits, per-stock seeds and worker pool, so their reports
     are directly comparable; all their stock tasks run, or all skip.
     """
-    t0 = time_mod.perf_counter()
     config.validate()
     networks = [config.network]
     if config.mode == "bottleneck_sweep":
@@ -579,7 +572,7 @@ def run(config: ExperimentConfig, matrix: PriceMatrix | None = None) -> list[Exp
             tasks,
         )
     per_network = [results[i :: len(configs)] for i in range(len(configs))]
-    return [_assemble_report(c, r, fold_hash, stock_seeds, t0) for c, r in zip(configs, per_network)]
+    return [_assemble_report(c, r, fold_hash, stock_seeds) for c, r in zip(configs, per_network)]
 
 
 def run_cross_validated(
@@ -673,14 +666,15 @@ _DATA_FIELDS = {
 }
 _RENAMED = {"out_dir": "out", "switch_step": "regime_switch_step"}
 _DERIVED = {"synthetic", "network", "input_dim", "rng_seed", "coupling_matrix", "regime_switch"}
-_EXTRA_KEYS = {"data": {"source"}, "synthetic": {"coupling_seed"}}
+# keys no dataclass field holds, with their types
+_EXTRA_KEYS = {"data": {"source": str}, "synthetic": {"coupling_seed": int}}
 
 MODE_ALIASES = {"cross": "cross_validated", "crisis": "crisis", "bottleneck": "bottleneck_sweep"}
 
 
-def _section_fields() -> dict[str, dict[str, tuple[type, str, Any]]]:
-    """Per section, INI key -> (dataclass, field name, type hint), in field order."""
-    tables: dict[str, dict[str, tuple[type, str, Any]]] = {
+def _section_fields() -> dict[str, dict[str, tuple[type | None, str, Any]]]:
+    """Per section, INI key -> (dataclass or None for an extra key, field, type hint)."""
+    tables: dict[str, dict[str, tuple[type | None, str, Any]]] = {
         "data": {}, "synthetic": {}, "network": {}, "experiment": {},
     }
     for cls, section in (
@@ -694,16 +688,9 @@ def _section_fields() -> dict[str, dict[str, tuple[type, str, Any]]]:
             if f.name not in _DERIVED:
                 home = "data" if f.name in _DATA_FIELDS else section
                 tables[home][_RENAMED.get(f.name, f.name)] = (cls, f.name, hints[f.name])
+    for section, keys in _EXTRA_KEYS.items():
+        tables[section].update((key, (None, key, hint)) for key, hint in keys.items())
     return tables
-
-
-def _parse_bool(text: str) -> bool:
-    t = text.strip().lower()
-    if t in ("1", "true", "yes", "on"):
-        return True
-    if t in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
 
 
 def _cast(hint: Any, text: str) -> Any:
@@ -716,7 +703,10 @@ def _cast(hint: Any, text: str) -> Any:
     if get_origin(hint) is tuple:
         return tuple(_cast(get_args(hint)[0], p) for p in text.split(",") if p.strip())
     if hint is bool:
-        return _parse_bool(text)
+        try:
+            return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+        except KeyError:
+            raise ConfigError(f"expected a boolean, got {text!r}") from None
     if hint is float:
         value = float(text)
         if not math.isfinite(value):
@@ -758,10 +748,11 @@ def _load_config(path: str | Path) -> tuple[ExperimentConfig, synth.SyntheticCon
     if unknown:
         raise ConfigError(f"unknown config section(s): {', '.join(sorted(unknown))}")
     try:
-        values: defaultdict[type, dict[str, Any]] = defaultdict(dict)  # dataclass -> its fields
+        # dataclass -> its fields; None -> the extra keys
+        values: defaultdict[type | None, dict[str, Any]] = defaultdict(dict)
         for name, table in tables.items():
             sec = parser[name] if parser.has_section(name) else {}
-            unknown = set(sec.keys()) - set(table) - _EXTRA_KEYS.get(name, set())
+            unknown = set(sec.keys()) - set(table)
             if unknown:
                 raise ConfigError(f"[{name}] has unknown key(s): {', '.join(sorted(unknown))}")
             for key, (cls, f, hint) in table.items():
@@ -771,7 +762,7 @@ def _load_config(path: str | Path) -> tuple[ExperimentConfig, synth.SyntheticCon
                     except (ValueError, ConfigError) as exc:
                         raise ConfigError(f"{path}: [{name}] {key}: {exc}") from exc
 
-        source = parser.get("data", "source", fallback="").strip().lower()
+        source = values[None].get("source", "").lower()
         if source and source not in ("ticks", "matrix", "synthetic"):
             raise ConfigError(f"[data] source must be ticks, matrix, or synthetic, got {source!r}")
         if source == "synthetic" and not parser.has_section("synthetic"):
@@ -786,10 +777,9 @@ def _load_config(path: str | Path) -> tuple[ExperimentConfig, synth.SyntheticCon
         config.mode = MODE_ALIASES.get(mode, mode)
         syn = None
         if parser.has_section("synthetic"):
-            sec = parser["synthetic"]
             syn = synth.SyntheticConfig(**values[synth.SyntheticConfig])
-            if "coupling_seed" in sec:
-                syn.coupling_matrix = synth.random_coupling(syn.n_stocks, int(sec["coupling_seed"]))
+            if (coupling_seed := values[None].get("coupling_seed")) is not None:
+                syn.coupling_matrix = synth.random_coupling(syn.n_stocks, coupling_seed)
             if "switch_step" in values[synth.RegimeSwitch]:
                 syn.regime_switch = synth.RegimeSwitch(**values[synth.RegimeSwitch])
             elif values[synth.RegimeSwitch]:

@@ -45,8 +45,7 @@ class NetworkConfig:
 
     The bottleneck, when set, is inserted after hidden layer
     ceil(len(hidden_layers) / 2), i.e. between layers 3 and 4 of the
-    default five-layer stack.  ``sigmoid_midpoint`` shifts the output
-    activation 1 / (1 + exp(-(x - midpoint))); 0 is the standard logistic.
+    default five-layer stack.
     """
 
     input_dim: int
@@ -59,7 +58,6 @@ class NetworkConfig:
     batch_size: int = 100
     max_epochs: int = 50
     early_stop_patience: int = 5
-    sigmoid_midpoint: float = 0.0
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -84,8 +82,6 @@ class NetworkConfig:
             raise ConfigError("momentum must lie in [0, 1)")
         if not (math.isfinite(self.l2_lambda) and self.l2_lambda >= 0):
             raise ConfigError(f"l2_lambda must be non-negative and finite, got {self.l2_lambda}")
-        if not math.isfinite(self.sigmoid_midpoint):
-            raise ConfigError(f"sigmoid_midpoint must be finite, got {self.sigmoid_midpoint}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be positive")
         if self.max_epochs < 1:
@@ -239,7 +235,6 @@ def _forward_into(
         z = np.matmul(activations[-1], w, out=buffer[: x.shape[0]])
         z += b
         if layer == last:
-            z -= model.config.sigmoid_midpoint
             _sigmoid(z)
         else:
             np.tanh(z, out=z)

@@ -4,6 +4,7 @@ import csv
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -172,6 +173,7 @@ class TestRunCrossValidated:
             assert a.mean_accuracies == other.mean_accuracies
             assert a.welch_tests == other.welch_tests
             assert a.fold_hash == other.fold_hash
+        assert a.to_json() == b.to_json() == c.to_json()
 
     def test_no_worker_outlives_a_run(self):
         run_cross_validated(_config(jobs=2))
@@ -497,6 +499,8 @@ BAD_CONFIGS = [
                  "crisis_end = 2006-01-01T00:00:00Z\n", 1, id="crisis-end-before-start"),
     pytest.param("seed = 3", "seed = -1", 1, id="negative-synthetic-seed"),
     pytest.param("[network]\n", "[network]\noutput_dim = 2\n", 1, id="output-dim-not-a-key"),
+    pytest.param("[synthetic]\n", "[synthetic]\ncoupling_seed = x\n", 1,
+                 id="coupling-seed-not-a-number"),
 ]
 
 # BAD_CONFIGS cases with a value its field's type cannot parse, and the key named
@@ -506,6 +510,7 @@ CAST_ERRORS = {
     "inf-crisis-drift": "[synthetic] crisis_drift",
     "bad-timestamp": "[experiment] crisis_start",
     "nan-float": "[network] learning_rate",
+    "coupling-seed-not-a-number": "[synthetic] coupling_seed",
 }
 
 GOLDEN_CONFIG = """
@@ -633,7 +638,6 @@ class TestConfigFile:
             "crisis_end": "2010-03-01T17:29:00.000Z",
             "n_folds": 4,
             "shuffled_folds": True,
-            "jobs": 1,
             "seed": 3,
             "synthetic": {
                 "n_stocks": 3,
@@ -806,6 +810,54 @@ class TestCli:
         report_json = out / "report_cross_validated.json"
         assert main(["report", "--in", str(report_json), "--format", "csv"]) == 0
         assert (out / "report_cross_validated.csv").exists()
+
+    def test_report_converts_a_report_with_run_time_provenance(self, tmp_path):
+        # reports once carried the run time, the creation time, a copy of the
+        # seed and the jobs setting; such a file converts as the run's own did
+        path = tmp_path / "exp.ini"
+        out = tmp_path / "results"
+        path.write_text(CONFIG_TEMPLATE.format(out=out).replace("n_stocks = 4", "n_stocks = 6"))
+        assert main(["run", "--config", str(path)]) == 0
+        payload = json.loads((out / "report_cross_validated.json").read_text())
+        payload["provenance"].update(
+            wall_clock_seconds=1.25, created_utc="2026-01-01T00:00:00+00:00", master_seed=11
+        )
+        payload["provenance"]["config"]["jobs"] = 2
+        old = tmp_path / "old" / "report_cross_validated.json"
+        old.parent.mkdir()
+        old.write_text(json.dumps(payload, indent=2))
+        assert main(["report", "--in", str(old)]) == 0
+        for name in ("report_cross_validated.csv", "report_cross_validated_box.csv"):
+            assert (old.parent / name).read_bytes() == (out / name).read_bytes()
+        assert len((out / "report_cross_validated_box.csv").read_text().splitlines()) > 1
+
+    def test_run_prints_the_elapsed_time_once(self, tmp_path, capsys):
+        path = tmp_path / "exp.ini"
+        path.write_text(CONFIG_TEMPLATE.format(out=tmp_path / "results"))
+        assert main(["run", "--config", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert len(re.findall(r"^experiment ran in \d+\.\d\d s$", out, re.MULTILINE)) == 1
+
+    def test_grid_beyond_physical_memory_is_a_data_error(self, tmp_path, capsys):
+        # a 1 ms grid over ten millennia needs petabytes, so nothing is allocated
+        ticks = tmp_path / "ticks.csv"
+        ticks.write_text(
+            "stock_id,timestamp,bid,ask,volume,avg_price\n"
+            + "".join(
+                f"{s},{t},1.0,1.1,10,1.05\n"
+                for s in ("AAA", "BBB")
+                for t in ("0001-01-01T00:00:00.000Z", "9999-12-31T23:59:59.999Z")
+            )
+        )
+        path = tmp_path / "exp.ini"
+        path.write_text(
+            f"[data]\nsource = ticks\ntick_csv = {ticks}\ngrid_step_seconds = 0.001\n"
+            "[experiment]\nstep_size = 4\n"
+        )
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "a 0.001 s grid from 0001-01-01T00:00:00.000Z to 9999-12-31T23:59:59.999Z" in err
+        assert "has 315537897600000 instants" in err
 
     def test_report_out_path_that_is_a_file_rejected(self, tmp_path):
         report_json = tmp_path / "report.json"

@@ -91,7 +91,7 @@ class TestInit:
         with pytest.raises(ConfigError):
             init(_config(bottleneck=0))
 
-    @pytest.mark.parametrize("name", ["learning_rate", "l2_lambda", "sigmoid_midpoint"])
+    @pytest.mark.parametrize("name", ["learning_rate", "l2_lambda"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_hyperparameter_rejected(self, name, value):
         with pytest.raises(ConfigError, match=name):
@@ -191,14 +191,6 @@ class TestForward:
         assert ((outputs > 0) & (outputs < 1)).all()
         for hidden in acts[1:-1]:
             assert ((hidden > -1) & (hidden < 1)).all()
-
-    def test_sigmoid_midpoint_shifts_output(self):
-        base = init(_config(rng_seed=3))
-        shifted = init(_config(rng_seed=3, sigmoid_midpoint=1.0))
-        x = np.ones(3)
-        out_base, _ = forward(base, x)
-        out_shift, _ = forward(shifted, x)
-        assert (out_shift < out_base).all()  # subtracting a positive midpoint
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="features"):
@@ -446,7 +438,7 @@ def _reference_train(config, train_set, validation_set):
         acts = [x]
         for w, b in zip(weights[:-1], biases[:-1]):
             acts.append(np.tanh(acts[-1] @ w + b))
-        acts.append(sigmoid(acts[-1] @ weights[-1] + biases[-1] - config.sigmoid_midpoint))
+        acts.append(sigmoid(acts[-1] @ weights[-1] + biases[-1]))
         return acts
 
     def cost(x, y):
@@ -533,9 +525,9 @@ class TestTrainMatchesPerLayerOracle:
                                early_stop_patience=3, rng_seed=7)
         self._check(config, 600, 150, expect=(True, False))
 
-    def test_bottleneck_midpoint_decay_and_partial_last_batch(self):
+    def test_bottleneck_decay_and_partial_last_batch(self):
         config = NetworkConfig(input_dim=6, hidden_layers=(5, 5, 5), bottleneck=2,
-                               sigmoid_midpoint=0.3, lr_decay=0.9, batch_size=16,
+                               lr_decay=0.9, batch_size=16,
                                max_epochs=8, early_stop_patience=100, rng_seed=4)
         self._check(config, 70, 30, expect=(False, False))  # 70 = 4 * 16 + 6
 
