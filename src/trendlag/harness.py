@@ -37,7 +37,7 @@ import logging
 import math
 import multiprocessing
 import os
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from types import UnionType
@@ -71,6 +71,11 @@ def derive_seed(*parts: Any) -> int:
     text = ":".join(str(p) for p in parts)
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") % (2**63)
+
+
+def _repeated(items: Sequence[Any]) -> list[Any]:
+    """The items that occur more than once, in order of first occurrence."""
+    return [item for item, count in Counter(items).items() if count > 1]
 
 
 @dataclass
@@ -120,6 +125,10 @@ class ExperimentConfig:
             raise ConfigError("jobs must be >= 1")
         if self.mode == "bottleneck_sweep" and not self.bottleneck_widths:
             raise ConfigError("bottleneck_sweep needs a non-empty width list")
+        if self.mode == "bottleneck_sweep" and (repeated := _repeated(self.bottleneck_widths)):
+            raise ConfigError(f"bottleneck_widths repeat {', '.join(map(str, repeated))}")
+        if self.stock_filter and (repeated := _repeated(self.stock_filter)):
+            raise ConfigError(f"stock_filter repeats {', '.join(repeated)}")
         bad = set(self.network) - set(neural.NetworkConfig.__dataclass_fields__)
         if bad:
             raise ConfigError(f"unknown network setting(s): {', '.join(sorted(bad))}")
@@ -144,19 +153,23 @@ class ExperimentConfig:
         return neural.NetworkConfig(input_dim=input_dim, rng_seed=rng_seed, **self.network)
 
 
-def load_price_matrix(config: ExperimentConfig) -> PriceMatrix:
-    """Resolve the configured data source into a cleansed, aligned matrix."""
-    if config.tick_csv is not None:
-        table = parse_ticks(config.tick_csv)
-        if not table.columns:
-            raise DataError(f"{config.tick_csv}: no parseable tick rows")
-        grid = _infer_grid(table, config.grid_step_seconds)
-        matrix = fill_missing(table, grid, config.price_source)
-    elif config.matrix_csv is not None:
-        matrix = PriceMatrix.from_csv(config.matrix_csv)
-    else:
-        assert config.synthetic is not None
-        matrix = synth.generate(config.synthetic)
+def load_price_matrix(config: ExperimentConfig, matrix: PriceMatrix | None = None) -> PriceMatrix:
+    """The panel an experiment runs on: ``matrix``, or else the configured source.
+
+    Either one goes through ``stock_filter`` and ``select_consistent_stocks``.
+    """
+    if matrix is None:
+        if config.tick_csv is not None:
+            table = parse_ticks(config.tick_csv)
+            if not table.columns:
+                raise DataError(f"{config.tick_csv}: no parseable tick rows")
+            grid = _infer_grid(table, config.grid_step_seconds)
+            matrix = fill_missing(table, grid, config.price_source)
+        elif config.matrix_csv is not None:
+            matrix = PriceMatrix.from_csv(config.matrix_csv)
+        else:
+            assert config.synthetic is not None
+            matrix = synth.generate(config.synthetic)
     if config.stock_filter:
         matrix = matrix.restrict(config.stock_filter)
     return select_consistent_stocks(
@@ -274,7 +287,7 @@ def _train_and_predict(
             "predicting with the best finite weights",
             stock_id, split, fit.epochs_run,
         )
-    return np.atleast_1d(neural.predict_class(model, xn[test_idx])), model
+    return neural.predict_class(model, xn[test_idx]), model
 
 
 def _split_train_pool(pool: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -542,21 +555,19 @@ def _crisis_plan(
 def run(config: ExperimentConfig, matrix: PriceMatrix | None = None) -> list[ExperimentReport]:
     """The experiment ``config.mode`` names, on ``matrix`` or the configured source.
 
-    Returns one report per network: the configured net, or in a sweep each
-    bottleneck width plus the unconstrained net.  The networks share the
-    gradients, splits, per-stock seeds and worker pool, so their reports
-    are directly comparable; all their stock tasks run, or all skip.
+    Either one is cleansed by ``load_price_matrix``.  Returns one report per
+    network: the configured net, or in a sweep each bottleneck width plus
+    the unconstrained net.  The networks share the gradients, splits,
+    per-stock seeds and worker pool, so their reports are directly
+    comparable; all their stock tasks run, or all skip.
     """
-    config.validate()
     networks = [config.network]
     if config.mode == "bottleneck_sweep":
         networks = [{**config.network, "bottleneck": w} for w in (*config.bottleneck_widths, None)]
     configs = [replace(config, network=network) for network in networks]
     for c in configs:
         c.validate()
-    if matrix is None:
-        matrix = load_price_matrix(config)
-    gradients = features.build_gradients(matrix, config.step_size)
+    gradients = features.build_gradients(load_price_matrix(config, matrix), config.step_size)
     if gradients.n_intervals < 2:
         raise DataError("need at least 2 gradient intervals to build labels")
     plan = _crisis_plan if config.mode == "crisis" else _fold_plan

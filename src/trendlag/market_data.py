@@ -22,6 +22,7 @@ import csv
 import io
 import logging
 import math
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
@@ -385,21 +386,21 @@ class TimeGrid:
 
 @dataclass
 class PriceMatrix:
-    """Aligned prices: rows = grid instants, columns = stocks.
+    """Aligned prices: rows = grid instants, columns = stocks with unique ids.
 
     ``fill_mask`` is True where the value was produced by forward/backward
-    fill rather than direct observation.  ``dropped_stocks`` lists stocks
-    removed in the step that produced this matrix.
+    fill rather than direct observation.
     """
 
     grid: TimeGrid
     stock_ids: tuple[str, ...]
     values: np.ndarray
     fill_mask: np.ndarray
-    dropped_stocks: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         self.stock_ids = tuple(self.stock_ids)
+        if repeated := [s for s, n in Counter(self.stock_ids).items() if n > 1]:
+            raise DataError(f"repeated stock id(s): {', '.join(repeated)}")
         self.values = np.asarray(self.values, dtype=np.float64)
         self.fill_mask = np.asarray(self.fill_mask, dtype=bool)
         rows, cols = self.values.shape
@@ -497,8 +498,8 @@ def fill_missing(
     Cell i takes the last tick price at or before instant i; a cell with no
     fresh tick since the previous instant is a forward fill of its
     predecessor (leading gaps are backward-filled from the first
-    observation) and is flagged in the fill mask.  Stocks with no priced
-    tick at or before the final instant are dropped and reported.
+    observation) and is flagged in the fill mask.  A stock with no priced
+    tick at or before the final instant is dropped, with one log line.
     """
     if price_source not in PRICE_SOURCES:
         raise DataError(f"unknown price source {price_source!r}; use one of {PRICE_SOURCES}")
@@ -507,27 +508,25 @@ def fill_missing(
     kept_ids: list[str] = []
     columns: list[np.ndarray] = []
     masks: list[np.ndarray] = []
-    dropped: list[str] = []
     for stock_id, ticks in table.columns.items():
         p = ticks.price(price_source)
         # bucket index: tick belongs to the first grid instant at or after it
         cell = np.searchsorted(instants, ticks.timestamp, side="left")
         keep = ~np.isnan(p) & (cell < n)
         if not keep.any():
-            dropped.append(stock_id)
+            logger.warning(
+                "fill_missing: dropped %s: no priced tick at or before %s",
+                stock_id, format_timestamp(instants[-1]),
+            )
             continue
         cell, p = cell[keep], p[keep]
+        # the ticks are in time order, so each bucket's last tick ends a run of equal cells
+        last = np.r_[cell[1:] != cell[:-1], True]
         observed = np.full(n, np.nan)
-        uniq, first_rev = np.unique(cell[::-1], return_index=True)
-        observed[uniq] = p[cell.size - 1 - first_rev]  # last tick per bucket wins
+        observed[cell[last]] = p[last]
         kept_ids.append(stock_id)
         masks.append(np.isnan(observed))
         columns.append(_ffill_bfill(observed))
-    if dropped:
-        logger.warning(
-            "fill_missing: dropped %d stock(s) with no observation in window: %s",
-            len(dropped), ", ".join(dropped),
-        )
     if not kept_ids:
         raise DataError("no stock has any observation inside the grid window")
     return PriceMatrix(
@@ -535,42 +534,43 @@ def fill_missing(
         stock_ids=tuple(kept_ids),
         values=np.column_stack(columns),
         fill_mask=np.column_stack(masks),
-        dropped_stocks=tuple(dropped),
     )
 
 
 def select_consistent_stocks(
     matrix: PriceMatrix, min_observed_fraction: float = 0.9, step_size: int = 1
 ) -> PriceMatrix:
-    """Keep consistently observed stocks and truncate rows for gradient windows.
+    """Truncate rows for gradient windows and keep consistently observed stocks.
 
-    Stocks whose observed (non-filled) fraction is below the threshold are
-    excluded; the row count is cut down to the largest multiple of
-    ``step_size`` by removing the oldest rows, keeping the most recent
-    window intact.
+    The row count is cut down to the largest multiple of ``step_size`` by
+    removing the oldest rows, keeping the most recent window intact.  A
+    stock whose observed (non-filled) fraction of those rows is below the
+    threshold is excluded, with one log line.  Applied to its own result,
+    it returns an equal matrix.
     """
     if not 0.0 < min_observed_fraction <= 1.0:
         raise DataError("min_observed_fraction must lie in (0, 1]")
     if step_size < 1:
         raise DataError("step_size must be a positive integer")
-    frac = matrix.observed_fraction()
-    keep = frac >= min_observed_fraction
-    if not keep.any():
-        raise DataError(
-            f"no stock meets the presence threshold {min_observed_fraction:g} "
-            f"(best observed fraction: {frac.max():.3f})"
-        )
-    excluded = tuple(s for s, ok in zip(matrix.stock_ids, keep) if not ok)
-    if excluded:
-        logger.info("select_consistent_stocks: excluded %s", ", ".join(excluded))
     rows_kept = (matrix.n_rows // step_size) * step_size
     if rows_kept == 0:
         raise DataError(f"only {matrix.n_rows} rows available for step size {step_size}")
     start = matrix.n_rows - rows_kept
-    return PriceMatrix(
-        grid=matrix.grid.truncated(rows_kept),
-        stock_ids=tuple(s for s, ok in zip(matrix.stock_ids, keep) if ok),
-        values=matrix.values[start:, keep],
-        fill_mask=matrix.fill_mask[start:, keep],
-        dropped_stocks=excluded,
+    recent = PriceMatrix(
+        matrix.grid.truncated(rows_kept), matrix.stock_ids,
+        matrix.values[start:], matrix.fill_mask[start:],
     )
+    frac = recent.observed_fraction()
+    keep = (frac >= min_observed_fraction).tolist()
+    if not any(keep):
+        raise DataError(
+            f"no stock meets the presence threshold {min_observed_fraction:g} "
+            f"(best observed fraction: {frac.max():.3f})"
+        )
+    for stock_id, fraction, ok in zip(matrix.stock_ids, frac.tolist(), keep):
+        if not ok:
+            logger.info(
+                "select_consistent_stocks: excluded %s: observed fraction %.3f below threshold %g",
+                stock_id, fraction, min_observed_fraction,
+            )
+    return recent.restrict(compress(matrix.stock_ids, keep))

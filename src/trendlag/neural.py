@@ -243,30 +243,24 @@ def _forward_into(
 
 
 def forward(model: NetworkModel, inputs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Network outputs plus cached per-layer activations.
+    """Network outputs plus cached per-layer activations for a (batch, input_dim) matrix.
 
-    Accepts a single input vector or a (batch, input_dim) matrix; the
-    output shape follows the input.
+    A single input vector is a one-row batch.
     """
-    x = np.asarray(inputs, dtype=np.float64)
-    single = x.ndim == 1
-    x2 = np.atleast_2d(x)
-    if x2.shape[1] != model.config.input_dim:
+    x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+    if x.shape[1] != model.config.input_dim:
         raise ValueError(
-            f"input has {x2.shape[1]} features, model expects {model.config.input_dim}"
+            f"input has {x.shape[1]} features, model expects {model.config.input_dim}"
         )
-    activations = _forward_into(model, x2, _layer_buffers(model, x2.shape[0]))
-    if single:
-        activations = [a[0] for a in activations]
+    activations = _forward_into(model, x, _layer_buffers(model, x.shape[0]))
     return activations[-1], activations
 
 
 def loss(model: NetworkModel, inputs: np.ndarray, targets: np.ndarray) -> float:
     """Mean-reduced quadratic cost: 0.5 * mean_i sum_j (yhat - y)^2."""
-    x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+    outputs, _ = forward(model, inputs)
     y = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    outputs = _forward_into(model, x, _layer_buffers(model, x.shape[0]))[-1]
-    return float(0.5 * np.sum((outputs - y) ** 2) / x.shape[0])
+    return float(0.5 * np.sum((outputs - y) ** 2) / outputs.shape[0])
 
 
 def _loss_and_gradients(
@@ -351,7 +345,7 @@ def sgd_step(model: NetworkModel, gradient: np.ndarray, epoch: int) -> None:
 
 @dataclass
 class TrainReport:
-    """Epoch counts and loss curves from one training run.
+    """Epoch counts and the validation loss curve from one training run.
 
     ``diverged`` marks a run stopped by a non-finite batch or validation
     loss; its model holds the weights of the best finite validation epoch,
@@ -361,7 +355,6 @@ class TrainReport:
     epochs_run: int
     best_validation_loss: float
     stopped_early: bool
-    train_losses: tuple[float, ...] = field(default_factory=tuple)
     validation_losses: tuple[float, ...] = field(default_factory=tuple)
     diverged: bool = False
 
@@ -403,14 +396,12 @@ def train(model: NetworkModel, train_set, validation_set) -> TrainReport:
     np.copyto(best_params, model.parameters)
     epochs_since_best = 0
     stopped_early = False
-    train_curve: list[float] = []
     val_curve: list[float] = []
     epochs_run = 0
     diverged = False
     for epoch in range(cfg.max_epochs):
         order = model.rng.permutation(n)
         x_epoch, y_epoch = x_train[order], y_train[order]
-        batch_losses = []
         for start in range(0, n, cfg.batch_size):
             stop = start + cfg.batch_size
             batch_loss = _loss_and_gradients(
@@ -420,10 +411,8 @@ def train(model: NetworkModel, train_set, validation_set) -> TrainReport:
                 diverged = True
                 break
             sgd_step(model, gradient, epoch)
-            batch_losses.append(batch_loss)
         if diverged:
             break
-        train_curve.append(float(np.mean(batch_losses)))
         val_loss = loss(model, x_val, y_val)
         val_curve.append(val_loss)
         epochs_run = epoch + 1
@@ -444,16 +433,13 @@ def train(model: NetworkModel, train_set, validation_set) -> TrainReport:
         epochs_run=epochs_run,
         best_validation_loss=float(best_val),
         stopped_early=stopped_early,
-        train_losses=tuple(train_curve),
         validation_losses=tuple(val_curve),
         diverged=diverged,
     )
 
 
-def predict_class(model: NetworkModel, inputs: np.ndarray) -> int | np.ndarray:
-    """Argmax over the two sigmoid outputs; exact ties go to the down class."""
+def predict_class(model: NetworkModel, inputs: np.ndarray) -> np.ndarray:
+    """Per input row, the argmax over the two sigmoid outputs; exact ties go to the down class."""
     outputs, _ = forward(model, inputs)
-    if outputs.ndim == 1:
-        return UP if outputs[UP] > outputs[DOWN] else DOWN
     return np.where(outputs[:, UP] > outputs[:, DOWN], UP, DOWN).astype(np.int64)
 

@@ -49,6 +49,9 @@ from .market_data import (
 
 DEFAULT_START = "2006-01-02T00:00:00.000Z"
 
+# write_tick_csv's bid and ask, as fractions below and above the price
+RELATIVE_SPREAD = 1e-4
+
 # Crisis grind-and-rally shape: rallies of RALLY_SIZE crisis-noise units
 # arrive with probability RALLY_PROBABILITY per step; grinds balance them
 # to zero mean; RALLY_PERSISTENCE is the AR(1) memory of the component.
@@ -287,7 +290,6 @@ def write_tick_csv(
     path: str | Path,
     missing_fraction: float = 0.0,
     seed: int = 0,
-    relative_spread: float = 1e-4,
 ) -> int:
     """Emit the panel as tick CSV rows so ingestion can be exercised end to end.
 
@@ -313,8 +315,8 @@ def write_tick_csv(
                 line,
                 map(ids.__getitem__, stocks.tolist()),
                 map(stamps.__getitem__, rows.tolist()),
-                map(repr, (price * (1.0 - relative_spread)).tolist()),
-                map(repr, (price * (1.0 + relative_spread)).tolist()),
+                map(repr, (price * (1.0 - RELATIVE_SPREAD)).tolist()),
+                map(repr, (price * (1.0 + RELATIVE_SPREAD)).tolist()),
                 map(repr, price.tolist()),
             )))
     return int(row_of.size)

@@ -1,7 +1,11 @@
 """Trend gradients, labels, and normalization against independent oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trendlag.errors import DataError
 from trendlag.features import (
@@ -119,6 +123,29 @@ class TestBuildGradients:
         matrix = _matrix(np.full((8, 1), 2.0))
         grads = build_gradients(matrix, 4)
         assert (grads.interval_timestamps == matrix.grid.instants[[3, 7]]).all()
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    st.integers(2, 8), st.integers(1, 5), st.integers(1, 3),
+    st.floats(0.0, 1000.0), st.floats(0.01, 100.0), st.data(),
+)
+def test_build_gradients_is_the_window_slope_shift_invariant_and_scale_linear(
+    step, intervals, n_stocks, shift, scale, data
+):
+    size = step * intervals * n_stocks
+    prices = data.draw(st.lists(st.floats(1.0, 1000.0), min_size=size, max_size=size))
+    matrix = _matrix(np.reshape(prices, (step * intervals, n_stocks)))
+    grads = build_gradients(matrix, step).values
+    expected = [
+        [fit_trend(matrix.values[k * step:(k + 1) * step, j]).slope for j in range(n_stocks)]
+        for k in range(intervals)
+    ]
+    np.testing.assert_allclose(grads, expected, rtol=1e-12, atol=1e-9)
+    shifted = build_gradients(replace(matrix, values=matrix.values + shift), step).values
+    np.testing.assert_allclose(shifted, grads, rtol=1e-9, atol=1e-9)
+    scaled = build_gradients(replace(matrix, values=matrix.values * scale), step).values
+    np.testing.assert_allclose(scaled, scale * grads, rtol=1e-9, atol=1e-9)
 
 
 class TestBuildLabels:

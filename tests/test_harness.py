@@ -35,6 +35,7 @@ from trendlag.harness import (
     run_crisis,
     run_cross_validated,
 )
+from trendlag.market_data import PriceMatrix, TimeGrid
 from trendlag.synth import (
     RegimeSwitch,
     SyntheticConfig,
@@ -236,6 +237,37 @@ class TestRunCrossValidated:
         report = run_cross_validated(_config(stock_filter=("S001", "S003")))
         assert tuple(r.stock_id for r in report.stocks) == ("S001", "S003")
 
+    def test_passed_matrix_takes_the_stock_filter(self):
+        config = _config(stock_filter=("S000", "S001", "S002"))
+        passed = run_cross_validated(config, generate(config.synthetic))
+        assert len(passed.stocks) == 3
+        assert passed.to_json() == run_cross_validated(config).to_json()
+
+    def test_half_filled_column_of_a_passed_matrix_is_excluded(self):
+        matrix = generate(_config().synthetic)
+        mask = matrix.fill_mask.copy()
+        mask[::2, 1] = True
+        report = run_cross_validated(_config(), replace(matrix, fill_mask=mask))
+        assert [r.stock_id for r in report.stocks] == ["S000", "S002", "S003"]
+
+    def test_passed_matrix_is_cut_to_its_most_recent_whole_intervals(self):
+        matrix = generate(_config().synthetic)
+
+        def last_rows(n):
+            return PriceMatrix(
+                TimeGrid(matrix.grid.instants[-n:]), matrix.stock_ids,
+                matrix.values[-n:], matrix.fill_mask[-n:],
+            )
+
+        ragged = run_cross_validated(_config(), last_rows(matrix.n_rows - 2))
+        whole = run_cross_validated(_config(), last_rows(matrix.n_rows - 4))
+        assert ragged.to_json() == whole.to_json()
+
+    def test_repeated_stock_filter_entry_rejected(self, monkeypatch):
+        monkeypatch.setattr(harness, "load_price_matrix", None)  # rejected before any data
+        with pytest.raises(ConfigError, match="stock_filter repeats S001"):
+            run_cross_validated(_config(stock_filter=("S001", "S001", "S002")))
+
     def test_validate_requires_exactly_one_source(self):
         with pytest.raises(ConfigError, match="exactly one"):
             ExperimentConfig(synthetic=SyntheticConfig(), matrix_csv="x.csv").validate()
@@ -351,6 +383,11 @@ class TestBottleneckSweep:
         reports = run_bottleneck_sweep(config)
         seeds = [r.provenance["stock_seeds"] for r in reports]
         assert seeds[0] == seeds[1]
+
+    def test_repeated_width_rejected_before_training(self, monkeypatch):
+        monkeypatch.setattr(harness, "load_price_matrix", None)
+        with pytest.raises(ConfigError, match="bottleneck_widths repeat 3"):
+            run_bottleneck_sweep(_config(bottleneck_widths=(3, 1, 3)))
 
     def test_full_width_bottleneck_does_not_bind(self):
         # a bottleneck as wide as the hidden layers leaves accuracy in the
@@ -478,6 +515,10 @@ BAD_CONFIGS = [
     pytest.param("[data]\n", "[data]\nmatrix_csv = panel.csv\n", 1, id="two-sources"),
     pytest.param("source = synthetic\n", "matrix_csv = panel.csv\n", 1, id="two-sources-no-source-key"),
     pytest.param("[data]\n", "[data]\nstock_filter = ZZZ\n", 2, id="unknown-stock"),
+    pytest.param("[data]\n", "[data]\nstock_filter = S001, S002, S001\n", 1,
+                 id="repeated-stock-filter-entry"),
+    pytest.param("mode = cross", "mode = bottleneck\nbottleneck_widths = 3, 3", 1,
+                 id="repeated-bottleneck-width"),
     pytest.param("step_size = 4", "step_size = 1000", 2, id="step-beyond-data"),
     pytest.param("[experiment]\n", "[experiment]\njobs = 1\n[experiment]\n", 1,
                  id="duplicate-section"),
@@ -791,6 +832,21 @@ class TestCli:
         assert main(["run", "--config", str(path)]) == 2  # missing matrix file
         matrix.write_bytes(b"timestamp,AAA\n2011-04-01T09:30:00.000Z,\xff\n")
         assert main(["run", "--config", str(path)]) == 2  # matrix file not UTF-8
+
+    def test_matrix_csv_with_a_repeated_stock_id_exit_code(self, tmp_path, capsys):
+        matrix = tmp_path / "panel.csv"
+        generate(SyntheticConfig(n_stocks=3, n_steps=40, ticks_per_step=4, seed=1)).to_csv(matrix)
+        header, *rows = matrix.read_text().splitlines()
+        assert header == "timestamp,S000,S001,S002"
+        matrix.write_text("\n".join(["timestamp,S001,S001,S002", *rows]) + "\n")
+        path = tmp_path / "exp.ini"
+        path.write_text(
+            f"[data]\nsource = matrix\nmatrix_csv = {matrix}\n[experiment]\nstep_size = 4\n"
+            f"out = {tmp_path / 'results'}\n"
+        )
+        assert main(["run", "--config", str(path)]) == 2
+        assert "repeated stock id(s): S001" in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
 
     def test_synth_subcommand_matrix_and_ticks(self, tmp_path):
         path = tmp_path / "exp.ini"

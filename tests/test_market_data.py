@@ -15,6 +15,8 @@ from trendlag import market_data
 from trendlag.errors import DataError
 from trendlag.market_data import (
     PriceMatrix,
+    TickColumns,
+    TickTable,
     TimeGrid,
     _parse_number,
     fill_missing,
@@ -539,18 +541,94 @@ class TestFillMissing:
         matrix = fill_missing(parse_ticks(_tick_csv(rows)), grid)
         assert matrix.values[1, 0] == 11.0
 
-    def test_stock_with_no_observation_is_dropped(self):
+    def test_stock_with_no_observation_is_dropped(self, caplog):
         grid = _grid(3)
         rows = [f"AAA,{_iso(grid, 0)},,,1,10.0", "BBB,2011-04-05T00:00:00.000Z,,,1,9.0"]
-        matrix = fill_missing(parse_ticks(_tick_csv(rows)), grid)
+        with caplog.at_level("INFO", logger="trendlag.market_data"):
+            matrix = fill_missing(parse_ticks(_tick_csv(rows)), grid)
         assert matrix.stock_ids == ("AAA",)
-        assert matrix.dropped_stocks == ("BBB",)
+        assert caplog.messages == [
+            f"fill_missing: dropped BBB: no priced tick at or before {_iso(grid, 2)}"
+        ]
 
     def test_all_stocks_unobservable_is_fatal(self):
         grid = _grid(3)
         rows = ["BBB,2011-04-05T00:00:00.000Z,,,1,9.0"]
         with pytest.raises(DataError, match="no stock"):
             fill_missing(parse_ticks(_tick_csv(rows)), grid)
+
+
+# A tick: (milliseconds from the grid start, its price or None for an unpriced tick)
+_TICKS = st.lists(
+    st.tuples(st.integers(-20, 140), st.none() | st.floats(0.5, 500.0)), max_size=12
+)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.integers(1, 12), st.lists(_TICKS, min_size=1, max_size=3))
+def test_fill_missing_keeps_each_buckets_last_tick_and_masks_the_rest(n, stocks):
+    """Against a per-tick scan on a 10 ms grid; ticks past its last instant fall out."""
+    grid = _grid(n, step_seconds=0.01)
+    start = np.datetime64(T0.rstrip("Z"), "ms")
+    table, last = TickTable({}), {}
+    for j, ticks in enumerate(stocks):
+        ticks = sorted(ticks, key=lambda tick: tick[0])  # stable: equal times keep their order
+        offsets = np.array([t for t, _ in ticks], dtype=np.int64)
+        prices = np.array([math.nan if p is None else p for _, p in ticks])
+        nan = np.full(len(ticks), math.nan)
+        table.columns[f"S{j}"] = TickColumns(
+            start + offsets.astype("timedelta64[ms]"), nan, nan, np.full(len(ticks), 100.0), prices
+        )
+        cells = {}
+        for t, p in ticks:
+            cell = max(0, -(-t // 10))  # the first instant at or after the tick
+            if p is not None and cell < n:
+                cells[cell] = p
+        if cells:
+            last[f"S{j}"] = cells
+    if not last:
+        with pytest.raises(DataError, match="no stock"):
+            fill_missing(table, grid)
+        return
+    matrix = fill_missing(table, grid)
+    assert matrix.stock_ids == tuple(last)
+    assert np.isfinite(matrix.values).all() and (matrix.values > 0).all()
+    for j, cells in enumerate(last.values()):
+        assert matrix.fill_mask[:, j].tolist() == [c not in cells for c in range(n)]
+        assert {c: matrix.values[c, j] for c in cells} == cells
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.integers(1, 30), st.integers(1, 8), st.floats(0.01, 1.0), st.data())
+def test_select_consistent_stocks_keeps_recent_whole_steps_and_is_idempotent(
+    rows, step, threshold, data
+):
+    n_stocks = data.draw(st.integers(1, 4))
+    cells = data.draw(st.lists(st.booleans(), min_size=rows * n_stocks, max_size=rows * n_stocks))
+    mask = np.reshape(cells, (rows, n_stocks))
+    values = np.arange(1.0, rows * n_stocks + 1.0).reshape(rows, n_stocks)
+    ids = tuple(f"S{j}" for j in range(n_stocks))
+    matrix = PriceMatrix(_grid(rows), ids, values, mask)
+    kept_rows = rows // step * step
+    start = rows - kept_rows
+    fraction = 1.0 - mask[start:].mean(axis=0) if kept_rows else np.zeros(n_stocks)
+    if not (fraction >= threshold).any():
+        with pytest.raises(DataError):
+            select_consistent_stocks(matrix, threshold, step)
+        return
+    once = select_consistent_stocks(matrix, threshold, step)
+    assert once.n_rows == kept_rows
+    assert (once.grid.instants == matrix.grid.instants[start:]).all()
+    assert once.stock_ids == tuple(s for s, f in zip(ids, fraction) if f >= threshold)
+    assert (once.observed_fraction() >= threshold).all()
+    columns = [ids.index(s) for s in once.stock_ids]
+    np.testing.assert_array_equal(once.values, values[start:, columns])
+    np.testing.assert_array_equal(once.fill_mask, mask[start:, columns])
+    twice = select_consistent_stocks(once, threshold, step)
+    assert twice.stock_ids == once.stock_ids
+    assert (twice.grid.instants == once.grid.instants).all()
+    np.testing.assert_array_equal(twice.values, once.values)
+    np.testing.assert_array_equal(twice.fill_mask, once.fill_mask)
 
 
 class TestSelectConsistentStocks:
@@ -565,11 +643,14 @@ class TestSelectConsistentStocks:
         ids = tuple(f"S{j}" for j in range(len(fractions)))
         return PriceMatrix(grid, ids, values, mask)
 
-    def test_presence_threshold(self):
+    def test_presence_threshold(self, caplog):
         matrix = self._matrix_with_fractions([0.99, 0.95, 0.40])
-        kept = select_consistent_stocks(matrix, 0.9, 1)
+        with caplog.at_level("INFO", logger="trendlag.market_data"):
+            kept = select_consistent_stocks(matrix, 0.9, 1)
         assert kept.stock_ids == ("S0", "S1")
-        assert kept.dropped_stocks == ("S2",)
+        assert caplog.messages == [
+            "select_consistent_stocks: excluded S2: observed fraction 0.400 below threshold 0.9"
+        ]
 
     def test_truncates_to_multiple_of_step_size(self):
         matrix = self._matrix_with_fractions([1.0], rows=1005)
@@ -590,6 +671,20 @@ class TestSelectConsistentStocks:
         matrix = self._matrix_with_fractions([0.2, 0.3])
         with pytest.raises(DataError, match="threshold"):
             select_consistent_stocks(matrix, 0.9, 1)
+
+
+class TestPriceMatrix:
+    def test_repeated_stock_id_rejected(self, tmp_path):
+        grid = _grid(3)
+        with pytest.raises(DataError, match="repeated stock id.*: BBB"):
+            PriceMatrix(grid, ("AAA", "BBB", "BBB"), np.ones((3, 3)), np.zeros((3, 3), bool))
+        matrix = PriceMatrix(grid, ("AAA", "BBB"), np.ones((3, 2)), np.zeros((3, 2), bool))
+        with pytest.raises(DataError, match="repeated stock id.*: AAA"):
+            matrix.restrict(("AAA", "AAA"))
+        path = tmp_path / "panel.csv"
+        path.write_text(f"timestamp,AAA,BBB,AAA\n{T0},1,2,3\n")
+        with pytest.raises(DataError, match="repeated stock id.*: AAA"):
+            PriceMatrix.from_csv(path)
 
 
 class TestPriceMatrixCsv:

@@ -157,15 +157,15 @@ class TestForward:
         for w in model.weights:
             w[...] = 0.0
         outputs, _ = forward(model, np.zeros(3))
-        np.testing.assert_array_equal(outputs, [0.5, 0.5])
+        np.testing.assert_array_equal(outputs, [[0.5, 0.5]])  # a vector is a one-row batch
 
     def test_hidden_tanh_limits(self):
         model = init(_config(input_dim=1, hidden_layers=(2,)))
         model.weights[0][...] = [[1000.0, -1000.0]]
         _, acts = forward(model, np.array([1.0]))
-        np.testing.assert_allclose(acts[1], [1.0, -1.0])
+        np.testing.assert_allclose(acts[1], [[1.0, -1.0]])
         _, acts0 = forward(model, np.array([0.0]))
-        np.testing.assert_allclose(acts0[1], [0.0, 0.0])
+        np.testing.assert_allclose(acts0[1], [[0.0, 0.0]])
 
     def test_matches_hand_rolled_matrix_oracle(self):
         rng = np.random.default_rng(77)
@@ -181,7 +181,7 @@ class TestForward:
         for j in range(2):
             z = sum(h[i] * model.weights[1][i, j] for i in range(3)) + model.biases[1][j]
             expected[j] = 1.0 / (1.0 + math.exp(-z))
-        np.testing.assert_allclose(outputs, expected, atol=1e-12)
+        np.testing.assert_allclose(outputs, [expected], atol=1e-12)
 
     def test_outputs_open_unit_interval_hidden_open_pm_one(self):
         rng = np.random.default_rng(6)
@@ -341,7 +341,7 @@ class TestTrain:
         report = train(model, (x, y), (x, y))
         assert report.epochs_run == 7
         assert not report.stopped_early
-        assert len(report.train_losses) == len(report.validation_losses) == 7
+        assert len(report.validation_losses) == 7
 
     def test_early_stop_on_strictly_rising_validation_loss(self):
         # train toward [1, 0] while validating against the flipped target:
@@ -448,11 +448,10 @@ def _reference_train(config, train_set, validation_set):
     n = x_train.shape[0]
     best_val, best = np.inf, ([w.copy() for w in weights], [b.copy() for b in biases])
     since_best, stopped_early, diverged, epochs_run = 0, False, False, 0
-    train_curve, val_curve = [], []
+    val_curve = []
     for epoch in range(config.max_epochs):
         order = rng.permutation(n)
         eta = config.learning_rate * config.lr_decay**epoch
-        batch_losses = []
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
             x, y = x_train[idx], y_train[idx]
@@ -475,10 +474,8 @@ def _reference_train(config, train_set, validation_set):
                 weights[i] = weights[i] + vel_w[i]
                 vel_b[i] = mu * vel_b[i] - eta * grad_b[i]
                 biases[i] = biases[i] + vel_b[i]
-            batch_losses.append(batch_loss)
         if diverged:
             break
-        train_curve.append(float(np.mean(batch_losses)))
         val_loss = cost(x_val, y_val)
         val_curve.append(val_loss)
         epochs_run = epoch + 1
@@ -493,8 +490,7 @@ def _reference_train(config, train_set, validation_set):
             if since_best >= config.early_stop_patience:
                 stopped_early = True
                 break
-    report = TrainReport(epochs_run, float(best_val), stopped_early,
-                         tuple(train_curve), tuple(val_curve), diverged)
+    report = TrainReport(epochs_run, float(best_val), stopped_early, tuple(val_curve), diverged)
     velocity = np.concatenate([v.ravel() for v in vel_w + vel_b])
     return best[0], best[1], velocity, report
 
@@ -575,14 +571,16 @@ class TestPredictClass:
     def test_down_wins_on_higher_first_output(self):
         model = init(_config(rng_seed=2))
         outputs, _ = forward(model, np.zeros(3))
-        expected = UP if outputs[UP] > outputs[DOWN] else DOWN
-        assert predict_class(model, np.zeros(3)) == expected
+        expected = UP if outputs[0, UP] > outputs[0, DOWN] else DOWN
+        prediction = predict_class(model, np.zeros(3))
+        assert prediction.dtype == np.int64
+        assert prediction.tolist() == [expected]
 
     def test_exact_tie_goes_down(self):
         model = init(_config())
         for w in model.weights:
             w[...] = 0.0
-        assert predict_class(model, np.ones(3)) == DOWN  # outputs (0.5, 0.5)
+        assert predict_class(model, np.ones(3)).tolist() == [DOWN]  # outputs (0.5, 0.5)
 
     def test_batch_predictions_match_forward_argmax(self):
         rng = np.random.default_rng(44)

@@ -158,7 +158,7 @@ class TestTickEmission:
         matrix = generate(_config(n_stocks=4, n_steps=300, ticks_per_step=8))
         matrix = replace(matrix, stock_ids=("A,B", 'C"D') + matrix.stock_ids[2:])
         path, reference = tmp_path / "ticks.csv", tmp_path / "reference.csv"
-        n_rows = write_tick_csv(matrix, path, missing_fraction=0.3, seed=8, relative_spread=1e-3)
+        n_rows = write_tick_csv(matrix, path, missing_fraction=0.3, seed=8)
         rng = np.random.default_rng(8)
         written = 0
         with open(reference, "w", newline="") as fh:
@@ -170,7 +170,7 @@ class TestTickEmission:
                     price = float(matrix.values[i, j])
                     writer.writerow((
                         matrix.stock_ids[j], format_timestamp(matrix.grid.instants[i]),
-                        repr(price * (1.0 - 1e-3)), repr(price * (1.0 + 1e-3)), "100", repr(price),
+                        repr(price * (1.0 - 1e-4)), repr(price * (1.0 + 1e-4)), "100", repr(price),
                     ))
                     written += 1
         assert n_rows == written > 2048  # more than one block
