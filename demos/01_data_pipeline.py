@@ -32,7 +32,8 @@ print(f"parsed {table.n_records} ticks for {table.stock_ids}, skipped {table.ski
 # --- align on the shared grid, filling the holes -------------------------
 matrix = fill_missing(table, grid)
 print(f"\naligned matrix: {matrix.n_rows} rows x {matrix.n_stocks} stocks")
-print(f"observed fractions: {dict(zip(matrix.stock_ids, matrix.observed_fraction().round(2)))}")
+fractions = matrix.observed_fraction().round(2).tolist()
+print(f"observed fractions: {dict(zip(matrix.stock_ids, fractions))}")
 print("ACME column (filled cells marked *):")
 col = matrix.stock_ids.index("ACME")
 for i in range(matrix.n_rows):

@@ -14,6 +14,11 @@ TickColumns per stock: datetime64[ms] ``timestamp`` and float64 ``bid``, ``ask``
 ``volume`` and ``avg_price`` arrays (NaN = missing), sorted by time.  fill_missing
 samples them onto a uniform time grid, giving a PriceMatrix: strictly positive
 prices, one row per grid instant and one column per stock, plus a fill mask.
+PriceMatrix.from_csv reads a matrix CSV through the same blocks.
+
+Ingest holds about one copy of its data: one block's strings at a time, each
+column's blocks merged into a few arrays as they come, and the columns sorted
+(parse_ticks) or joined (from_csv) one at a time.
 """
 
 from __future__ import annotations
@@ -26,10 +31,11 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from functools import partial
 from itertools import chain, compress, islice, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -116,7 +122,8 @@ def _parse_number(text: str) -> float:
     return value if math.isfinite(value) else math.inf
 
 
-# Lines per block.  On a 182k-row file, 2048 cut peak RSS 23 MB below a per-row parser; 64k: +38 MB
+# Lines per block.  parse_ticks on a 182k-row file (7.3 MB of columns) raised peak RSS by
+# 13.6 MB at 2048 and 12.0 MB at 256 (no faster); at 64k, by 64.5 MB and took 1.7x the time
 _BLOCK_ROWS = 2048
 
 # The canonical timestamp: an ASCII digit where _TS_FORM has "0", else its character
@@ -197,17 +204,6 @@ def _parse_timestamps(fields: Sequence[str]) -> np.ndarray:
     return out
 
 
-def _csv_rows(stream: IO[str], name: str | Path) -> Iterator[list[str]]:
-    """The CSV rows of ``stream``; malformed CSV or text that is not UTF-8 is a DataError."""
-    reader = csv.reader(stream)
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise DataError(f"{name}: malformed CSV at line {reader.line_num}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{name} is not valid UTF-8: {exc}") from exc
-
-
 @contextmanager
 def _open_text(path: str | Path) -> Iterator[IO[str]]:
     """The UTF-8 file at ``path``, opened for CSV; a file that cannot be read is a DataError."""
@@ -234,44 +230,53 @@ def _split_plain(lines: list[str]) -> list[str] | None:
     return rows if len(rows) == len(lines) else None
 
 
-def _non_blank(widths: np.ndarray, singles: Iterable[str]) -> int:
-    """Rows with more than one field, plus the one-field rows whose field is not blank."""
-    return int(np.count_nonzero(widths > 1)) + sum(map(bool, map(str.strip, singles)))
-
-
-def _tick_blocks(stream: IO[str], name: str | Path) -> Iterator:
-    """The header row of a tick CSV (None if there is none), then one item per block.
+def _csv_blocks(stream: IO[str], name: str | Path, convert: Callable[..., tuple]) -> Iterator:
+    """The header row of a CSV (None if there is none), then ``convert``'s result per block.
 
     A block is up to ``_BLOCK_ROWS`` lines, or as many rows where csv.reader reads it
-    (a quoted field can span lines).  Its item is the number of its non-blank rows
-    and the six columns of its six-field rows.  Malformed CSV or text that is not
-    UTF-8 is a DataError.
+    (a quoted field can span lines).  ``convert`` takes the field count of each row
+    (0 for an empty line), the field of each one-field row, and the columns of the
+    rows with as many fields as the header.  The block's strings are dropped before
+    its result is yielded, so only one block's are ever held.  Malformed CSV or text
+    that is not UTF-8 is a DataError.
     """
-    width = len(TICK_HEADER)
     read = 0  # lines read before the current reader started
     reader = csv.reader(stream)
     try:
-        yield next(reader, None)
+        header = next(reader, None)
+        yield header
+        if header is None:
+            return
+        width = len(header)
         read = reader.line_num
         while lines := list(islice(stream, _BLOCK_ROWS)):
             plain = _split_plain(lines)
             if plain is not None:
                 read += len(lines)
-                commas = np.fromiter(map(str.count, plain, repeat(",")), np.intp, len(plain))
-                non_blank = _non_blank(commas + 1, compress(plain, (commas == 0).tolist()))
-                full = list(compress(plain, (commas == width - 1).tolist()))
-                fields = ",".join(full).split(",") if full else []
+                del lines
+                n = len(plain)
+                widths = (np.fromiter(map(str.count, plain, repeat(",")), np.intp, n)
+                          + np.fromiter(map(bool, plain), np.intp, n))
+                singles = list(compress(plain, (widths == 1).tolist()))
+                text = ",".join(compress(plain, (widths == width).tolist()))
+                del plain
+                fields = text.split(",") if text else []
+                del text
                 columns = [fields[k::width] for k in range(width)]
+                del fields
             else:
                 # as many rows as lines reads them all; a quoted field may run on past them
                 reader = csv.reader(chain(lines, stream))
                 rows = list(islice(reader, len(lines)))
                 read += reader.line_num
+                del lines
                 widths = np.fromiter(map(len, rows), np.intp, len(rows))
-                singles = map(itemgetter(0), compress(rows, (widths == 1).tolist()))
-                non_blank = _non_blank(widths, singles)
+                singles = list(map(itemgetter(0), compress(rows, (widths == 1).tolist())))
                 columns = list(zip(*compress(rows, (widths == width).tolist()))) or [()] * width
-            yield non_blank, columns
+                del rows
+            result = convert(widths, singles, columns)
+            del singles, columns
+            yield result
     except csv.Error as exc:
         raise DataError(f"{name}: malformed CSV at line {read + reader.line_num}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -302,42 +307,81 @@ def parse_ticks(source: str | Path | bytes | IO) -> TickTable:
         text.detach()  # a collected wrapper would close the caller's stream
 
 
+def _append(parts: list[np.ndarray], part: np.ndarray) -> None:
+    """Append ``part`` to ``parts``, merging the newest parts while they are of like length.
+
+    The parts' lengths at least halve along the list, so a long file's blocks end in
+    a few large arrays (which the allocator gives back to the system once freed,
+    unlike many small ones), and each row is copied a logarithmic number of times.
+    """
+    parts.append(part)
+    while len(parts) > 1 and len(parts[-2]) <= 2 * len(parts[-1]):
+        last = parts.pop()
+        parts[-1] = np.concatenate((parts[-1], last))
+
+
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """The concatenation of ``parts``, which it empties so that they can be freed."""
+    joined = np.concatenate(parts)
+    parts.clear()
+    return joined
+
+
+def _tick_block(codes: dict[str, int], widths: np.ndarray, singles: list[str], columns: list):
+    """A block's count of skipped rows, then its kept rows' code, timestamp and numbers.
+
+    ``codes`` maps each stock id to its code, in order of first kept row; it takes
+    the block's new ids.
+    """
+    ids, stamps, *fields = columns
+    ids = list(map(str.strip, ids))
+    timestamp = _parse_timestamps(stamps)
+    numbers = [_floats(f) for f in fields]
+    bid, ask, volume, avg_price = numbers
+    # NaN (missing) fails every comparison, so it passes these checks
+    keep = np.fromiter(map(bool, ids), bool, len(ids)) & ~(
+        np.isnat(timestamp) | np.isinf(numbers).any(axis=0) | (bid <= 0.0)
+        | (ask <= 0.0) | (avg_price <= 0.0) | (volume < 0.0)
+    )
+    kept = list(compress(ids, keep.tolist()))
+    for stock in dict.fromkeys(kept):  # this block's ids, in order of first kept row
+        codes.setdefault(stock, len(codes))
+    # a row with more than one field, or one that is not blank, counts
+    non_blank = int(np.count_nonzero(widths > 1)) + sum(map(bool, map(str.strip, singles)))
+    code = np.fromiter(map(codes.__getitem__, kept), np.intp, len(kept))
+    return non_blank - len(kept), code, *(a[keep] for a in (timestamp, *numbers))
+
+
 def _parse_tick_rows(stream: IO[str], name: str | Path) -> TickTable:
-    items = _tick_blocks(stream, name)
+    codes: dict[str, int] = {}
+    items = _csv_blocks(stream, name, partial(_tick_block, codes))
     header = next(items)
     if header is None:
         raise DataError("tick stream is empty (missing header)")
     if tuple(h.strip().lower() for h in header) != TICK_HEADER:
         raise DataError(f"malformed tick header {header!r}; expected {','.join(TICK_HEADER)}")
 
-    codes: dict[str, int] = {}  # stock id -> code, in order of first kept row
-    blocks: list[tuple[np.ndarray, ...]] = []  # each block's kept (code, timestamp, *numbers)
+    # the kept rows' code, timestamp, bid, ask, volume and avg_price, one list of parts each
+    parts: list[list[np.ndarray]] = [[] for _ in range(len(TICK_HEADER))]
     skipped = 0
-    for non_blank, (ids, stamps, *fields) in items:
-        ids = list(map(str.strip, ids))
-        timestamp = _parse_timestamps(stamps)
-        numbers = [_floats(f) for f in fields]
-        bid, ask, volume, avg_price = numbers
-        # NaN (missing) fails every comparison, so it passes these checks
-        keep = np.fromiter(map(bool, ids), bool, len(ids)) & ~(
-            np.isnat(timestamp) | np.isinf(numbers).any(axis=0) | (bid <= 0.0)
-            | (ask <= 0.0) | (avg_price <= 0.0) | (volume < 0.0)
-        )
-        kept = list(compress(ids, keep.tolist()))
-        skipped += non_blank - len(kept)
-        for stock in dict.fromkeys(kept):  # this block's ids, in order of first kept row
-            codes.setdefault(stock, len(codes))
-        code = np.fromiter(map(codes.__getitem__, kept), np.intp, len(kept))
-        blocks.append((code, *(a[keep] for a in (timestamp, *numbers))))
+    for block_skipped, *columns in items:
+        skipped += block_skipped
+        for column, values in zip(parts, columns):
+            _append(column, values)
 
     if skipped:
         logger.info("parse_ticks: skipped %d unparseable row(s)", skipped)
     if not codes:
         return TickTable(columns={}, skipped=skipped)
-    code, *columns = (np.concatenate(c) for c in zip(*blocks))
-    order = np.lexsort((columns[0], code))  # by stock, then stably by time
-    split = [np.split(c[order], np.cumsum(np.bincount(code))[:-1]) for c in columns]
-    return TickTable({s: TickColumns(*c) for s, *c in zip(codes, *split)}, skipped)
+    # one column at a time, so that only one is held both unsorted and sorted
+    code, timestamp = _joined(parts[0]), _joined(parts[1])
+    order = np.lexsort((timestamp, code))  # by stock, then stably by time
+    bounds = np.cumsum(np.bincount(code))[:-1]
+    del code
+    columns = [np.split(timestamp[order], bounds)]
+    del timestamp
+    columns += [np.split(_joined(column)[order], bounds) for column in parts[2:]]
+    return TickTable({s: TickColumns(*c) for s, *c in zip(codes, *columns)}, skipped)
 
 
 @dataclass(frozen=True)
@@ -449,31 +493,70 @@ class PriceMatrix:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "PriceMatrix":
-        """Load a matrix CSV.  Loaded cells count as observed (empty mask)."""
+        """Load a matrix CSV.  Loaded cells count as observed (empty mask).
+
+        The rows are read a block at a time and converted a column at a time.  The
+        first faulty row (wrong field count, bad timestamp, unparseable number) in
+        file order is a DataError.
+        """
+        times: list[np.ndarray] = []
+        values: list[np.ndarray] = []
         with _open_text(path) as fh:
-            reader = _csv_rows(fh, path)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError(f"{path}: empty price matrix file") from None
+            blocks = _csv_blocks(fh, path, partial(_matrix_block, path))
+            header = next(blocks)
+            if header is None:
+                raise DataError(f"{path}: empty price matrix file")
             if len(header) < 2 or header[0].strip().lower() != "timestamp":
                 raise DataError(f"{path}: malformed price matrix header {header!r}")
-            rows = [row for row in reader if row]
-        if not rows:
+            for inst, block in blocks:
+                if len(inst):
+                    _append(times, inst)
+                    _append(values, block)
+        if not times:
             raise DataError(f"{path}: price matrix has no data rows")
-        inst = _parse_timestamps([row[0] for row in rows])
-        values = []
-        for row, bad_time in zip(rows, np.isnat(inst).tolist()):
-            if len(row) != len(header):
-                raise DataError(f"{path}: row with {len(row)} fields, expected {len(header)}")
-            try:
-                if bad_time:
-                    parse_timestamp(row[0])  # NaT: this raises, giving the reason
-                values.append([float(v) for v in row[1:]])
-            except ValueError as exc:
-                raise DataError(f"{path}: unparseable row {row!r}: {exc}") from exc
+        grid = TimeGrid(_joined(times))
         ids = tuple(h.strip() for h in header[1:])
-        return cls(TimeGrid(inst), ids, values, np.zeros((len(rows), len(ids)), bool))
+        return cls(grid, ids, _joined(values), np.zeros((grid.count, len(ids)), bool))
+
+
+def _matrix_block(
+    path: str | Path, widths: np.ndarray, singles: list[str], columns: list
+) -> tuple[np.ndarray, np.ndarray]:
+    """A matrix CSV block's instants and prices; its first faulty row is a DataError."""
+    stamps, *fields = columns
+    inst = _parse_timestamps(stamps)
+    block = np.empty((len(stamps), len(fields)))
+    try:
+        for j, column in enumerate(fields):
+            block[:, j] = np.fromiter(map(float, column), np.float64, len(column))
+        faulty = np.isnat(inst).any() or (widths[widths > 0] != len(columns)).any()
+    except ValueError:
+        faulty = True
+    if faulty:
+        _raise_first_faulty_row(path, widths, columns, np.isnat(inst))
+    return inst, block
+
+
+def _raise_first_faulty_row(
+    path: str | Path, widths: np.ndarray, columns: list, bad_time: np.ndarray
+) -> None:
+    """Raise the DataError for the first faulty row of a faulty matrix CSV block.
+
+    ``columns`` hold the rows with as many fields as the header; ``bad_time`` is
+    True where their timestamp did not parse.
+    """
+    rows = zip(*columns, bad_time.tolist())
+    for width in widths[widths > 0].tolist():
+        if width != len(columns):
+            raise DataError(f"{path}: row with {width} fields, expected {len(columns)}")
+        *row, bad = next(rows)
+        try:
+            if bad:
+                parse_timestamp(row[0])  # this raises, giving the reason
+            for field in row[1:]:
+                float(field)
+        except ValueError as exc:
+            raise DataError(f"{path}: unparseable row {row!r}: {exc}") from exc
 
 
 def _ffill_bfill(column: np.ndarray) -> np.ndarray:
@@ -482,7 +565,7 @@ def _ffill_bfill(column: np.ndarray) -> np.ndarray:
     present = ~np.isnan(column)
     idx = np.where(present, np.arange(n), -1)
     np.maximum.accumulate(idx, out=idx)
-    out = column[np.maximum(idx, 0)].copy()
+    out = column[np.maximum(idx, 0)]
     if idx[0] == -1:  # leading gap: backward fill from first observation
         first = np.argmax(present)
         lead = idx == -1
@@ -505,15 +588,17 @@ def fill_missing(
         raise DataError(f"unknown price source {price_source!r}; use one of {PRICE_SOURCES}")
     instants = grid.instants
     n = grid.count
-    kept_ids: list[str] = []
-    columns: list[np.ndarray] = []
-    masks: list[np.ndarray] = []
-    for stock_id, ticks in table.columns.items():
+    # each stock's column is written in place; a dropped stock's is compacted away
+    values = np.empty((n, len(table.columns)))
+    mask = np.empty((n, len(table.columns)), bool)
+    kept: list[bool] = []
+    for j, (stock_id, ticks) in enumerate(table.columns.items()):
         p = ticks.price(price_source)
         # bucket index: tick belongs to the first grid instant at or after it
         cell = np.searchsorted(instants, ticks.timestamp, side="left")
         keep = ~np.isnan(p) & (cell < n)
-        if not keep.any():
+        kept.append(bool(keep.any()))
+        if not kept[-1]:
             logger.warning(
                 "fill_missing: dropped %s: no priced tick at or before %s",
                 stock_id, format_timestamp(instants[-1]),
@@ -524,17 +609,14 @@ def fill_missing(
         last = np.r_[cell[1:] != cell[:-1], True]
         observed = np.full(n, np.nan)
         observed[cell[last]] = p[last]
-        kept_ids.append(stock_id)
-        masks.append(np.isnan(observed))
-        columns.append(_ffill_bfill(observed))
-    if not kept_ids:
+        # assigned, not written with out=: a ufunc's out= into a strided column can go wrong
+        mask[:, j] = np.isnan(observed)
+        values[:, j] = _ffill_bfill(observed)
+    if not any(kept):
         raise DataError("no stock has any observation inside the grid window")
-    return PriceMatrix(
-        grid=grid,
-        stock_ids=tuple(kept_ids),
-        values=np.column_stack(columns),
-        fill_mask=np.column_stack(masks),
-    )
+    if not all(kept):
+        values, mask = values[:, kept], mask[:, kept]
+    return PriceMatrix(grid, tuple(compress(table.columns, kept)), values, mask)
 
 
 def select_consistent_stocks(

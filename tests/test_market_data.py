@@ -5,6 +5,7 @@ import gc
 import io
 import math
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -715,3 +716,257 @@ class TestPriceMatrixCsv:
             PriceMatrix.from_csv(path)
         with pytest.raises(DataError, match="cannot read"):
             PriceMatrix.from_csv(tmp_path / "missing.csv")
+
+
+class TestPriceMatrixCsvFaults:
+    """What from_csv reads and which row it names, whatever the block size."""
+
+    @pytest.fixture(autouse=True, params=[1, 3, 2048])
+    def _block_rows(self, request, monkeypatch):
+        monkeypatch.setattr(market_data, "_BLOCK_ROWS", request.param)
+
+    @pytest.fixture
+    def load(self, tmp_path):
+        path = tmp_path / "panel.csv"
+
+        def load(text):
+            path.write_bytes(text.encode())
+            return PriceMatrix.from_csv(path)
+
+        load.path = path
+        return load
+
+    @staticmethod
+    def _csv(*rows):
+        return "".join(line + "\n" for line in ("timestamp,AAA,BBB", *rows))
+
+    def _fault(self, load, text):
+        with pytest.raises(DataError) as excinfo:
+            load(text)
+        prefix = f"{load.path}: "
+        message = str(excinfo.value)
+        assert message.startswith(prefix)
+        return message[len(prefix):]
+
+    def test_row_with_wrong_field_count(self, load):
+        t = [_iso(_grid(3), i) for i in range(3)]
+        assert self._fault(load, self._csv(f"{t[0]},1,2", f"{t[1]},1")) == (
+            "row with 2 fields, expected 3"
+        )
+        assert self._fault(load, self._csv(f"{t[0]},1,2,3", f"{t[1]},1,2")) == (
+            "row with 4 fields, expected 3"
+        )
+
+    def test_unparseable_number_names_its_row(self, load):
+        t = [_iso(_grid(3), i) for i in range(3)]
+        assert self._fault(load, self._csv(f"{t[0]},1,2", f"{t[1]},1.5,abc")) == (
+            f"unparseable row {[t[1], '1.5', 'abc']!r}: could not convert string to float: 'abc'"
+        )
+        assert self._fault(load, self._csv(f"{t[0]},,2")) == (
+            f"unparseable row {[t[0], '', '2']!r}: could not convert string to float: ''"
+        )
+
+    @pytest.mark.parametrize("stamp", ["2011-02-29T09:30:00.000Z", "not-a-time", "", "NaTZ"])
+    def test_bad_timestamp_gives_the_reason_it_did_not_parse(self, load, stamp):
+        with pytest.raises(ValueError) as reason:
+            parse_timestamp(stamp)
+        with pytest.raises(DataError) as excinfo:
+            load(self._csv(f"{T0},1,2", f"{stamp},3,4"))
+        assert str(excinfo.value) == (
+            f"{load.path}: unparseable row {[stamp, '3', '4']!r}: {reason.value}"
+        )
+        assert isinstance(excinfo.value.__cause__, ValueError)
+
+    def test_empty_lines_are_skipped_and_a_blank_one_is_a_row(self, load):
+        t = [_iso(_grid(3), i) for i in range(3)]
+        rows = "".join(f"{s},{i + 1}\r\n\r\n\r\n" for i, s in enumerate(t))
+        text = "timestamp,AAA\r\n\r\n" + rows
+        matrix = load(text)
+        assert matrix.values[:, 0].tolist() == [1.0, 2.0, 3.0]
+        assert (matrix.grid.instants == _grid(3).instants).all()
+        assert not matrix.fill_mask.any()
+        assert self._fault(load, self._csv(f"{t[0]},1,2", " ", f"{t[1]},1,2")) == (
+            "row with 1 fields, expected 3"
+        )
+        assert self._fault(load, "timestamp,AAA\n\n\n") == "price matrix has no data rows"
+
+    def test_quoted_fields(self, load):
+        t = [_iso(_grid(3), i) for i in range(3)]
+        matrix = load(
+            f'"timestamp"," A,1 ",B\n"{t[0]}","2.5", 3\n{t[1]},"7\n",1_000\n"{t[2]}",8,"9"\n'
+        )
+        assert matrix.stock_ids == ("A,1", "B")
+        assert matrix.values.tolist() == [[2.5, 3.0], [7.0, 1000.0], [8.0, 9.0]]
+        assert (matrix.grid.instants == _grid(3).instants).all()
+
+    def test_the_first_faulty_row_in_file_order_is_named(self, load):
+        t = [_iso(_grid(8), i) for i in range(8)]
+        bad_time = "2011-02-29T09:30:00.000Z"
+        with pytest.raises(ValueError) as reason:
+            parse_timestamp(bad_time)
+        good = [f"{t[0]},1,2", f"{t[1]},1,2", f"{t[2]},1,2"]
+        bad_number = f"{t[3]},1,x"
+        short = f"{t[4]},1"
+        late = f"{bad_time},1,2"
+        number_message = (
+            f"unparseable row {[t[3], '1', 'x']!r}: could not convert string to float: 'x'"
+        )
+        time_message = f"unparseable row {[bad_time, '1', '2']!r}: {reason.value}"
+        assert self._fault(load, self._csv(*good, bad_number, short, late)) == number_message
+        assert self._fault(load, self._csv(*good, short, bad_number, late)) == (
+            "row with 2 fields, expected 3"
+        )
+        assert self._fault(load, self._csv(*good, late, short, bad_number)) == time_message
+        # within a row: the field count, then the timestamp, then the numbers
+        assert self._fault(load, self._csv(*good, f"{bad_time},1")) == (
+            "row with 2 fields, expected 3"
+        )
+        assert self._fault(load, self._csv(*good, f"{bad_time},1,x")) == (
+            f"unparseable row {[bad_time, '1', 'x']!r}: {reason.value}"
+        )
+        assert self._fault(load, self._csv(*good, f"{t[3]},y,x")) == (
+            f"unparseable row {[t[3], 'y', 'x']!r}: could not convert string to float: 'y'"
+        )
+
+    def test_row_faults_come_before_grid_and_value_checks(self, load):
+        t = [_iso(_grid(6), i) for i in range(6)]
+        rows = [f"{t[1]},1,2", f"{t[0]},nan,-1", f"{t[2]},1,2", f"{t[3]},1,2", f"{t[4]},1,x"]
+        fault = self._fault(load, self._csv(*rows))
+        assert fault.startswith(f"unparseable row {[t[4], '1', 'x']!r}")
+        with pytest.raises(DataError, match="^time grid instants must be strictly increasing$"):
+            load(self._csv(*rows[:-1]))
+        rows[:2] = rows[1::-1]
+        with pytest.raises(DataError, match="^price matrix must be finite and strictly positive$"):
+            load(self._csv(*rows[:-1]))
+
+
+def _matrix_oracle(path):
+    """from_csv's rules row by row: every row read first, then the first faulty one named."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    header, rows = rows[0], [row for row in rows[1:] if row]
+    if len(header) < 2 or header[0].strip().lower() != "timestamp":
+        raise DataError(f"{path}: malformed price matrix header {header!r}")
+    if not rows:
+        raise DataError(f"{path}: price matrix has no data rows")
+    instants, values = [], []
+    for row in rows:
+        if len(row) != len(header):
+            raise DataError(f"{path}: row with {len(row)} fields, expected {len(header)}")
+        try:
+            instants.append(parse_timestamp(row[0]))
+            values.append([float(v) for v in row[1:]])
+        except ValueError as exc:
+            raise DataError(f"{path}: unparseable row {row!r}: {exc}") from exc
+    ids = tuple(h.strip() for h in header[1:])
+    mask = np.zeros((len(rows), len(ids)), bool)
+    return PriceMatrix(TimeGrid(np.array(instants)), ids, values, mask)
+
+
+_PRICES = st.one_of(
+    st.floats(min_value=0.5, max_value=1e6).map(repr), st.integers(1, 500).map(str), _NUMBERS
+)
+_MATRIX_ROWS = st.integers(0, 5).flatmap(  # one row in six blank or of the wrong length
+    lambda k: st.sampled_from([[], [""], ["  "], [T0], [T0, "1", "2", "3"]]) if k == 0
+    else st.tuples(st.none() | st.none() | _STAMPS, _PRICES, _PRICES).map(list)
+)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(st.lists(_MATRIX_ROWS, min_size=1, max_size=12), st.sampled_from(["\n", "\r\n", "\r"]))
+def test_from_csv_matches_per_row_oracle(rows, line_end):
+    """A stamp of None is the next minute of a rising grid, so some panels load."""
+    grid = _grid(len(rows))
+    rows = [[_iso(grid, i), *row[1:]] if row and row[0] is None else row
+            for i, row in enumerate(rows)]
+    out = io.StringIO(newline="")
+    csv.writer(out, lineterminator=line_end).writerows([["timestamp", "AAA", " B,B "], *rows])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/panel.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(out.getvalue())
+        try:
+            expected, error = _matrix_oracle(path), None
+        except DataError as exc:
+            expected, error = None, str(exc)
+        for block_rows in (1, 3, market_data._BLOCK_ROWS):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(market_data, "_BLOCK_ROWS", block_rows)
+                if error is not None:
+                    with pytest.raises(DataError) as excinfo:
+                        PriceMatrix.from_csv(path)
+                    assert str(excinfo.value) == error
+                    continue
+                matrix = PriceMatrix.from_csv(path)
+                assert matrix.stock_ids == expected.stock_ids
+                np.testing.assert_array_equal(matrix.grid.instants, expected.grid.instants)
+                np.testing.assert_array_equal(matrix.values, expected.values)
+                assert not matrix.fill_mask.any()
+
+
+def _traced_peak(load):
+    """``load()`` and the most memory it held at once, as tracemalloc (numpy too) counts it."""
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = load()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestIngestMemory:
+    """Ingest holds about one copy of its data: peak bytes over the bytes it returns."""
+
+    def test_parse_ticks_peak(self, tmp_path):
+        grid = _grid(6000)
+        stamps = [_iso(grid, i) for i in range(grid.count)]
+        prices = np.random.default_rng(3).uniform(10, 500, (grid.count, 20)).round(4)
+        path = tmp_path / "ticks.csv"
+        path.write_text(HEADER + "".join(
+            f"S{j:02d},{stamp},{p},{p},100,{p}\n"
+            for stamp, row in zip(stamps, prices.tolist()) for j, p in enumerate(row)
+        ))
+        table, peak = _traced_peak(lambda: parse_ticks(path))
+        assert table.n_records == 120_000
+        returned = sum(
+            a.nbytes for c in table.columns.values()
+            for a in (c.timestamp, c.bid, c.ask, c.volume, c.avg_price)
+        )
+        assert peak <= 2.5 * returned, f"peak {peak / returned:.2f}x the returned columns"
+
+    def test_fill_missing_peak(self):
+        grid = _grid(8000)
+        rng = np.random.default_rng(4)
+        table = TickTable({})
+        for j in range(20):
+            present = rng.random(grid.count) < 0.8
+            prices = rng.uniform(10, 500, int(present.sum()))
+            nan = np.full(prices.size, np.nan)
+            table.columns[f"S{j:02d}"] = TickColumns(
+                grid.instants[present], nan, nan, np.full(prices.size, 100.0), prices
+            )
+        matrix, peak = _traced_peak(lambda: fill_missing(table, grid))
+        assert matrix.values.shape == (8000, 20) and matrix.fill_mask.any()
+        returned = matrix.values.nbytes + matrix.fill_mask.nbytes
+        assert peak <= 1.6 * returned, f"peak {peak / returned:.2f}x the values and mask"
+
+    def test_from_csv_peak(self, tmp_path):
+        grid = _grid(30_000)
+        values = np.random.default_rng(5).uniform(10, 500, (grid.count, 8)).round(4)
+        path = tmp_path / "panel.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("timestamp," + ",".join(f"S{j}" for j in range(8)) + "\n")
+            fh.writelines(
+                f"{_iso(grid, i)},{','.join(map(str, row))}\n"
+                for i, row in enumerate(values.tolist())
+            )
+        matrix, peak = _traced_peak(lambda: PriceMatrix.from_csv(path))
+        np.testing.assert_array_equal(matrix.values, values)
+        returned = matrix.values.nbytes + matrix.fill_mask.nbytes
+        assert peak <= 2.5 * returned, f"peak {peak / returned:.2f}x the values and mask"
