@@ -395,6 +395,20 @@ def _pin_one_blas_thread() -> None:
         setter(1)
 
 
+def _release_free_heap() -> None:
+    """Hand the C heap's free pages back to the system, where glibc can.
+
+    A forked worker shares every page this process holds.  Memory the
+    experiment has freed, such as the cleansed price matrix, can stay in the
+    heap below a later allocation; each worker would carry it.
+    """
+    trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+    if trim is not None:
+        trim.argtypes = [ctypes.c_size_t]
+        trim.restype = ctypes.c_int
+        trim(0)
+
+
 # The worker function of the pool this worker process belongs to.
 _TASK: Callable[[Any], StockResult] | None = None
 
@@ -419,11 +433,13 @@ def _run_per_stock(
     worker closure and the data it holds reach the children without
     pickling or a second numpy import; only tasks go out and only
     StockResults come back.  Each child runs one BLAS thread, which keeps
-    jobs x BLAS threads within the cores when jobs is at most the core count.
+    jobs x BLAS threads within the cores when jobs is at most the core count,
+    and inherits no heap pages this process has freed.
     """
     n_workers = min(config.jobs, len(tasks))
     if n_workers <= 1:
         return [worker(t) for t in tasks]
+    _release_free_heap()
     context = multiprocessing.get_context("fork")
     with context.Pool(n_workers, initializer=_start_worker, initargs=(worker,)) as pool:
         results = pool.map(_run_task, tasks, chunksize=1)

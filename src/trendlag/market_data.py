@@ -133,11 +133,8 @@ _TS_SEP_AT = [i for i, c in enumerate(_TS_FORM) if c != "0"]
 _TS_SEP = np.array([ord(_TS_FORM[i]) for i in _TS_SEP_AT], dtype=np.uint32)
 _TS_DIGIT_AT = [i for i, c in enumerate(_TS_FORM) if c == "0"]
 _TS_RUNS = np.diff([-1, *_TS_SEP_AT]) - 1  # digits of year, month, day, hour, minute, second, ms
-# (digit, number) -> the place value of that digit in that number, or 0
-_TS_PLACE = np.zeros((len(_TS_DIGIT_AT), len(_TS_RUNS)))
-_TS_PLACE[np.arange(len(_TS_DIGIT_AT)), np.repeat(np.arange(len(_TS_RUNS)), _TS_RUNS)] = (
-    10.0 ** np.concatenate([np.arange(n - 1, -1, -1) for n in _TS_RUNS])
-)
+# each number's digits, as (start, stop) in _TS_DIGIT_AT
+_TS_NUMBER_DIGITS = [(int(end - n), int(end)) for n, end in zip(_TS_RUNS, np.cumsum(_TS_RUNS))]
 # days per month, by month number; 0 for the month numbers 0 and 13 (or more)
 _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31, 0])
 
@@ -170,6 +167,21 @@ def _floats(fields: Sequence[str]) -> np.ndarray:
     return values
 
 
+def _digit_numbers(digits: np.ndarray) -> list[np.ndarray]:
+    """Each number of the canonical timestamp from its rows of ``digits``.
+
+    Horner's rule in int64, one row at a time, makes no (digits x fields) temporary.
+    """
+    numbers = []
+    for start, stop in _TS_NUMBER_DIGITS:
+        number = digits[start].astype(np.int64)
+        for digit in digits[start + 1 : stop]:
+            number *= 10
+            number += digit
+        numbers.append(number)
+    return numbers
+
+
 def _parse_timestamps(fields: Sequence[str]) -> np.ndarray:
     """parse_timestamp over ``fields`` as datetime64[ms], with NaT where it raises.
 
@@ -179,13 +191,20 @@ def _parse_timestamps(fields: Sequence[str]) -> np.ndarray:
     """
     n = len(fields)
     chars = np.array(fields, dtype=f"U{_TS_LEN}").view(np.uint32).reshape(n, _TS_LEN)
-    digits = np.minimum(chars[:, _TS_DIGIT_AT] - ord("0"), 10)  # 10: not a digit (< "0" wraps)
-    year, month, day, hour, minute, second, milli = (digits @ _TS_PLACE).astype(np.int64).T
-    leap_day = (month == 2) & (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
     canonical = (
         (np.fromiter(map(len, fields), np.intp, n) == _TS_LEN)  # the array cuts longer ones
-        & (chars[:, _TS_SEP_AT] == _TS_SEP).all(axis=1) & (digits < 10).all(axis=1)
-        & (year >= 1) & (day >= 1) & (day <= _MONTH_DAYS[np.minimum(month, 13)] + leap_day)
+        & (chars[:, _TS_SEP_AT] == _TS_SEP).all(axis=1)
+    )
+    digits = chars.T[_TS_DIGIT_AT]  # one contiguous row per digit position
+    del chars
+    digits -= ord("0")
+    np.minimum(digits, 10, out=digits)  # 10: not a digit (< "0" wraps)
+    canonical &= (digits < 10).all(axis=0)
+    year, month, day, hour, minute, second, milli = _digit_numbers(digits)
+    del digits
+    leap_day = (month == 2) & (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    canonical &= (
+        (year >= 1) & (day >= 1) & (day <= _MONTH_DAYS[np.minimum(month, 13)] + leap_day)
         & (hour < 24) & (minute < 60) & (second < 60)
     )
     # days since 1970-01-01 (days-from-civil, with each year starting on 1 March)
@@ -628,7 +647,8 @@ def select_consistent_stocks(
     removing the oldest rows, keeping the most recent window intact.  A
     stock whose observed (non-filled) fraction of those rows is below the
     threshold is excluded, with one log line.  Applied to its own result,
-    it returns an equal matrix.
+    it returns an equal matrix.  When every stock is kept, the result's
+    prices and mask are views of ``matrix``'s, not copies.
     """
     if not 0.0 < min_observed_fraction <= 1.0:
         raise DataError("min_observed_fraction must lie in (0, 1]")
@@ -655,4 +675,4 @@ def select_consistent_stocks(
                 "select_consistent_stocks: excluded %s: observed fraction %.3f below threshold %g",
                 stock_id, fraction, min_observed_fraction,
             )
-    return recent.restrict(compress(matrix.stock_ids, keep))
+    return recent if all(keep) else recent.restrict(compress(matrix.stock_ids, keep))

@@ -13,17 +13,27 @@ matrix (row-major, in layer order) first, then every bias vector, so weight
 decay covers one prefix slice.  The momentum velocity and the gradient that
 ``backward`` returns share that layout.  ``init`` draws every weight
 straight into the vector's weight prefix and scales each layer's view in
-place.  ``sgd_step``, the update ``train`` makes per mini-batch, runs its
-elementwise operations over cache-sized blocks of the vectors, so the
-paper-size net allocates no parameter-sized temporary per step.  The
-per-layer ``weights`` and ``biases`` are read-only tuples of views into the
-parameter vector, so writing into one of them changes the model.
+place.  The per-layer ``weights`` and ``biases`` are read-only tuples of
+views into the parameter vector, so writing into one of them changes the
+model.
 
-A model also owns ``train``'s scratch, a gradient vector and a
-best-weights vector in the same layout, so training allocates nothing
-parameter-sized.  ``init`` can redraw into a model of the same layer sizes:
-the harness trains all of a stock's splits in one model's memory, and the
-paper-size net does not fault four fresh vectors in for every split.
+``sgd_step`` applies a whole gradient vector in cache-sized blocks.
+``train`` makes the same update without one: its step fuses the update into
+the backward pass.  Whole layers, from the top, form update groups of at
+least ``_UPDATE_BLOCK`` weights; a group is updated as soon as its weights
+have carried the delta down, so every group's gradient shares one scratch
+vector the size of the largest group.  The layers below the last group and
+all biases are updated after the pass, which for a net smaller than one
+block (19-32-32-2) is one blocked pass over the whole vector.  Every
+element gets ``sgd_step``'s operations in its order, so ``train`` ends
+bit for bit where ``backward`` and ``sgd_step`` per batch would.
+
+A model also owns ``train``'s scratch: that gradient scratch, a
+best-weights vector and one block's step buffer, so training allocates
+nothing parameter-sized.  ``init`` can redraw into a model of the same
+layer sizes: the harness trains all of a stock's splits in one model's
+memory, and the paper-size net does not fault fresh vectors in for every
+split.
 
 Everything is plain numpy and deterministic under the configured seed.
 """
@@ -122,33 +132,108 @@ def _layer_views(
     return tuple(weights), tuple(biases)
 
 
-# elements per sgd_step block: 256 KiB per float64 operand stays in cache
+# elements per update block: 256 KiB per float64 operand stays in cache
 _UPDATE_BLOCK = 32768
+
+# (parameter view, velocity view, gradient view, step buffer view,
+#  offset of the first bias in the block or its length)
+_Block = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]
 
 
 def _update_blocks(
-    parameters: np.ndarray, velocity: np.ndarray, n_weights: int
-) -> tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray, int], ...]:
-    """``sgd_step``'s blocks of at most ``_UPDATE_BLOCK`` elements.
+    model: NetworkModel, start: int, stop: int, gradient: np.ndarray
+) -> tuple[_Block, ...]:
+    """The update of ``parameters[start:stop]`` in blocks of at most ``_UPDATE_BLOCK`` elements.
 
-    Each is (start, parameter view, velocity view, view of one shared
-    scratch buffer, offset of the first bias in the block or its length).
+    ``gradient`` holds that slice's gradient from its index 0.  Every block
+    computes its step in the model's one step buffer.
     """
-    buffer = np.empty(min(parameters.size, _UPDATE_BLOCK))
     blocks = []
-    for start in range(0, parameters.size, _UPDATE_BLOCK):
-        w, v = parameters[start : start + _UPDATE_BLOCK], velocity[start : start + _UPDATE_BLOCK]
-        blocks.append((start, w, v, buffer[: w.size], min(max(n_weights - start, 0), w.size)))
+    for lo in range(start, stop, _UPDATE_BLOCK):
+        hi = min(lo + _UPDATE_BLOCK, stop)
+        blocks.append((
+            model.parameters[lo:hi], model.velocity[lo:hi], gradient[lo - start : hi - start],
+            model._step[: hi - lo], min(max(model.n_weights - lo, 0), hi - lo),
+        ))
     return tuple(blocks)
+
+
+def _descend(blocks: tuple[_Block, ...], config: NetworkConfig, eta: float) -> None:
+    """``sgd_step``'s update of each block's elements, at rate ``eta``."""
+    for w, v, g, step, first_bias in blocks:
+        np.multiply(w, config.l2_lambda, out=step)
+        step[first_bias:] = -0.0  # no bias decay: -0.0 + g is exactly g, signed zeros too
+        step += g
+        step *= eta
+        v *= config.momentum
+        v -= step
+        w += v
+
+
+@dataclass(frozen=True)
+class _FusedPlan:
+    """Where ``train``'s fused step puts each gradient, and when it applies it.
+
+    ``grad_w`` and ``grad_b`` are per-layer views into the model's gradient
+    scratch.  ``after_layer[k]`` holds the blocks updated as soon as layer k
+    has passed the delta down; ``rest`` those updated after the backward pass.
+    """
+
+    grad_w: tuple[np.ndarray, ...]
+    grad_b: tuple[np.ndarray, ...]
+    after_layer: tuple[tuple[_Block, ...], ...]
+    rest: tuple[_Block, ...]
+
+
+def _fused_plan(model: NetworkModel) -> _FusedPlan:
+    """Update groups of whole layers, from the top, each of at least ``_UPDATE_BLOCK`` weights.
+
+    Every group's gradient goes into the head of one scratch vector, as
+    large as the largest group: a group is updated before the next one
+    down is computed.  The layers below the last group and all biases (the
+    rest) have the tail, weights then biases as in ``parameters``.  When no
+    layer makes a group, the tail is the whole gradient and the rest is a
+    single blocked pass over the whole vector, as ``sgd_step`` makes it.
+    """
+    sizes = model.config.layer_sizes()
+    shapes = list(zip(sizes[:-1], sizes[1:]))
+    edges = np.cumsum([0] + [i * o for i, o in shapes]).tolist()  # each layer's first weight
+    groups, top = [], len(shapes)  # (lowest layer, highest layer + 1) per group
+    for layer in range(len(shapes) - 1, -1, -1):
+        if edges[top] - edges[layer] >= _UPDATE_BLOCK:
+            groups.append((layer, top))
+            top = layer
+    head = max((edges[hi] - edges[lo] for lo, hi in groups), default=0)
+    size, n_weights, n_rest_weights = model.parameters.size, model.n_weights, edges[top]
+    scratch = np.empty(head + n_rest_weights + size - n_weights)
+    rest = scratch[head:]
+    grad_w, after_layer = [rest[edges[k] : edges[k + 1]] for k in range(top)], [()] * len(shapes)
+    for lo, hi in reversed(groups):
+        grad_w += [scratch[edges[k] - edges[lo] : edges[k + 1] - edges[lo]] for k in range(lo, hi)]
+        after_layer[lo] = _update_blocks(model, edges[lo], edges[hi], scratch)
+    bias_edges = np.cumsum([n_rest_weights, *sizes[1:]]).tolist()
+    if top == len(shapes):
+        rest_blocks = _update_blocks(model, 0, size, rest)
+    else:
+        rest_blocks = _update_blocks(model, 0, n_rest_weights, rest) + _update_blocks(
+            model, n_weights, size, rest[n_rest_weights:]
+        )
+    return _FusedPlan(
+        grad_w=tuple(g.reshape(shape) for g, shape in zip(grad_w, shapes)),
+        grad_b=tuple(rest[a:b] for a, b in zip(bias_edges[:-1], bias_edges[1:])),
+        after_layer=tuple(after_layer),
+        rest=rest_blocks,
+    )
 
 
 class NetworkModel:
     """Layer weights and biases in one flat vector, momentum velocity in another.
 
     Both vectors start at zero.  The per-layer ``weights`` and ``biases``
-    tuples are views into ``parameters``.  ``train``'s gradient and
-    best-weights vectors are allocated here uninitialised, so their pages
-    are touched only once a model trains.
+    tuples are views into ``parameters``.  ``train``'s scratch is allocated
+    here uninitialised, so its pages are touched only once a model trains:
+    a best-weights vector, a gradient vector the size of the largest update
+    group plus the rest (``_fused_plan``), and one update block's step.
     """
 
     def __init__(self, config: NetworkConfig) -> None:
@@ -160,8 +245,8 @@ class NetworkModel:
         self._velocity = np.zeros(size)
         self._weights, self._biases = _layer_views(self._parameters, sizes)
         self.n_weights = sum(w.size for w in self._weights)
-        self._blocks = _update_blocks(self._parameters, self._velocity, self.n_weights)
-        self._gradient, self._best = np.empty(size), np.empty(size)
+        self._best, self._step = np.empty(size), np.empty(min(size, _UPDATE_BLOCK))
+        self._plan = _fused_plan(self)
         self.rng = np.random.default_rng(config.rng_seed)
 
     @property
@@ -256,6 +341,16 @@ def forward(model: NetworkModel, inputs: np.ndarray) -> tuple[np.ndarray, list[n
     return activations[-1], activations
 
 
+def _forward_loss(
+    model: NetworkModel, x: np.ndarray, y: np.ndarray, buffers: list[np.ndarray]
+) -> tuple[float, list[np.ndarray], np.ndarray]:
+    """The batch's mean quadratic cost, its activations and its error outputs - ``y``."""
+    activations = _forward_into(model, x, buffers)
+    error = activations[-1] - y
+    # np.add.reduce is np.sum without its Python wrapper, a few µs per step
+    return float(0.5 * np.add.reduce(error**2, axis=None) / x.shape[0]), activations, error
+
+
 def loss(model: NetworkModel, inputs: np.ndarray, targets: np.ndarray) -> float:
     """Mean-reduced quadratic cost: 0.5 * mean_i sum_j (yhat - y)^2."""
     outputs, _ = forward(model, inputs)
@@ -263,27 +358,26 @@ def loss(model: NetworkModel, inputs: np.ndarray, targets: np.ndarray) -> float:
     return float(0.5 * np.sum((outputs - y) ** 2) / outputs.shape[0])
 
 
-def _loss_and_gradients(
+def _backpropagate(
     model: NetworkModel,
-    x: np.ndarray,
-    y: np.ndarray,
-    buffers: list[np.ndarray],
+    activations: list[np.ndarray],
+    error: np.ndarray,
     grad_w: tuple[np.ndarray, ...],
     grad_b: tuple[np.ndarray, ...],
-) -> float:
-    """The batch loss; its gradients go into ``grad_w`` and ``grad_b``.
+    after_layer: tuple[tuple[_Block, ...], ...] | None = None,
+    eta: float = 0.0,
+) -> None:
+    """The gradients of the batch's cost into ``grad_w`` and ``grad_b``.
 
-    ``buffers`` holds the activations and then, layer by layer from the
-    top, the back-propagated deltas.
+    ``error`` and then, layer by layer from the top, the hidden activations'
+    buffers become the back-propagated deltas.  With ``after_layer``, each
+    layer's blocks descend at rate ``eta`` once that layer's weights have
+    carried the delta down, before any lower layer's gradient is made.
     """
-    batch = x.shape[0]
-    activations = _forward_into(model, x, buffers)
     outputs = activations[-1]
-    delta = outputs - y
-    # np.add.reduce is np.sum without its Python wrapper, a few µs per step
-    batch_loss = float(0.5 * np.add.reduce(delta**2, axis=None) / batch)
     # output layer: quadratic cost through the sigmoid, mean-reduced
-    delta /= batch
+    delta = error
+    delta /= outputs.shape[0]
     delta *= outputs
     delta *= 1.0 - outputs
     for layer in range(model.n_layers - 1, -1, -1):
@@ -291,13 +385,14 @@ def _loss_and_gradients(
         np.matmul(a.T, delta, out=grad_w[layer])
         np.add.reduce(delta, axis=0, out=grad_b[layer])
         if layer > 0:
-            back = delta @ model.weights[layer].T
-            # tanh'(z) expressed through the cached activation, in its buffer
+            # tanh'(z) expressed through the cached activation, in its buffer; one
+            # (batch, fan_in) temporary is alive at a time
             np.square(a, out=a)
             np.subtract(1.0, a, out=a)
-            a *= back
+            a *= delta @ model.weights[layer].T
             delta = a
-    return batch_loss
+        if after_layer is not None and after_layer[layer]:
+            _descend(after_layer[layer], model.config, eta)
 
 
 def backward(model: NetworkModel, inputs: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -314,7 +409,8 @@ def backward(model: NetworkModel, inputs: np.ndarray, targets: np.ndarray) -> np
         raise ValueError(f"target shape {y.shape} does not match batch/output dims")
     gradient = np.empty_like(model.parameters)
     grad_w, grad_b = _layer_views(gradient, model.config.layer_sizes())
-    _loss_and_gradients(model, x, y, _layer_buffers(model, x.shape[0]), grad_w, grad_b)
+    _, activations, error = _forward_loss(model, x, y, _layer_buffers(model, x.shape[0]))
+    _backpropagate(model, activations, error, grad_w, grad_b)
     return gradient
 
 
@@ -328,19 +424,30 @@ def sgd_step(model: NetworkModel, gradient: np.ndarray, epoch: int) -> None:
     to weight matrices only, not biases.  With momentum 0 and decay 1 this
     is exactly w - eta * (dE/dw + lambda * w).  ``gradient`` is laid out
     like ``model.parameters``, as ``backward`` returns it, and is left as is.
-    The update runs block by block (``_update_blocks``) through one scratch
+    The update runs block by block (``_update_blocks``) through one step
     buffer; every element gets the same operations in the same order.
+    ``train`` makes this update fused into its backward pass instead.
     """
     cfg = model.config
     eta = cfg.learning_rate * cfg.lr_decay**epoch
-    for start, w, v, step, first_bias in model._blocks:
-        np.multiply(w, cfg.l2_lambda, out=step)
-        step[first_bias:] = -0.0  # no bias decay: -0.0 + g is exactly g, signed zeros too
-        step += gradient[start : start + step.size]
-        step *= eta
-        v *= cfg.momentum
-        v -= step
-        w += v
+    _descend(_update_blocks(model, 0, model.parameters.size, gradient), cfg, eta)
+
+
+def _fused_step(
+    model: NetworkModel, x: np.ndarray, y: np.ndarray, buffers: list[np.ndarray], eta: float
+) -> float:
+    """``backward`` and ``sgd_step`` on one batch, without a whole gradient vector.
+
+    Each update group (``_fused_plan``) is updated during the backward pass,
+    the rest after it; every element ends as the two calls would leave it.
+    Returns the batch loss; a non-finite one leaves the model untouched.
+    """
+    batch_loss, activations, error = _forward_loss(model, x, y, buffers)
+    if math.isfinite(batch_loss):
+        plan = model._plan
+        _backpropagate(model, activations, error, plan.grad_w, plan.grad_b, plan.after_layer, eta)
+        _descend(plan.rest, model.config, eta)
+    return batch_loss
 
 
 @dataclass
@@ -370,12 +477,14 @@ def _as_arrays(dataset: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.n
 def train(model: NetworkModel, train_set, validation_set) -> TrainReport:
     """Mini-batch training with early stopping on validation loss.
 
-    Shuffles the training set every epoch, applies sgd_step per batch at
-    that epoch's decayed rate, and evaluates validation loss after each
-    epoch.  Stops once validation loss has failed to improve for
-    ``early_stop_patience`` consecutive epochs (or at max_epochs) and
-    restores the weights of the best validation epoch.  A non-finite batch
-    or validation loss ends training at once and marks the report diverged.
+    Shuffles the training set every epoch, makes ``sgd_step``'s update per
+    batch at that epoch's decayed rate, fused into the backward pass
+    (``_fused_step``), and evaluates validation loss after each epoch in
+    the batches' activation buffers.  Stops once validation loss has
+    failed to improve for ``early_stop_patience`` consecutive epochs (or at
+    max_epochs) and restores the weights of the best validation epoch.  A
+    non-finite batch or validation loss ends training at once and marks
+    the report diverged.
     """
     cfg = model.config
     x_train, y_train = _as_arrays(train_set)
@@ -389,9 +498,8 @@ def train(model: NetworkModel, train_set, validation_set) -> TrainReport:
         raise ConfigError(
             f"batch_size {cfg.batch_size} exceeds training-set size {n}"
         )
-    gradient, best_params = model._gradient, model._best
-    grad_w, grad_b = _layer_views(gradient, cfg.layer_sizes())
-    buffers = _layer_buffers(model, cfg.batch_size)
+    best_params = model._best
+    buffers = _layer_buffers(model, max(cfg.batch_size, x_val.shape[0]))
     best_val = np.inf
     np.copyto(best_params, model.parameters)
     epochs_since_best = 0
@@ -400,20 +508,18 @@ def train(model: NetworkModel, train_set, validation_set) -> TrainReport:
     epochs_run = 0
     diverged = False
     for epoch in range(cfg.max_epochs):
+        eta = cfg.learning_rate * cfg.lr_decay**epoch
         order = model.rng.permutation(n)
         x_epoch, y_epoch = x_train[order], y_train[order]
         for start in range(0, n, cfg.batch_size):
             stop = start + cfg.batch_size
-            batch_loss = _loss_and_gradients(
-                model, x_epoch[start:stop], y_epoch[start:stop], buffers, grad_w, grad_b
-            )
+            batch_loss = _fused_step(model, x_epoch[start:stop], y_epoch[start:stop], buffers, eta)
             if not math.isfinite(batch_loss):
                 diverged = True
                 break
-            sgd_step(model, gradient, epoch)
         if diverged:
             break
-        val_loss = loss(model, x_val, y_val)
+        val_loss = _forward_loss(model, x_val, y_val, buffers)[0]
         val_curve.append(val_loss)
         epochs_run = epoch + 1
         if not math.isfinite(val_loss):

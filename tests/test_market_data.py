@@ -5,7 +5,6 @@ import gc
 import io
 import math
 import tempfile
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -660,6 +659,9 @@ class TestSelectConsistentStocks:
         # oldest rows removed: surviving instants are the most recent 1000
         assert (kept.grid.instants == matrix.grid.instants[5:]).all()
         np.testing.assert_array_equal(kept.values, matrix.values[5:])
+        # every stock kept: the rows are views, not a copy
+        assert np.shares_memory(kept.values, matrix.values)
+        assert np.shares_memory(kept.fill_mask, matrix.fill_mask)
 
     def test_threshold_boundaries(self):
         matrix = self._matrix_with_fractions([1.0, 0.97])
@@ -904,26 +906,10 @@ def test_from_csv_matches_per_row_oracle(rows, line_end):
                 assert not matrix.fill_mask.any()
 
 
-def _traced_peak(load):
-    """``load()`` and the most memory it held at once, as tracemalloc (numpy too) counts it."""
-    gc.collect()
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        result = load()
-        return result, tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-
-
 class TestIngestMemory:
     """Ingest holds about one copy of its data: peak bytes over the bytes it returns."""
 
-    def test_parse_ticks_peak(self, tmp_path):
+    def test_parse_ticks_peak(self, tmp_path, traced_peak):
         grid = _grid(6000)
         stamps = [_iso(grid, i) for i in range(grid.count)]
         prices = np.random.default_rng(3).uniform(10, 500, (grid.count, 20)).round(4)
@@ -932,7 +918,7 @@ class TestIngestMemory:
             f"S{j:02d},{stamp},{p},{p},100,{p}\n"
             for stamp, row in zip(stamps, prices.tolist()) for j, p in enumerate(row)
         ))
-        table, peak = _traced_peak(lambda: parse_ticks(path))
+        table, peak = traced_peak(lambda: parse_ticks(path))
         assert table.n_records == 120_000
         returned = sum(
             a.nbytes for c in table.columns.values()
@@ -940,7 +926,7 @@ class TestIngestMemory:
         )
         assert peak <= 2.5 * returned, f"peak {peak / returned:.2f}x the returned columns"
 
-    def test_fill_missing_peak(self):
+    def test_fill_missing_peak(self, traced_peak):
         grid = _grid(8000)
         rng = np.random.default_rng(4)
         table = TickTable({})
@@ -951,12 +937,12 @@ class TestIngestMemory:
             table.columns[f"S{j:02d}"] = TickColumns(
                 grid.instants[present], nan, nan, np.full(prices.size, 100.0), prices
             )
-        matrix, peak = _traced_peak(lambda: fill_missing(table, grid))
+        matrix, peak = traced_peak(lambda: fill_missing(table, grid))
         assert matrix.values.shape == (8000, 20) and matrix.fill_mask.any()
         returned = matrix.values.nbytes + matrix.fill_mask.nbytes
         assert peak <= 1.6 * returned, f"peak {peak / returned:.2f}x the values and mask"
 
-    def test_from_csv_peak(self, tmp_path):
+    def test_from_csv_peak(self, tmp_path, traced_peak):
         grid = _grid(30_000)
         values = np.random.default_rng(5).uniform(10, 500, (grid.count, 8)).round(4)
         path = tmp_path / "panel.csv"
@@ -966,7 +952,7 @@ class TestIngestMemory:
                 f"{_iso(grid, i)},{','.join(map(str, row))}\n"
                 for i, row in enumerate(values.tolist())
             )
-        matrix, peak = _traced_peak(lambda: PriceMatrix.from_csv(path))
+        matrix, peak = traced_peak(lambda: PriceMatrix.from_csv(path))
         np.testing.assert_array_equal(matrix.values, values)
         returned = matrix.values.nbytes + matrix.fill_mask.nbytes
         assert peak <= 2.5 * returned, f"peak {peak / returned:.2f}x the values and mask"

@@ -11,6 +11,8 @@ import pytest
 from trendlag.errors import ConfigError
 from trendlag.neural import (
     _UPDATE_BLOCK,
+    _fused_step,
+    _layer_buffers,
     DOWN,
     UP,
     NetworkConfig,
@@ -325,6 +327,58 @@ class TestSgdStep:
         sgd_step(model, ones, epoch=0)
         # velocity after two steps: -0.1, then -0.19
         np.testing.assert_allclose(model.velocity, np.full_like(model.velocity, -0.19))
+
+
+class TestFusedStep:
+    """``train``'s step is ``backward`` then ``sgd_step``, without a whole gradient vector."""
+
+    @pytest.mark.parametrize(
+        "input_dim, hidden, groups",
+        [(19, (32, 32), 0), (5, (200, 200, 200), 2)],
+        ids=["19-32-32-2", "5-200-200-200-2"],
+    )
+    def test_matches_backward_then_sgd_step(self, input_dim, hidden, groups):
+        config = NetworkConfig(input_dim=input_dim, hidden_layers=hidden, lr_decay=0.9,
+                               l2_lambda=0.01, rng_seed=21)
+        fused, reference = init(config), init(config)
+        # 19-32-32-2 is all rest; the 40,000-weight layers make groups of their own
+        assert sum(map(bool, fused._plan.after_layer)) == groups
+        rng = np.random.default_rng(58)
+        buffers = _layer_buffers(fused, 50)
+        for epoch in (0, 2):
+            eta = config.learning_rate * config.lr_decay**epoch
+            for _ in range(3):
+                x, y = rng.normal(size=(50, input_dim)), np.eye(2)[rng.integers(0, 2, 50)]
+                assert math.isfinite(_fused_step(fused, x, y, buffers, eta))
+                sgd_step(reference, backward(reference, x, y), epoch)
+            assert np.array_equal(fused.parameters, reference.parameters)
+            assert np.array_equal(fused.velocity, reference.velocity)
+
+    def test_non_finite_batch_leaves_the_model_untouched(self):
+        config = NetworkConfig(input_dim=5, hidden_layers=(200, 200, 200), rng_seed=22)
+        model = init(config)
+        x, y = _labelled_rows(50, 5, seed=5)
+        buffers = _layer_buffers(model, 50)
+        _fused_step(model, x, y, buffers, 0.05)  # a velocity that an update would change
+        before = model.parameters.tobytes(), model.velocity.tobytes()
+        x[7, 2] = np.nan
+        assert math.isnan(_fused_step(model, x, y, buffers, 0.05))
+        assert (model.parameters.tobytes(), model.velocity.tobytes()) == before
+
+
+def test_paper_size_net_trains_without_a_parameter_sized_gradient(traced_peak):
+    # parameters, velocity and best weights make three vectors; a whole gradient would add one
+    config = NetworkConfig(input_dim=5, max_epochs=2, rng_seed=23)  # the default 5x400 stack
+    x, y = _labelled_rows(300, 5, seed=6)
+
+    def init_and_train():
+        model = init(config)
+        train(model, (x[:240], y[:240]), (x[240:], y[240:]))
+        return model
+
+    model, peak = traced_peak(init_and_train)
+    ratio = peak / model.parameters.nbytes
+    assert ratio < 3.75, f"peak {ratio:.2f}x one parameter vector"
 
 
 class TestTrain:
