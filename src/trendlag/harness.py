@@ -7,11 +7,11 @@ gradients once and takes from a plan the (name, train, validation, test)
 index splits every stock shares, their hash, and whether they are too small
 for any stock:
 
-* ``_fold_plan``: five contiguous folds; within each fold's training portion
-  the most recent quarter is split off for early stopping, yielding the
-  60-20-20 train/validation/test arithmetic per fold.  ``cross_validated``
-  runs it with the configured net, ``bottleneck_sweep`` with one net per
-  bottleneck width plus one without.
+* ``_fold_plan``: ``n_folds`` contiguous folds; within each fold's training
+  portion the most recent quarter is split off for early stopping, so the
+  default five folds give 60-20-20 train/validation/test per fold (four give
+  about 56-19-25).  ``cross_validated`` runs it with the configured net,
+  ``bottleneck_sweep`` with one net per bottleneck width plus one without.
 * ``_crisis_plan``: one chronological split for ``crisis``; everything before
   the boundary trains (validation = most recent quarter of it), the bounded
   window is the test set.  No cross-validation.
@@ -95,7 +95,6 @@ class ExperimentConfig:
     crisis_start: np.datetime64 | None = None
     crisis_end: np.datetime64 | None = None
     n_folds: int = 5
-    shuffled_folds: bool = False
     jobs: int = 1
     out_dir: str = "results"
     seed: int = 0
@@ -238,16 +237,6 @@ class ExperimentReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
-
-
-def _contiguous_folds(
-    n_examples: int, n_folds: int, shuffled: bool, seed: int
-) -> list[np.ndarray]:
-    """Disjoint covering folds; contiguous time blocks unless shuffled."""
-    idx = np.arange(n_examples)
-    if shuffled:
-        idx = np.random.default_rng(seed).permutation(n_examples)
-    return list(np.array_split(idx, n_folds))
 
 
 def _fold_hash(folds: Sequence[np.ndarray], extra: str = "") -> str:
@@ -530,16 +519,13 @@ def _fold_plan(
 ) -> tuple[list[Split], str, str]:
     """Contiguous CV folds: the splits, their hash, and why no stock can run them."""
     n_examples = gradients.n_intervals - 1
-    folds = _contiguous_folds(
-        n_examples, config.n_folds, config.shuffled_folds, derive_seed(config.seed, "folds")
-    )
+    folds = np.array_split(np.arange(n_examples), config.n_folds)
     splits = [
         (("fold", f), *_split_train_pool(np.concatenate(folds[:f] + folds[f + 1 :])), test_idx)
         for f, test_idx in enumerate(folds)
     ]
-    skip_reason = _skip_reason(
-        config, splits, "too few examples for a 60-20-20 fold split", "fold training"
-    )
+    no_split = f"{n_examples} examples are too few for {config.n_folds} folds with validation"
+    skip_reason = _skip_reason(config, splits, no_split, "fold training")
     return splits, _fold_hash(folds, extra=f"n={n_examples}"), skip_reason
 
 
@@ -729,11 +715,6 @@ def _cast(hint: Any, text: str) -> Any:
         (hint,) = [a for a in get_args(hint) if a is not type(None)]
     if get_origin(hint) is tuple:
         return tuple(_cast(get_args(hint)[0], p) for p in text.split(",") if p.strip())
-    if hint is bool:
-        try:
-            return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
-        except KeyError:
-            raise ConfigError(f"expected a boolean, got {text!r}") from None
     if hint is float:
         value = float(text)
         if not math.isfinite(value):

@@ -10,8 +10,9 @@ parse_ticks reads the lines in bounded blocks: a block without quotes is split
 into fields with string operations, any other block goes through csv.reader.  It
 parses a block a column at a time (canonical timestamps by digit arithmetic; only
 non-canonical fields go through the per-row parsers) and gives one
-TickColumns per stock: datetime64[ms] ``timestamp`` and float64 ``bid``, ``ask``,
-``volume`` and ``avg_price`` arrays (NaN = missing), sorted by time.  fill_missing
+TickColumns per stock: datetime64[ms] ``timestamp`` and float64 ``bid``, ``ask``
+and ``avg_price`` arrays (NaN = missing), sorted by time; ``volume`` is validated
+but not stored, since no price reads it.  fill_missing
 samples them onto a uniform time grid, giving a PriceMatrix: strictly positive
 prices, one row per grid instant and one column per stock, plus a fill mask.
 PriceMatrix.from_csv reads a matrix CSV through the same blocks.
@@ -82,7 +83,6 @@ class TickColumns:
     timestamp: np.ndarray
     bid: np.ndarray
     ask: np.ndarray
-    volume: np.ndarray
     avg_price: np.ndarray
 
     def price(self, source: str = "auto") -> np.ndarray:
@@ -309,7 +309,8 @@ def parse_ticks(source: str | Path | bytes | IO) -> TickTable:
     a column at a time; only non-canonical fields go through the per-row parsers.
     A malformed header is fatal; rows that cannot be parsed (wrong field count,
     empty stock id, bad timestamp, non-finite number, non-positive price,
-    negative volume) are skipped and counted in ``TickTable.skipped``.  A bytes
+    negative volume) are skipped and counted in ``TickTable.skipped``.  Volume is
+    only checked: the columns keep timestamp, bid, ask and avg_price.  A bytes
     (UTF-8) or text stream stays open.
     """
     if isinstance(source, (str, Path)):
@@ -347,7 +348,7 @@ def _joined(parts: list[np.ndarray]) -> np.ndarray:
 
 
 def _tick_block(codes: dict[str, int], widths: np.ndarray, singles: list[str], columns: list):
-    """A block's count of skipped rows, then its kept rows' code, timestamp and numbers.
+    """A block's count of skipped rows, then its kept rows' code, timestamp, bid, ask and avg_price.
 
     ``codes`` maps each stock id to its code, in order of first kept row; it takes
     the block's new ids.
@@ -368,7 +369,7 @@ def _tick_block(codes: dict[str, int], widths: np.ndarray, singles: list[str], c
     # a row with more than one field, or one that is not blank, counts
     non_blank = int(np.count_nonzero(widths > 1)) + sum(map(bool, map(str.strip, singles)))
     code = np.fromiter(map(codes.__getitem__, kept), np.intp, len(kept))
-    return non_blank - len(kept), code, *(a[keep] for a in (timestamp, *numbers))
+    return non_blank - len(kept), code, *(a[keep] for a in (timestamp, bid, ask, avg_price))
 
 
 def _parse_tick_rows(stream: IO[str], name: str | Path) -> TickTable:
@@ -380,8 +381,8 @@ def _parse_tick_rows(stream: IO[str], name: str | Path) -> TickTable:
     if tuple(h.strip().lower() for h in header) != TICK_HEADER:
         raise DataError(f"malformed tick header {header!r}; expected {','.join(TICK_HEADER)}")
 
-    # the kept rows' code, timestamp, bid, ask, volume and avg_price, one list of parts each
-    parts: list[list[np.ndarray]] = [[] for _ in range(len(TICK_HEADER))]
+    # the kept rows' code, timestamp, bid, ask and avg_price, one list of parts each
+    parts: list[list[np.ndarray]] = [[] for _ in range(5)]
     skipped = 0
     for block_skipped, *columns in items:
         skipped += block_skipped

@@ -22,7 +22,7 @@ from trendlag.harness import (
     ALL_SERIES,
     ExperimentConfig,
     ExperimentReport,
-    _contiguous_folds,
+    _fold_plan,
     _loaded_openblas,
     _run_per_stock,
     _split_train_pool,
@@ -104,26 +104,39 @@ def _sweep_config(**kwargs):
     return _config(mode="bottleneck_sweep", bottleneck_widths=(1, 2), **kwargs)
 
 
+def _fold_splits(n_examples, **kwargs):
+    """``_fold_plan``'s splits and skip reason for a one-stock panel of ``n_examples`` examples."""
+    gradients = features.GradientMatrix(
+        4, ("S0",), np.zeros((n_examples + 1, 1)), np.zeros(n_examples + 1, "datetime64[ms]")
+    )
+    splits, _, skip_reason = _fold_plan(_config(**kwargs), gradients)
+    return splits, skip_reason
+
+
 class TestFolds:
     def test_sixty_twenty_twenty_arithmetic(self):
-        folds = _contiguous_folds(1000, 5, False, 0)
-        assert [f.size for f in folds] == [200] * 5
-        pool = np.concatenate([folds[g] for g in range(5) if g != 2])
-        train, val = _split_train_pool(pool)
-        assert (train.size, val.size) == (600, 200)
+        splits, skip_reason = _fold_splits(1000)
+        assert skip_reason == ""
+        assert [(t.size, v.size, s.size) for _, t, v, s in splits] == [(600, 200, 200)] * 5
 
     def test_folds_partition_the_examples(self):
         for n in (47, 100, 1003):
-            folds = _contiguous_folds(n, 5, False, 0)
-            joined = np.concatenate(folds)
-            assert joined.size == n
-            np.testing.assert_array_equal(np.sort(joined), np.arange(n))
-            assert all((np.diff(f) == 1).all() for f in folds if f.size > 1)
+            splits, _ = _fold_splits(n)
+            # the test blocks are contiguous and in time order
+            np.testing.assert_array_equal(np.concatenate([s[3] for s in splits]), np.arange(n))
+            for _, train, val, test in splits:
+                joined = np.sort(np.concatenate((train, val, test)))
+                np.testing.assert_array_equal(joined, np.arange(n))
 
-    def test_shuffled_folds_partition_too(self):
-        folds = _contiguous_folds(100, 5, True, 42)
-        joined = np.sort(np.concatenate(folds))
-        np.testing.assert_array_equal(joined, np.arange(100))
+    def test_too_small_a_panel_names_the_fold_count(self):
+        # 5 examples in 4 folds leave the first fold a training pool of 3, and
+        # a quarter of 3 is no validation example
+        report = run_cross_validated(_config(
+            n_folds=4,
+            synthetic=SyntheticConfig(n_stocks=4, n_steps=6, ticks_per_step=4, seed=3),
+        ))
+        reasons = {s.skip_reason for s in report.stocks}
+        assert reasons == {"5 examples are too few for 4 folds with validation"}
 
     def test_validation_is_the_chronological_tail(self):
         train, val = _split_train_pool(np.arange(80))
@@ -496,6 +509,7 @@ assert "\\u00c41" in market_data.parse_ticks(sys.argv[2]).columns
 BAD_CONFIGS = [
     # (text in CONFIG_TEMPLATE, its replacement, expected CLI exit code)
     pytest.param("n_stocks = 4", "n_stocks = four", 1, id="int-not-a-number"),
+    # shuffled_folds, the key of the deleted shuffled-folds ablation, is unknown
     pytest.param("[experiment]\n", "[experiment]\nshuffled_folds = maybe\n", 1, id="bool"),
     pytest.param("hidden_layers = 8", "hidden_layers =", 1, id="no-hidden-layers"),
     pytest.param("[synthetic]\n", "[synthetic]\ncrisis_drift = -0.01\n", 1,
@@ -547,7 +561,6 @@ BAD_CONFIGS = [
 # BAD_CONFIGS cases with a value its field's type cannot parse, and the key named
 CAST_ERRORS = {
     "int-not-a-number": "[synthetic] n_stocks",
-    "bool": "[experiment] shuffled_folds",
     "inf-crisis-drift": "[synthetic] crisis_drift",
     "bad-timestamp": "[experiment] crisis_start",
     "nan-float": "[network] learning_rate",
@@ -584,7 +597,6 @@ bottleneck_widths = 2, 4
 crisis_start = 2010-03-01T15:30:00Z
 crisis_end = 2010-03-01T17:29:00Z
 n_folds = 4
-shuffled_folds = yes
 seed = 3
 out = {out}
 """
@@ -678,7 +690,6 @@ class TestConfigFile:
             "crisis_start": "2010-03-01T15:30:00.000Z",
             "crisis_end": "2010-03-01T17:29:00.000Z",
             "n_folds": 4,
-            "shuffled_folds": True,
             "seed": 3,
             "synthetic": {
                 "n_stocks": 3,
@@ -869,7 +880,8 @@ class TestCli:
 
     def test_report_converts_a_report_with_run_time_provenance(self, tmp_path):
         # reports once carried the run time, the creation time, a copy of the
-        # seed and the jobs setting; such a file converts as the run's own did
+        # seed, the jobs setting and the removed shuffled-folds switch; such a
+        # file converts as the run's own did
         path = tmp_path / "exp.ini"
         out = tmp_path / "results"
         path.write_text(CONFIG_TEMPLATE.format(out=out).replace("n_stocks = 4", "n_stocks = 6"))
@@ -878,7 +890,7 @@ class TestCli:
         payload["provenance"].update(
             wall_clock_seconds=1.25, created_utc="2026-01-01T00:00:00+00:00", master_seed=11
         )
-        payload["provenance"]["config"]["jobs"] = 2
+        payload["provenance"]["config"].update(jobs=2, shuffled_folds=False)
         old = tmp_path / "old" / "report_cross_validated.json"
         old.parent.mkdir()
         old.write_text(json.dumps(payload, indent=2))

@@ -110,7 +110,6 @@ class TestParseTicks:
         table = parse_ticks(_tick_csv([f"AAA,{T0},,,,10.1", f"BBB,{T0},9.0,9.2,,"]))
         col_a = table.columns["AAA"]
         assert np.isnan(col_a.bid).all() and np.isnan(col_a.ask).all()
-        assert np.isnan(col_a.volume).all()
         assert col_a.price().tolist() == [10.1]
         col_b = table.columns["BBB"]
         assert np.isnan(col_b.avg_price).all()
@@ -197,7 +196,7 @@ def _oracle(text, newline="\n"):
         ):
             skipped += 1
             continue
-        columns.setdefault(stock_id, []).append((timestamp, *numbers))
+        columns.setdefault(stock_id, []).append((timestamp, bid, ask, avg_price))
     return {s: sorted(r, key=lambda t: t[0]) for s, r in columns.items()}, skipped
 
 
@@ -208,7 +207,7 @@ def _assert_table(table, expected, skipped):
         col = table.columns[stock]
         ts, *numbers = zip(*rows)
         np.testing.assert_array_equal(col.timestamp, np.array(ts, dtype="datetime64[ms]"))
-        for got, want in zip((col.bid, col.ask, col.volume, col.avg_price), numbers):
+        for got, want in zip((col.bid, col.ask, col.avg_price), numbers):
             np.testing.assert_array_equal(got, np.array(want, dtype=np.float64))
 
 
@@ -288,7 +287,10 @@ class TestBlockParser:
         table = parse_ticks(_tick_csv(rows))
         assert table.skipped == 2
         col = table.columns["AAA"]
-        got = (col.bid, col.ask, col.volume, col.avg_price)[column]
+        assert col.timestamp.size == 12
+        if column == 2:
+            return  # volume is checked, not stored
+        got = (col.bid, col.ask, None, col.avg_price)[column]
         nan = float("nan")  # blank is missing; "nan" and "inf" are skipped
         np.testing.assert_array_equal(got, [nan, 3, nan, 3, 3, 3, 10, 3, 10.5, 3, 2, 3])
 
@@ -577,7 +579,7 @@ def test_fill_missing_keeps_each_buckets_last_tick_and_masks_the_rest(n, stocks)
         prices = np.array([math.nan if p is None else p for _, p in ticks])
         nan = np.full(len(ticks), math.nan)
         table.columns[f"S{j}"] = TickColumns(
-            start + offsets.astype("timedelta64[ms]"), nan, nan, np.full(len(ticks), 100.0), prices
+            start + offsets.astype("timedelta64[ms]"), nan, nan, prices
         )
         cells = {}
         for t, p in ticks:
@@ -922,7 +924,7 @@ class TestIngestMemory:
         assert table.n_records == 120_000
         returned = sum(
             a.nbytes for c in table.columns.values()
-            for a in (c.timestamp, c.bid, c.ask, c.volume, c.avg_price)
+            for a in (c.timestamp, c.bid, c.ask, c.avg_price)
         )
         assert peak <= 2.5 * returned, f"peak {peak / returned:.2f}x the returned columns"
 
@@ -935,7 +937,7 @@ class TestIngestMemory:
             prices = rng.uniform(10, 500, int(present.sum()))
             nan = np.full(prices.size, np.nan)
             table.columns[f"S{j:02d}"] = TickColumns(
-                grid.instants[present], nan, nan, np.full(prices.size, 100.0), prices
+                grid.instants[present], nan, nan, prices
             )
         matrix, peak = traced_peak(lambda: fill_missing(table, grid))
         assert matrix.values.shape == (8000, 20) and matrix.fill_mask.any()
