@@ -11,9 +11,9 @@ into fields with string operations, any other block goes through csv.reader.  It
 parses a block a column at a time (canonical timestamps by digit arithmetic; only
 non-canonical fields go through the per-row parsers) and gives one
 TickColumns per stock: datetime64[ms] ``timestamp`` and float64 ``bid``, ``ask``
-and ``avg_price`` arrays (NaN = missing), sorted by time; ``volume`` is validated
-but not stored, since no price reads it.  fill_missing
-samples them onto a uniform time grid, giving a PriceMatrix: strictly positive
+and ``avg_price`` arrays (NaN = missing), sorted by time.  ``volume`` is
+validated but not stored, since no price reads it.  fill_missing samples the
+columns onto a uniform time grid, giving a PriceMatrix: strictly positive
 prices, one row per grid instant and one column per stock, plus a fill mask.
 PriceMatrix.from_csv reads a matrix CSV through the same blocks.
 
@@ -348,10 +348,10 @@ def _joined(parts: list[np.ndarray]) -> np.ndarray:
 
 
 def _tick_block(codes: dict[str, int], widths: np.ndarray, singles: list[str], columns: list):
-    """A block's count of skipped rows, then its kept rows' code, timestamp, bid, ask and avg_price.
+    """A block's skipped-row count, then its kept rows' code, timestamp, bid, ask, avg_price.
 
-    ``codes`` maps each stock id to its code, in order of first kept row; it takes
-    the block's new ids.
+    Volume is only checked.  ``codes`` maps each stock id to its code, in order of
+    first kept row; it takes the block's new ids.
     """
     ids, stamps, *fields = columns
     ids = list(map(str.strip, ids))

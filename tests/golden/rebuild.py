@@ -66,7 +66,7 @@ def write_reports(out: Path, jobs: int) -> None:
     for name, (mode, source) in RUNS.items():
         config = Path(f"{name}.ini")
         config.write_text(CONFIG.format(source=source), encoding="utf-8")
-        if source.startswith("source = ticks"):
+        if name == "ticks":
             panel = synth.generate(harness.load_synthetic_config(config))
             synth.write_tick_csv(panel, "ticks.csv", missing_fraction=0.05, seed=4)
         argv = ["run", "--config", str(config), "--mode", mode, "--jobs", str(jobs)]
