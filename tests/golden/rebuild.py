@@ -15,7 +15,6 @@ that moved; the diff is the record of what changed.
 
 import os
 import shutil
-import sys
 import tempfile
 from pathlib import Path
 
@@ -74,15 +73,14 @@ def write_reports(out: Path, jobs: int) -> None:
             raise RuntimeError(f"golden run {name!r} failed")
 
 
-def main() -> int:
+def main() -> None:
     here = Path(__file__).resolve().parent
     for name in RUNS:
         shutil.rmtree(here / name, ignore_errors=True)
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         write_reports(here, jobs=1)
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()
