@@ -6,7 +6,8 @@ Each subdirectory holds the JSON, ``.csv`` and ``_box.csv`` files that
 ``trendlag run`` writes at ``--jobs 1`` for one small synthetic panel:
 ``cross``, ``crisis`` (the panel has a regime switch), ``sweep`` (two
 bottleneck widths and the unconstrained net) and ``ticks`` (the panel written
-as a tick CSV with missing rows, then run with ``source = ticks``).
+as a tick CSV with missing rows and blanked price fields, then run with
+``source = ticks``).
 ``tests/test_golden.py`` reruns them at ``--jobs 2`` and compares bytes.
 
 Rebuild only in a change that means to move report bytes, and name the files
@@ -56,6 +57,35 @@ RUNS = {
     "ticks": ("cross", "source = ticks\ntick_csv = ticks.csv"),
 }
 
+# (modulus, residue, blanked fields): a tick row whose index k has k % modulus ==
+# residue, for the first such entry, loses those fields, so that its price is
+# none, the ask, the bid or the bid/ask midpoint
+BLANKS = (
+    (53, 4, ("bid", "ask", "avg_price")),
+    (13, 3, ("bid", "avg_price")),
+    (11, 2, ("ask", "avg_price")),
+    (7, 1, ("avg_price",)),
+)
+
+
+def blank_prices(path: Path) -> None:
+    """Blank the price fields of the tick CSV at ``path`` as ``BLANKS`` says.
+
+    The file is rewritten with its ``\\r\\n`` line ends.
+    """
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    columns = header.split(",")
+    lines = [header]
+    for k, row in enumerate(rows):
+        fields = row.split(",")
+        for modulus, residue, blanked in BLANKS:
+            if k % modulus == residue:
+                for name in blanked:
+                    fields[columns.index(name)] = ""
+                break
+        lines.append(",".join(fields))
+    path.write_text("".join(line + "\r\n" for line in lines), encoding="utf-8", newline="")
+
 
 def write_reports(out: Path, jobs: int) -> None:
     """Run every entry of ``RUNS`` into ``out/<name>`` with ``jobs`` workers.
@@ -68,6 +98,7 @@ def write_reports(out: Path, jobs: int) -> None:
         if name == "ticks":
             panel = synth.generate(harness.load_synthetic_config(config))
             synth.write_tick_csv(panel, "ticks.csv", missing_fraction=0.05, seed=4)
+            blank_prices(Path("ticks.csv"))
         argv = ["run", "--config", str(config), "--mode", mode, "--jobs", str(jobs)]
         if cli.main([*argv, "--out", str(out / name)]) != 0:
             raise RuntimeError(f"golden run {name!r} failed")
