@@ -48,7 +48,6 @@ import numpy as np
 from . import baselines, features, neural, stats, synth
 from .errors import ConfigError, DataError
 from .market_data import (
-    PRICE_SOURCES,
     PriceMatrix,
     TickTable,
     TimeGrid,
@@ -87,7 +86,6 @@ class ExperimentConfig:
     matrix_csv: str | None = None
     step_size: int = 16
     grid_step_seconds: float = 60.0
-    price_source: str = "auto"
     min_observed_fraction: float = 0.9
     stock_filter: tuple[str, ...] | None = None
     network: dict[str, Any] = field(default_factory=dict)
@@ -112,10 +110,6 @@ class ExperimentConfig:
             raise ConfigError(
                 f"grid_step_seconds must round to at least 1 ms, got {self.grid_step_seconds}"
             )
-        if self.price_source not in PRICE_SOURCES:
-            raise ConfigError(
-                f"unknown price_source {self.price_source!r}; use one of {PRICE_SOURCES}"
-            )
         if not 0.0 < self.min_observed_fraction <= 1.0:
             raise ConfigError("min_observed_fraction must lie in (0, 1]")
         if self.n_folds < 2:
@@ -134,6 +128,9 @@ class ExperimentConfig:
         if "input_dim" in self.network or "rng_seed" in self.network:
             raise ConfigError("input_dim and rng_seed are derived, not configurable")
         neural.NetworkConfig(input_dim=1, **self.network).validate()
+        if (self.crisis_start is None) != (self.crisis_end is None):
+            missing = "crisis_start" if self.crisis_start is None else "crisis_end"
+            raise ConfigError(f"crisis_start and crisis_end are set together; {missing} is missing")
         window = self.crisis_start is not None and self.crisis_end is not None
         if window and self.crisis_end < self.crisis_start:
             raise ConfigError("crisis_end precedes crisis_start")
@@ -163,7 +160,7 @@ def load_price_matrix(config: ExperimentConfig, matrix: PriceMatrix | None = Non
             if not table.columns:
                 raise DataError(f"{config.tick_csv}: no parseable tick rows")
             grid = _infer_grid(table, config.grid_step_seconds)
-            matrix = fill_missing(table, grid, config.price_source)
+            matrix = fill_missing(table, grid)
         elif config.matrix_csv is not None:
             matrix = PriceMatrix.from_csv(config.matrix_csv)
         else:
@@ -569,7 +566,13 @@ def run(config: ExperimentConfig, matrix: PriceMatrix | None = None) -> list[Exp
     configs = [replace(config, network=network) for network in networks]
     for c in configs:
         c.validate()
-    gradients = features.build_gradients(load_price_matrix(config, matrix), config.step_size)
+    matrix = load_price_matrix(config, matrix)
+    if matrix.n_stocks < 2:  # leave-target-out needs another stock as input
+        raise DataError(
+            f"{matrix.n_stocks} stock(s) left after stock_filter and select_consistent_stocks; "
+            "leave-target-out needs at least 2"
+        )
+    gradients = features.build_gradients(matrix, config.step_size)
     if gradients.n_intervals < 2:
         raise DataError("need at least 2 gradient intervals to build labels")
     plan = _crisis_plan if config.mode == "crisis" else _fold_plan
@@ -674,8 +677,7 @@ def emit_report(
 
 # INI keys are dataclass field names; only these irregularities are listed.
 _DATA_FIELDS = {
-    "tick_csv", "matrix_csv", "grid_step_seconds", "min_observed_fraction",
-    "price_source", "stock_filter",
+    "tick_csv", "matrix_csv", "grid_step_seconds", "min_observed_fraction", "stock_filter",
 }
 _RENAMED = {"out_dir": "out", "switch_step": "regime_switch_step"}
 _DERIVED = {"synthetic", "network", "input_dim", "rng_seed", "coupling_matrix", "regime_switch"}

@@ -10,11 +10,12 @@ parse_ticks reads the lines in bounded blocks: a block without quotes is split
 into fields with string operations, any other block goes through csv.reader.  It
 parses a block a column at a time (canonical timestamps by digit arithmetic; only
 non-canonical fields go through the per-row parsers) and gives one
-TickColumns per stock: datetime64[ms] ``timestamp`` and float64 ``bid``, ``ask``
-and ``avg_price`` arrays (NaN = missing), sorted by time.  ``volume`` is
-validated but not stored, since no price reads it.  fill_missing samples the
-columns onto a uniform time grid, giving a PriceMatrix: strictly positive
-prices, one row per grid instant and one column per stock, plus a fill mask.
+TickColumns per stock: datetime64[ms] ``timestamp`` and float64 ``price``
+arrays, sorted by time.  A tick's price is its ``avg_price``, else the bid/ask
+midpoint, else whichever single side is present, else NaN (no price); bid, ask
+and volume are checked but not stored.  fill_missing samples the prices onto
+a uniform time grid, giving a PriceMatrix: strictly positive prices, one row
+per grid instant and one column per stock, plus a fill mask.
 PriceMatrix.from_csv reads a matrix CSV through the same blocks.
 
 Ingest holds about one copy of its data: one block's strings at a time, each
@@ -46,10 +47,6 @@ logger = logging.getLogger(__name__)
 
 TICK_HEADER = ("stock_id", "timestamp", "bid", "ask", "volume", "avg_price")
 
-# Price used per tick: average transaction price when present, else the
-# bid/ask midpoint, else whichever single side exists.
-PRICE_SOURCES = ("auto", "avg", "mid", "bid", "ask")
-
 
 def parse_timestamp(text: str) -> np.datetime64:
     """Parse an ISO-8601 timestamp into UTC datetime64[ms].
@@ -78,22 +75,13 @@ def format_timestamp(ts: np.datetime64) -> str:
 
 @dataclass(frozen=True)
 class TickColumns:
-    """One stock's ticks, sorted by timestamp (stable within ties)."""
+    """One stock's ticks, sorted by timestamp (stable within ties).
+
+    ``price`` is each tick's price (see ``_tick_block``), NaN where it has none.
+    """
 
     timestamp: np.ndarray
-    bid: np.ndarray
-    ask: np.ndarray
-    avg_price: np.ndarray
-
-    def price(self, source: str = "auto") -> np.ndarray:
-        """Per-tick price this stock contributes to the matrix; NaN where none."""
-        mid = 0.5 * (self.bid + self.ask)  # NaN unless both sides are present
-        if source != "auto":
-            return {"avg": self.avg_price, "mid": mid, "bid": self.bid, "ask": self.ask}[source]
-        price = self.avg_price
-        for fallback in (mid, self.bid, self.ask):
-            price = np.where(np.isnan(price), fallback, price)
-        return price
+    price: np.ndarray
 
 
 @dataclass
@@ -309,8 +297,8 @@ def parse_ticks(source: str | Path | bytes | IO) -> TickTable:
     a column at a time; only non-canonical fields go through the per-row parsers.
     A malformed header is fatal; rows that cannot be parsed (wrong field count,
     empty stock id, bad timestamp, non-finite number, non-positive price,
-    negative volume) are skipped and counted in ``TickTable.skipped``.  Volume is
-    only checked: the columns keep timestamp, bid, ask and avg_price.  A bytes
+    negative volume) are skipped and counted in ``TickTable.skipped``.  Bid, ask
+    and volume are only checked: the columns keep timestamp and price.  A bytes
     (UTF-8) or text stream stays open.
     """
     if isinstance(source, (str, Path)):
@@ -348,10 +336,11 @@ def _joined(parts: list[np.ndarray]) -> np.ndarray:
 
 
 def _tick_block(codes: dict[str, int], widths: np.ndarray, singles: list[str], columns: list):
-    """A block's skipped-row count, then its kept rows' code, timestamp, bid, ask, avg_price.
+    """A block's skipped-row count, then its kept rows' code, timestamp and price.
 
-    Volume is only checked.  ``codes`` maps each stock id to its code, in order of
-    first kept row; it takes the block's new ids.
+    A row's price is its avg_price, else the bid/ask midpoint, else whichever single
+    side is present, else NaN.  Volume is only checked.  ``codes`` maps each stock
+    id to its code, in order of first kept row; it takes the block's new ids.
     """
     ids, stamps, *fields = columns
     ids = list(map(str.strip, ids))
@@ -369,7 +358,10 @@ def _tick_block(codes: dict[str, int], widths: np.ndarray, singles: list[str], c
     # a row with more than one field, or one that is not blank, counts
     non_blank = int(np.count_nonzero(widths > 1)) + sum(map(bool, map(str.strip, singles)))
     code = np.fromiter(map(codes.__getitem__, kept), np.intp, len(kept))
-    return non_blank - len(kept), code, *(a[keep] for a in (timestamp, bid, ask, avg_price))
+    price = avg_price
+    for fallback in (0.5 * (bid + ask), bid, ask):  # the midpoint is NaN unless both sides are
+        price = np.where(np.isnan(price), fallback, price)
+    return non_blank - len(kept), code, timestamp[keep], price[keep]
 
 
 def _parse_tick_rows(stream: IO[str], name: str | Path) -> TickTable:
@@ -381,8 +373,8 @@ def _parse_tick_rows(stream: IO[str], name: str | Path) -> TickTable:
     if tuple(h.strip().lower() for h in header) != TICK_HEADER:
         raise DataError(f"malformed tick header {header!r}; expected {','.join(TICK_HEADER)}")
 
-    # the kept rows' code, timestamp, bid, ask and avg_price, one list of parts each
-    parts: list[list[np.ndarray]] = [[] for _ in range(5)]
+    # the kept rows' code, timestamp and price, one list of parts each
+    parts: list[list[np.ndarray]] = [[] for _ in range(3)]
     skipped = 0
     for block_skipped, *columns in items:
         skipped += block_skipped
@@ -398,10 +390,10 @@ def _parse_tick_rows(stream: IO[str], name: str | Path) -> TickTable:
     order = np.lexsort((timestamp, code))  # by stock, then stably by time
     bounds = np.cumsum(np.bincount(code))[:-1]
     del code
-    columns = [np.split(timestamp[order], bounds)]
+    timestamps = np.split(timestamp[order], bounds)
     del timestamp
-    columns += [np.split(_joined(column)[order], bounds) for column in parts[2:]]
-    return TickTable({s: TickColumns(*c) for s, *c in zip(codes, *columns)}, skipped)
+    prices = np.split(_joined(parts[2])[order], bounds)
+    return TickTable(dict(zip(codes, map(TickColumns, timestamps, prices))), skipped)
 
 
 @dataclass(frozen=True)
@@ -593,9 +585,7 @@ def _ffill_bfill(column: np.ndarray) -> np.ndarray:
     return out
 
 
-def fill_missing(
-    table: TickTable, grid: TimeGrid, price_source: str = "auto"
-) -> PriceMatrix:
+def fill_missing(table: TickTable, grid: TimeGrid) -> PriceMatrix:
     """Sample each stock onto the grid and fill gaps.
 
     Cell i takes the last tick price at or before instant i; a cell with no
@@ -604,8 +594,6 @@ def fill_missing(
     observation) and is flagged in the fill mask.  A stock with no priced
     tick at or before the final instant is dropped, with one log line.
     """
-    if price_source not in PRICE_SOURCES:
-        raise DataError(f"unknown price source {price_source!r}; use one of {PRICE_SOURCES}")
     instants = grid.instants
     n = grid.count
     # each stock's column is written in place; a dropped stock's is compacted away
@@ -613,7 +601,7 @@ def fill_missing(
     mask = np.empty((n, len(table.columns)), bool)
     kept: list[bool] = []
     for j, (stock_id, ticks) in enumerate(table.columns.items()):
-        p = ticks.price(price_source)
+        p = ticks.price
         # bucket index: tick belongs to the first grid instant at or after it
         cell = np.searchsorted(instants, ticks.timestamp, side="left")
         keep = ~np.isnan(p) & (cell < n)

@@ -250,6 +250,11 @@ class TestRunCrossValidated:
         report = run_cross_validated(_config(stock_filter=("S001", "S003")))
         assert tuple(r.stock_id for r in report.stocks) == ("S001", "S003")
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_single_stock_left_is_a_data_error_naming_the_count(self, jobs):
+        with pytest.raises(DataError, match="^1 stock\\(s\\) left after stock_filter and select_"):
+            run_cross_validated(_config(stock_filter=("S001",), jobs=jobs))
+
     def test_passed_matrix_takes_the_stock_filter(self):
         config = _config(stock_filter=("S000", "S001", "S002"))
         passed = run_cross_validated(config, generate(config.synthetic))
@@ -321,6 +326,12 @@ class TestRunCrisis:
     def test_missing_boundaries_rejected_without_regime(self):
         config = _config(mode="crisis")
         with pytest.raises(ConfigError, match="crisis"):
+            config.validate()
+
+    @pytest.mark.parametrize("missing", ["crisis_start", "crisis_end"])
+    def test_a_lone_boundary_is_rejected_naming_the_missing_one(self, missing):
+        config = _crisis_config(**{missing: None})  # the regime switch could give a window
+        with pytest.raises(ConfigError, match=f"{missing} is missing"):
             config.validate()
 
     def test_boundaries_derived_from_synthetic_regime(self):
@@ -546,12 +557,17 @@ BAD_CONFIGS = [
     # checked up front, although a synthetic source never reads the [data] values
     pytest.param("[data]\n", "[data]\nmin_observed_fraction = 1.5\n", 1,
                  id="observed-fraction-above-one"),
+    # price_source, the key of the deleted tick price choice, is unknown
     pytest.param("[data]\n", "[data]\nprice_source = bogus\n", 1, id="unknown-price-source"),
     pytest.param("[data]\n", "[data]\ngrid_step_seconds = -1\n", 1, id="negative-grid-step"),
     # rounds to a 0 ms grid step
     pytest.param("[data]\n", "[data]\ngrid_step_seconds = 0.0004\n", 1, id="sub-millisecond-grid-step"),
     pytest.param("[experiment]\n", "[experiment]\ncrisis_start = 2006-01-02T00:00:00Z\n"
                  "crisis_end = 2006-01-01T00:00:00Z\n", 1, id="crisis-end-before-start"),
+    pytest.param("[experiment]\n", "[experiment]\ncrisis_start = 2006-01-01T00:00:00Z\n", 1,
+                 id="lone-crisis-start"),
+    pytest.param("[experiment]\n", "[experiment]\ncrisis_end = 2006-01-01T00:00:00Z\n", 1,
+                 id="lone-crisis-end"),
     pytest.param("seed = 3", "seed = -1", 1, id="negative-synthetic-seed"),
     pytest.param("[network]\n", "[network]\noutput_dim = 2\n", 1, id="output-dim-not-a-key"),
     pytest.param("[synthetic]\n", "[synthetic]\ncoupling_seed = x\n", 1,
@@ -682,7 +698,6 @@ class TestConfigFile:
             "matrix_csv": None,
             "step_size": 4,
             "grid_step_seconds": 60.0,
-            "price_source": "auto",
             "min_observed_fraction": 0.9,
             "stock_filter": ["S000", "S002"],
             "network": {"hidden_layers": [8], "bottleneck": None, "batch_size": 20, "max_epochs": 2},
@@ -880,8 +895,8 @@ class TestCli:
 
     def test_report_converts_a_report_with_run_time_provenance(self, tmp_path):
         # reports once carried the run time, the creation time, a copy of the
-        # seed, the jobs setting and the removed shuffled-folds switch; such a
-        # file converts as the run's own did
+        # seed, the jobs setting, the removed shuffled-folds switch and the removed
+        # price_source setting; such a file converts as the run's own did
         path = tmp_path / "exp.ini"
         out = tmp_path / "results"
         path.write_text(CONFIG_TEMPLATE.format(out=out).replace("n_stocks = 4", "n_stocks = 6"))
@@ -890,7 +905,7 @@ class TestCli:
         payload["provenance"].update(
             wall_clock_seconds=1.25, created_utc="2026-01-01T00:00:00+00:00", master_seed=11
         )
-        payload["provenance"]["config"].update(jobs=2, shuffled_folds=False)
+        payload["provenance"]["config"].update(jobs=2, shuffled_folds=False, price_source="auto")
         old = tmp_path / "old" / "report_cross_validated.json"
         old.parent.mkdir()
         old.write_text(json.dumps(payload, indent=2))

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from trendlag import market_data
 from trendlag.errors import DataError
+from trendlag.harness import _infer_grid
 from trendlag.market_data import (
     PriceMatrix,
     TickColumns,
@@ -108,12 +109,9 @@ class TestParseTicks:
 
     def test_empty_fields_parse_as_missing(self):
         table = parse_ticks(_tick_csv([f"AAA,{T0},,,,10.1", f"BBB,{T0},9.0,9.2,,"]))
-        col_a = table.columns["AAA"]
-        assert np.isnan(col_a.bid).all() and np.isnan(col_a.ask).all()
-        assert col_a.price().tolist() == [10.1]
-        col_b = table.columns["BBB"]
-        assert np.isnan(col_b.avg_price).all()
-        assert col_b.price() == pytest.approx([9.1])  # bid/ask midpoint fallback
+        assert table.skipped == 0
+        assert table.columns["AAA"].price.tolist() == [10.1]
+        assert table.columns["BBB"].price == pytest.approx([9.1])  # bid/ask midpoint fallback
 
     def test_interleaved_stocks_match_sort_then_group_reference(self):
         rng = np.random.default_rng(7)
@@ -129,7 +127,7 @@ class TestParseTicks:
         for stock, expected in reference.items():
             expected.sort(key=lambda p: p[0])  # naive sort-then-group oracle
             col = table.columns[stock]
-            assert list(zip(col.timestamp, col.avg_price)) == expected
+            assert list(zip(col.timestamp, col.price)) == expected
         text = _tick_csv(rows).decode()
         # a text stream, and a text file-like object that is no TextIOBase
         with tempfile.NamedTemporaryFile("w+", encoding="utf-8", newline="") as fh:
@@ -142,31 +140,24 @@ class TestParseTicks:
                 np.testing.assert_array_equal(a.values, b.values)
                 np.testing.assert_array_equal(a.fill_mask, b.fill_mask)
 
-    def test_explicit_price_sources(self):
-        table = parse_ticks(_tick_csv([
-            f"AAA,{T0},9.0,11.0,5,10.5",
-            "AAA,2011-04-01T09:31:00.000Z,9.0,11.0,5,",
-            "AAA,2011-04-01T09:32:00.000Z,9.0,,5,",
-            "AAA,2011-04-01T09:33:00.000Z,,11.0,5,",
-            "AAA,2011-04-01T09:34:00.000Z,,,5,",
-        ]))
+    def test_price_is_avg_then_midpoint_then_one_side(self):
+        cases = [  # bid, ask, avg_price -> price
+            ("9.0", "11.0", "10.5", 10.5),
+            ("9.0", "11.0", "", 10.0),
+            ("9.0", "", "", 9.0),
+            ("", "11.0", "", 11.0),
+            ("", "", "", math.nan),  # no price: kept all the same
+        ]
+        grid = _grid(len(cases))
+        table = parse_ticks(_tick_csv(
+            f"AAA,{_iso(grid, i)},{bid},{ask},5,{avg}" for i, (bid, ask, avg, _) in enumerate(cases)
+        ))
+        assert table.skipped == 0
         col = table.columns["AAA"]
-        nan = np.nan
-        expected = {
-            "avg": [10.5, nan, nan, nan, nan],
-            "bid": [9.0, 9.0, 9.0, nan, nan],
-            "ask": [11.0, 11.0, nan, 11.0, nan],
-            "mid": [10.0, 10.0, nan, nan, nan],
-            "auto": [10.5, 10.0, 9.0, 11.0, nan],  # avg, then mid, then one side
-        }
-        for source, prices in expected.items():
-            np.testing.assert_array_equal(col.price(source), prices)
-
-    def test_unknown_price_source_rejected(self):
-        grid = _grid(2)
-        table = _table_from_cells({"AAA": [10.0, 11.0]}, grid)
-        with pytest.raises(DataError, match="price source"):
-            fill_missing(table, grid, price_source="typo")
+        np.testing.assert_array_equal(col.timestamp, grid.instants)
+        np.testing.assert_array_equal(col.price, [price for *_, price in cases])
+        # the last tick has no price, yet it still bounds the inferred grid
+        np.testing.assert_array_equal(_infer_grid(table, 60).instants, grid.instants)
 
     def test_timestamp_offsets_normalize_to_utc(self):
         a = parse_timestamp("2011-04-01T09:30:00.000Z")
@@ -196,7 +187,9 @@ def _oracle(text, newline="\n"):
         ):
             skipped += 1
             continue
-        columns.setdefault(stock_id, []).append((timestamp, bid, ask, avg_price))
+        prices = (avg_price, 0.5 * (bid + ask), bid, ask)
+        price = next((p for p in prices if not math.isnan(p)), math.nan)
+        columns.setdefault(stock_id, []).append((timestamp, price))
     return {s: sorted(r, key=lambda t: t[0]) for s, r in columns.items()}, skipped
 
 
@@ -205,10 +198,9 @@ def _assert_table(table, expected, skipped):
     assert table.stock_ids == tuple(expected)
     for stock, rows in expected.items():
         col = table.columns[stock]
-        ts, *numbers = zip(*rows)
+        ts, prices = zip(*rows)
         np.testing.assert_array_equal(col.timestamp, np.array(ts, dtype="datetime64[ms]"))
-        for got, want in zip((col.bid, col.ask, col.avg_price), numbers):
-            np.testing.assert_array_equal(got, np.array(want, dtype=np.float64))
+        np.testing.assert_array_equal(col.price, np.array(prices, dtype=np.float64))
 
 
 class TestBlockParser:
@@ -239,7 +231,7 @@ class TestBlockParser:
         assert table.skipped == sum(not ok for _, ok in stamps)
         col = table.columns["AAA"]
         assert (col.timestamp == parse_timestamp(T0)).all()
-        assert col.avg_price.tolist() == expected  # one instant, so file order stays
+        assert col.price.tolist() == expected  # one instant, so file order stays
 
     def test_one_rejected_field_takes_one_per_row_parse(self, monkeypatch):
         calls = []
@@ -266,22 +258,22 @@ class TestBlockParser:
 
         grid = _grid(2048)
         bid = {1000: "", 1500: "\x1c7\x1c"}  # blank is missing; \x1c: str.strip only
-        rows = [f"AAA,{_iso(grid, i)},{bid.get(i, 10)},11,5,{i + 1}" for i in range(2048)]
+        # no ask or avg_price, so that the price is the bid
+        rows = [f"AAA,{_iso(grid, i)},{bid.get(i, i + 1)},,5," for i in range(2048)]
         monkeypatch.setattr(market_data, "_BLOCK_ROWS", 2048)
         monkeypatch.setattr(market_data, "_parse_number", counted)
         col = parse_ticks(_tick_csv(rows)).columns["AAA"]
         assert calls == ["\x1c7\x1c"]
-        expected = np.full(2048, 10.0)
+        expected = np.arange(1.0, 2049.0)
         expected[[1000, 1500]] = np.nan, 7.0
-        np.testing.assert_array_equal(col.bid, expected)
-        np.testing.assert_array_equal(col.avg_price, np.arange(1, 2049))
+        np.testing.assert_array_equal(col.price, expected)
 
     @pytest.mark.parametrize("column", range(4))
     def test_number_fields_take_the_per_row_rules(self, column):
         fields = ["", "  ", "nan", "inf", "1_0", " 10.5 ", "\x1c2\x1c"]  # \x1c: str.strip only
         rows = []
         for field in fields:
-            values = ["1", "1", "1", "1"]
+            values = ["", "", "1", ""]  # no price field but the column's own
             values[column] = field
             rows += [f"AAA,{T0},{','.join(values)}", f"AAA,{T0},3,3,3,3"]
         table = parse_ticks(_tick_csv(rows))
@@ -290,9 +282,8 @@ class TestBlockParser:
         assert col.timestamp.size == 12
         if column == 2:
             return  # volume is checked, not stored
-        got = (col.bid, col.ask, None, col.avg_price)[column]
         nan = float("nan")  # blank is missing; "nan" and "inf" are skipped
-        np.testing.assert_array_equal(got, [nan, 3, nan, 3, 3, 3, 10, 3, 10.5, 3, 2, 3])
+        np.testing.assert_array_equal(col.price, [nan, 3, nan, 3, 3, 3, 10, 3, 10.5, 3, 2, 3])
 
     def test_stock_order_follows_first_valid_row_across_blocks(self):
         text = _tick_csv([
@@ -309,7 +300,7 @@ class TestBlockParser:
         table = parse_ticks(text)
         assert table.stock_ids == ("AAA", "CCC", "BBB")
         assert table.skipped == 3
-        assert table.columns["AAA"].avg_price.tolist() == [4, 1]  # sorted by time
+        assert table.columns["AAA"].price.tolist() == [4, 1]  # sorted by time
         expected, skipped = _oracle(text.decode())
         _assert_table(table, expected, skipped)
 
@@ -577,10 +568,7 @@ def test_fill_missing_keeps_each_buckets_last_tick_and_masks_the_rest(n, stocks)
         ticks = sorted(ticks, key=lambda tick: tick[0])  # stable: equal times keep their order
         offsets = np.array([t for t, _ in ticks], dtype=np.int64)
         prices = np.array([math.nan if p is None else p for _, p in ticks])
-        nan = np.full(len(ticks), math.nan)
-        table.columns[f"S{j}"] = TickColumns(
-            start + offsets.astype("timedelta64[ms]"), nan, nan, prices
-        )
+        table.columns[f"S{j}"] = TickColumns(start + offsets.astype("timedelta64[ms]"), prices)
         cells = {}
         for t, p in ticks:
             cell = max(0, -(-t // 10))  # the first instant at or after the tick
@@ -922,10 +910,7 @@ class TestIngestMemory:
         ))
         table, peak = traced_peak(lambda: parse_ticks(path))
         assert table.n_records == 120_000
-        returned = sum(
-            a.nbytes for c in table.columns.values()
-            for a in (c.timestamp, c.bid, c.ask, c.avg_price)
-        )
+        returned = sum(c.timestamp.nbytes + c.price.nbytes for c in table.columns.values())
         assert peak <= 2.5 * returned, f"peak {peak / returned:.2f}x the returned columns"
 
     def test_fill_missing_peak(self, traced_peak):
@@ -935,10 +920,7 @@ class TestIngestMemory:
         for j in range(20):
             present = rng.random(grid.count) < 0.8
             prices = rng.uniform(10, 500, int(present.sum()))
-            nan = np.full(prices.size, np.nan)
-            table.columns[f"S{j:02d}"] = TickColumns(
-                grid.instants[present], nan, nan, prices
-            )
+            table.columns[f"S{j:02d}"] = TickColumns(grid.instants[present], prices)
         matrix, peak = traced_peak(lambda: fill_missing(table, grid))
         assert matrix.values.shape == (8000, 20) and matrix.fill_mask.any()
         returned = matrix.values.nbytes + matrix.fill_mask.nbytes
