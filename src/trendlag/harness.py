@@ -567,7 +567,7 @@ def run(config: ExperimentConfig, matrix: PriceMatrix | None = None) -> list[Exp
     for c in configs:
         c.validate()
     matrix = load_price_matrix(config, matrix)
-    if matrix.n_stocks < 2:  # leave-target-out needs another stock as input
+    if matrix.n_stocks < 2:
         raise DataError(
             f"{matrix.n_stocks} stock(s) left after stock_filter and select_consistent_stocks; "
             "leave-target-out needs at least 2"

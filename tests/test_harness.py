@@ -566,8 +566,6 @@ BAD_CONFIGS = [
                  "crisis_end = 2006-01-01T00:00:00Z\n", 1, id="crisis-end-before-start"),
     pytest.param("[experiment]\n", "[experiment]\ncrisis_start = 2006-01-01T00:00:00Z\n", 1,
                  id="lone-crisis-start"),
-    pytest.param("[experiment]\n", "[experiment]\ncrisis_end = 2006-01-01T00:00:00Z\n", 1,
-                 id="lone-crisis-end"),
     pytest.param("seed = 3", "seed = -1", 1, id="negative-synthetic-seed"),
     pytest.param("[network]\n", "[network]\noutput_dim = 2\n", 1, id="output-dim-not-a-key"),
     pytest.param("[synthetic]\n", "[synthetic]\ncoupling_seed = x\n", 1,
