@@ -16,10 +16,14 @@ for any stock:
   the boundary trains (validation = most recent quarter of it), the bounded
   window is the test set.  No cross-validation.
 
-Every (network, stock) task runs in one worker pool: one net per split, the
-stock scored on the union of the test sets.  ``run`` returns one report per
-network; ``run_cross_validated``, ``run_crisis`` and ``run_bottleneck_sweep``
-call it with their mode set.
+Every (network, stock group) task runs in one worker pool.  A group is as
+many stocks as ``neural.stack_size`` nets of its network fit one update
+block (18 of 19-32-32-2, one of the 5x400 net), in equal groups, at least
+two per worker.  For each split a task trains its stocks' nets as one
+stack, each net bit for bit as it would train alone, and scores every
+stock on the union of the test sets.  ``run`` returns one report per
+network; ``run_cross_validated``, ``run_crisis`` and
+``run_bottleneck_sweep`` call it with their mode set.
 
 Reports carry per-stock model and baseline accuracies, Welch tests and
 minimum differences against each baseline, box-whisker summaries, and full
@@ -31,7 +35,9 @@ from __future__ import annotations
 import configparser
 import csv
 import ctypes
+import gc
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -160,6 +166,8 @@ def load_price_matrix(config: ExperimentConfig, matrix: PriceMatrix | None = Non
             if not table.columns:
                 raise DataError(f"{config.tick_csv}: no parseable tick rows")
             grid = _infer_grid(table, config.grid_step_seconds)
+            if grid is None:
+                raise DataError(f"{config.tick_csv}: no tick has a price")
             matrix = fill_missing(table, grid)
         elif config.matrix_csv is not None:
             matrix = PriceMatrix.from_csv(config.matrix_csv)
@@ -173,9 +181,17 @@ def load_price_matrix(config: ExperimentConfig, matrix: PriceMatrix | None = Non
     )
 
 
-def _infer_grid(table: TickTable, step_seconds: float) -> TimeGrid:
-    first = min(c.timestamp[0] for c in table.columns.values())
-    last = max(c.timestamp[-1] for c in table.columns.values())
+def _infer_grid(table: TickTable, step_seconds: float) -> TimeGrid | None:
+    """The regular grid from the first to the last tick with a price; None if no tick has one.
+
+    A tick without a price fills no cell, so it does not stretch the grid.
+    """
+    priced = [c.timestamp[np.isfinite(c.price)] for c in table.columns.values()]
+    priced = [t for t in priced if t.size]
+    if not priced:
+        return None
+    first = min(t[0] for t in priced)
+    last = max(t[-1] for t in priced)
     step = np.timedelta64(int(round(step_seconds * 1000)), "ms")
     count = int((last - first) // step) + 1
     memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
@@ -247,33 +263,69 @@ def _fold_hash(folds: Sequence[np.ndarray], extra: str = "") -> str:
 
 def _train_and_predict(
     config: ExperimentConfig,
-    x: np.ndarray,
-    y: np.ndarray,
+    gradients: features.GradientMatrix,
+    truths: Sequence[np.ndarray],
     train_idx: np.ndarray,
     val_idx: np.ndarray,
     test_idx: np.ndarray,
-    rng_seed: int,
-    stock_id: str,
+    rng_seeds: Sequence[int],
+    stock_ids: Sequence[str],
     split: str,
     model: neural.NetworkModel | None,
 ) -> tuple[np.ndarray, neural.NetworkModel]:
-    """Fit normalizer on the training split only, train, predict the test split.
+    """Fit the normalizer on the training split only, train the stocks' nets as one stack.
 
-    The net is drawn into ``model``'s memory when one is given; the model is
-    returned with the predictions, for the stock's next split.
+    ``truths`` holds each stock's labels (``features.truth_labels``).  Only
+    the split's rows are kept (``_split_inputs``), the test rows once the
+    nets have trained.  The stack is drawn into ``model``'s memory when one
+    is given; the model is returned with the (stocks, test rows)
+    predictions, for the group's next split.
     """
-    params = features.fit_normalizer(x[train_idx])
-    xn = features.apply_normalizer(params, x)
-    net_config = config.network_config(input_dim=x.shape[1], rng_seed=rng_seed)
-    model = neural.init(net_config, model)
-    fit = neural.train(model, (xn[train_idx], y[train_idx]), (xn[val_idx], y[val_idx]))
-    if fit.diverged:
-        logger.warning(
-            "training diverged for %s, %s: non-finite loss after %d full epochs; "
-            "predicting with the best finite weights",
-            stock_id, split, fit.epochs_run,
-        )
-    return neural.predict_class(model, xn[test_idx]), model
+    columns = [gradients.stock_ids.index(s) for s in stock_ids]
+    x_train, x_val = _split_inputs(gradients, columns, train_idx, (train_idx, val_idx))
+    # one-hot targets, as features.dataset_arrays makes them
+    y_train, y_val = (
+        np.eye(2)[np.stack([t[idx] for t in truths])] for idx in (train_idx, val_idx)
+    )
+    net_configs = [
+        config.network_config(input_dim=gradients.n_stocks - 1, rng_seed=seed) for seed in rng_seeds
+    ]
+    model = neural.init_stack(net_configs, model)
+    fits = neural.train_stack(model, (x_train, y_train), (x_val, y_val))
+    del x_train, y_train, x_val, y_val  # the test rows are built once these are freed
+    for stock_id, fit in zip(stock_ids, fits):
+        if fit.diverged:
+            logger.warning(
+                "training diverged for %s, %s: non-finite loss after %d full epochs; "
+                "predicting with the best finite weights",
+                stock_id, split, fit.epochs_run,
+            )
+    (x_test,) = _split_inputs(gradients, columns, train_idx, (test_idx,))
+    return neural.predict_class(model, x_test), model
+
+
+def _split_inputs(
+    gradients: features.GradientMatrix,
+    columns: Sequence[int],
+    train_idx: np.ndarray,
+    parts: Sequence[np.ndarray],
+) -> list[np.ndarray]:
+    """Normalized inputs of the stocks in ``columns``: one (stocks, rows, features) array per part.
+
+    A stock's inputs are the other stocks' gradients, as in
+    ``features.dataset_arrays``.  The panel is normalized once, fitted on
+    the training rows: a column's normalizer does not depend on which
+    stock is the target.
+    """
+    panel = gradients.values[:-1]  # row i: every stock's gradient before interval i + 1
+    panel = features.apply_normalizer(features.fit_normalizer(panel[train_idx]), panel)
+    stacked = []
+    for idx in parts:
+        rows, out = panel[idx], np.empty((len(columns), idx.size, panel.shape[1] - 1))
+        for inputs, j in zip(out, columns):  # np.delete(rows, j, axis=1), written in place
+            inputs[:, :j], inputs[:, j:] = rows[:, :j], rows[:, j + 1 :]
+        stacked.append(out)
+    return stacked
 
 
 def _split_train_pool(pool: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -300,37 +352,63 @@ def _skip_reason(
     return ""
 
 
-def _run_stock(
+def _stock_groups(
+    stock_ids: Sequence[str], network: neural.NetworkConfig, jobs: int
+) -> list[tuple[str, ...]]:
+    """The stocks in equal groups, each trained as one stack of ``network``'s nets.
+
+    A group holds at most ``neural.stack_size`` stocks, and there are at
+    least 2 x ``jobs`` groups where there are stocks for them, so the pool
+    still balances.
+    """
+    n = len(stock_ids)
+    count = min(n, max(-(-n // neural.stack_size(network)), 2 * jobs))
+    return [tuple(stock_ids[i * n // count : (i + 1) * n // count]) for i in range(count)]
+
+
+def _run_group(
     config: ExperimentConfig,
     gradients: features.GradientMatrix,
     splits: Sequence[Split],
-    stock_id: str,
-    stock_seed: int,
-) -> StockResult:
-    """Train one net per split and score the stock on the union of the test sets.
+    stock_ids: Sequence[str],
+    stock_seeds: dict[str, int],
+) -> list[StockResult]:
+    """Train the group's nets as one stack per split; score each stock on all its test rows.
 
-    Every split's net is drawn into the first split's model.
+    A stock is scored on the union of the test sets.  Every split's stack
+    is drawn into the first split's model.
     """
-    x, y = features.dataset_arrays(gradients, stock_id)
-    truth = features.truth_labels(y)
-    predicted = np.full(truth.size, -1, dtype=np.int64)
-    split_accuracies = []
+    truths = [features.truth_labels(features.dataset_arrays(gradients, s)[1]) for s in stock_ids]
+    predicted = np.full((len(stock_ids), truths[0].size), -1, dtype=np.int64)
+    split_accuracies: list[list[float]] = [[] for _ in stock_ids]
     model = None
     for name, train_idx, val_idx, test_idx in splits:
+        seeds = [derive_seed(stock_seeds[s], *name) for s in stock_ids]
         pred, model = _train_and_predict(
-            config, x, y, train_idx, val_idx, test_idx,
-            derive_seed(stock_seed, *name), stock_id, " ".join(map(str, name)), model,
+            config, gradients, truths, train_idx, val_idx, test_idx, seeds, stock_ids,
+            " ".join(map(str, name)), model,
         )
-        predicted[test_idx] = pred
-        split_accuracies.append(baselines.accuracy(pred, truth[test_idx]))
+        predicted[:, test_idx] = pred
+        for accuracies, p, truth in zip(split_accuracies, pred, truths):
+            accuracies.append(baselines.accuracy(p, truth[test_idx]))
     scored = np.sort(np.concatenate([test_idx for *_, test_idx in splits]))
-    predicted, truth = predicted[scored], truth[scored]
+    return [
+        _score(stock_id, stock_seeds[stock_id], p[scored], truth[scored], accuracies)
+        for stock_id, p, truth, accuracies in zip(stock_ids, predicted, truths, split_accuracies)
+    ]
+
+
+def _score(
+    stock_id: str, stock_seed: int, predicted: np.ndarray, truth: np.ndarray,
+    split_accuracies: list[float],
+) -> StockResult:
+    """A stock's result: its model's accuracy per split, and every baseline on the scored rows."""
     randomized = baselines.randomized_baseline(predicted, derive_seed(stock_seed, "shuffle"))
     class1 = baselines.class_baseline(truth, 1)
     class2 = baselines.class_baseline(truth, 2)
     return StockResult(
         stock_id=stock_id,
-        n_examples=int(scored.size),
+        n_examples=int(truth.size),
         model_accuracy=float(np.mean(split_accuracies)),
         fold_accuracies=tuple(split_accuracies),
         randomized_accuracy=baselines.accuracy(randomized, truth),
@@ -396,23 +474,23 @@ def _release_free_heap() -> None:
 
 
 # The worker function of the pool this worker process belongs to.
-_TASK: Callable[[Any], StockResult] | None = None
+_TASK: Callable[[Any], Any] | None = None
 
 
-def _start_worker(task: Callable[[Any], StockResult]) -> None:
+def _start_worker(task: Callable[[Any], Any]) -> None:
     global _TASK
     _TASK = task
     _pin_one_blas_thread()
 
 
-def _run_task(task: Any) -> StockResult:
+def _run_task(task: Any) -> Any:
     return _TASK(task)
 
 
 def _run_per_stock(
-    config: ExperimentConfig, worker: Callable[[Any], StockResult], tasks: Sequence[Any]
-) -> list[StockResult]:
-    """Run each (network index, stock id) task, in forked workers when jobs > 1.
+    config: ExperimentConfig, worker: Callable[[Any], Any], tasks: Sequence[Any]
+) -> list[Any]:
+    """Run each (network index, stock group) task, in forked workers when jobs > 1.
 
     Order is preserved.  Each task owns its seed-derived generators, so the
     degree of parallelism cannot perturb results.  The pool forks, so the
@@ -426,11 +504,17 @@ def _run_per_stock(
     if n_workers <= 1:
         return [worker(t) for t in tasks]
     _release_free_heap()
+    # a worker's collections then pass over the objects it inherits without
+    # writing to them, so it does not copy their pages
+    gc.freeze()
     context = multiprocessing.get_context("fork")
-    with context.Pool(n_workers, initializer=_start_worker, initargs=(worker,)) as pool:
-        results = pool.map(_run_task, tasks, chunksize=1)
-        pool.close()
-        pool.join()
+    try:
+        with context.Pool(n_workers, initializer=_start_worker, initargs=(worker,)) as pool:
+            results = pool.map(_run_task, tasks, chunksize=1)
+            pool.close()
+            pool.join()
+    finally:
+        gc.unfreeze()
     return results
 
 
@@ -578,16 +662,32 @@ def run(config: ExperimentConfig, matrix: PriceMatrix | None = None) -> list[Exp
     plan = _crisis_plan if config.mode == "crisis" else _fold_plan
     splits, fold_hash, skip_reason = plan(config, gradients)
     stock_seeds = {s: derive_seed(config.seed, s) for s in gradients.stock_ids}
-    tasks = [(i, s) for s in gradients.stock_ids for i in range(len(configs))]
     if skip_reason:
-        results = [_skipped(s, gradients.n_intervals - 1, skip_reason) for _, s in tasks]
+        per_network = [
+            [_skipped(s, gradients.n_intervals - 1, skip_reason) for s in gradients.stock_ids]
+            for _ in configs
+        ]
     else:
+        groups = [
+            _stock_groups(gradients.stock_ids, c.network_config(gradients.n_stocks - 1, 0), c.jobs)
+            for c in configs
+        ]
+        # each network's k-th group, network after network, then the (k+1)-th
+        tasks = [
+            (i, group)
+            for row in itertools.zip_longest(*groups)
+            for i, group in enumerate(row)
+            if group is not None
+        ]
         results = _run_per_stock(
             config,
-            lambda t: _run_stock(configs[t[0]], gradients, splits, t[1], stock_seeds[t[1]]),
+            lambda t: _run_group(configs[t[0]], gradients, splits, t[1], stock_seeds),
             tasks,
         )
-    per_network = [results[i :: len(configs)] for i in range(len(configs))]
+        per_network = [
+            [r for (j, _), rs in zip(tasks, results) if j == i for r in rs]
+            for i in range(len(configs))
+        ]
     return [_assemble_report(c, r, fold_hash, stock_seeds) for c, r in zip(configs, per_network)]
 
 

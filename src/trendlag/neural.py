@@ -8,40 +8,46 @@ best-validation weights.  Weights start Gaussian with variance 2/fan_in;
 an optional narrow bottleneck layer can be inserted mid-model to probe how
 far the problem compresses.
 
-A model keeps its parameters in one flat float64 vector: every weight
-matrix (row-major, in layer order) first, then every bias vector, so weight
-decay covers one prefix slice.  The momentum velocity and the gradient that
-``backward`` returns share that layout.  ``init`` draws every weight
-straight into the vector's weight prefix and scales each layer's view in
-place.  The per-layer ``weights`` and ``biases`` are read-only tuples of
-views into the parameter vector, so writing into one of them changes the
-model.
+A model holds a stack of nets that share one layer chain, one net per row
+of a (nets, P) float64 array.  A row holds every weight matrix (row-major,
+in layer order) first, then every bias vector, so weight decay covers one
+prefix of it.  The momentum velocity and the gradient that ``backward``
+returns share that layout.  Each layer's weights are a (nets, fan_in,
+fan_out) view of the rows, so a forward or backward op is one numpy call
+for the whole stack: ``np.matmul`` makes one gemm per net, as for a lone
+net, and elementwise ops and reductions treat each net's elements as a
+lone net's, so every net's numbers are bit for bit its own.  A one-net
+model is the stack of one, and its public views drop the stack axis.
+``init_stack`` draws every net from its own generator; ``init`` draws one.
 
-``sgd_step`` applies a whole gradient vector in cache-sized blocks.
-``train`` makes the same update without one: its step fuses the update into
-the backward pass.  Whole layers, from the top, form update groups of at
-least ``_UPDATE_BLOCK`` weights; a group is updated as soon as its weights
-have carried the delta down, so every group's gradient shares one scratch
-vector the size of the largest group.  The layers below the last group and
-all biases are updated after the pass, which for a net smaller than one
-block (19-32-32-2) is one blocked pass over the whole vector.  Every
-element gets ``sgd_step``'s operations in its order, so ``train`` ends
-bit for bit where ``backward`` and ``sgd_step`` per batch would.
+``sgd_step`` applies a whole gradient in cache-sized blocks.
+``train_stack`` makes the same update without one: its step fuses the
+update into the backward pass.  Whole layers, from the top, form update
+groups of at least ``_UPDATE_BLOCK`` weights; a group is updated as soon
+as its weights have carried the delta down, so every group's gradient
+shares one scratch row the size of the largest group.  The layers below
+the last group and all biases are updated after the pass, which for a
+stack that fits one block (up to ``stack_size`` nets of 19-32-32-2) is one
+pass over all its rows.  Every element gets ``sgd_step``'s operations in
+its order, so training ends bit for bit where ``backward`` and
+``sgd_step`` per batch would.  Each net of a stack shuffles, stops early
+or diverges on its own; a net that stops leaves the stack, and the rest
+train on.  ``train`` is ``train_stack`` on a one-net model.
 
-A model also owns ``train``'s scratch: that gradient scratch, a
-best-weights vector and one block's step buffer, so training allocates
-nothing parameter-sized.  ``init`` can redraw into a model of the same
-layer sizes: the harness trains all of a stock's splits in one model's
-memory, and the paper-size net does not fault fresh vectors in for every
-split.
+A model also owns the training scratch: those gradient rows, best-weights
+rows and one block's step, so training allocates nothing parameter-sized.
+``init_stack`` can redraw into a model of the same size and layer sizes:
+the harness trains all of a stock group's splits in one model's memory,
+and the paper-size net does not fault fresh vectors in for every split.
 
-Everything is plain numpy and deterministic under the configured seed.
+Everything is plain numpy and deterministic under the configured seeds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -118,16 +124,24 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.divide(numerator, e, out=z)
 
 
+def _parameter_count(sizes: tuple[int, ...]) -> int:
+    return sum(i * o + o for i, o in zip(sizes[:-1], sizes[1:]))
+
+
 def _layer_views(
-    flat: np.ndarray, sizes: tuple[int, ...]
+    rows: np.ndarray, sizes: tuple[int, ...]
 ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Weight-matrix and bias views into a flat vector: all weights, then all biases."""
+    """Per-layer views into (nets, P) rows, each row all weights, then all biases.
+
+    Weights are (nets, fan_in, fan_out), biases (nets, 1, fan_out).
+    """
+    nets = rows.shape[0]
     weights, biases, start = [], [], 0
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        weights.append(flat[start : start + fan_in * fan_out].reshape(fan_in, fan_out))
+        weights.append(rows[:, start : start + fan_in * fan_out].reshape(nets, fan_in, fan_out))
         start += fan_in * fan_out
     for fan_out in sizes[1:]:
-        biases.append(flat[start : start + fan_out])
+        biases.append(rows[:, start : start + fan_out].reshape(nets, 1, fan_out))
         start += fan_out
     return tuple(weights), tuple(biases)
 
@@ -135,25 +149,36 @@ def _layer_views(
 # elements per update block: 256 KiB per float64 operand stays in cache
 _UPDATE_BLOCK = 32768
 
+
+def stack_size(config: NetworkConfig) -> int:
+    """How many nets of ``config``'s chain fit one update block together; at least 1.
+
+    Every step of such a stack updates all its parameters in one blocked pass.
+    """
+    return max(1, _UPDATE_BLOCK // _parameter_count(config.layer_sizes()))
+
+
 # (parameter view, velocity view, gradient view, step buffer view,
-#  offset of the first bias in the block or its length)
+#  column of the first bias in the block or its width)
 _Block = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]
 
 
 def _update_blocks(
-    model: NetworkModel, start: int, stop: int, gradient: np.ndarray
+    model: NetworkModel, nets: int, start: int, stop: int, gradient: np.ndarray
 ) -> tuple[_Block, ...]:
-    """The update of ``parameters[start:stop]`` in blocks of at most ``_UPDATE_BLOCK`` elements.
+    """The update of columns ``start:stop`` of the first ``nets`` rows, in blocks.
 
-    ``gradient`` holds that slice's gradient from its index 0.  Every block
-    computes its step in the model's one step buffer.
+    A block is at most ``_UPDATE_BLOCK`` columns wide.  ``gradient`` holds
+    those columns' gradient from its column 0.  Every block computes its
+    step in the model's one step buffer.
     """
     blocks = []
     for lo in range(start, stop, _UPDATE_BLOCK):
         hi = min(lo + _UPDATE_BLOCK, stop)
         blocks.append((
-            model.parameters[lo:hi], model.velocity[lo:hi], gradient[lo - start : hi - start],
-            model._step[: hi - lo], min(max(model.n_weights - lo, 0), hi - lo),
+            model._param_rows[:nets, lo:hi], model._velocity_rows[:nets, lo:hi],
+            gradient[:, lo - start : hi - start], model._step[:nets, : hi - lo],
+            min(max(model.n_weights - lo, 0), hi - lo),
         ))
     return tuple(blocks)
 
@@ -162,7 +187,7 @@ def _descend(blocks: tuple[_Block, ...], config: NetworkConfig, eta: float) -> N
     """``sgd_step``'s update of each block's elements, at rate ``eta``."""
     for w, v, g, step, first_bias in blocks:
         np.multiply(w, config.l2_lambda, out=step)
-        step[first_bias:] = -0.0  # no bias decay: -0.0 + g is exactly g, signed zeros too
+        step[:, first_bias:] = -0.0  # no bias decay: -0.0 + g is exactly g, signed zeros too
         step += g
         step *= eta
         v *= config.momentum
@@ -170,84 +195,130 @@ def _descend(blocks: tuple[_Block, ...], config: NetworkConfig, eta: float) -> N
         w += v
 
 
+def _update_groups(
+    sizes: tuple[int, ...]
+) -> tuple[list[int], list[tuple[int, int]], int, int]:
+    """Update groups of whole layers, from the top, each of at least ``_UPDATE_BLOCK`` weights.
+
+    Returns each layer's first weight (and the weight count last), the
+    groups as (lowest layer, highest layer + 1), the lowest group's lowest
+    layer (the layer count when there is no group), and the largest
+    group's weight count (0 when there is none).
+    """
+    shapes = list(zip(sizes[:-1], sizes[1:]))
+    edges = np.cumsum([0] + [i * o for i, o in shapes]).tolist()
+    groups, top = [], len(shapes)
+    for layer in range(len(shapes) - 1, -1, -1):
+        if edges[top] - edges[layer] >= _UPDATE_BLOCK:
+            groups.append((layer, top))
+            top = layer
+    return edges, groups, top, max((edges[hi] - edges[lo] for lo, hi in groups), default=0)
+
+
 @dataclass(frozen=True)
 class _FusedPlan:
-    """Where ``train``'s fused step puts each gradient, and when it applies it.
+    """The leading nets of a model: where the fused step puts each gradient, and when.
 
-    ``grad_w`` and ``grad_b`` are per-layer views into the model's gradient
-    scratch.  ``after_layer[k]`` holds the blocks updated as soon as layer k
-    has passed the delta down; ``rest`` those updated after the backward pass.
+    ``weights`` and ``biases`` are per-layer views of those nets'
+    parameters; ``grad_w`` and ``grad_b`` are views of the same shapes into
+    the model's gradient scratch.  ``after_layer[k]`` holds the blocks
+    updated as soon as layer k has passed the delta down; ``rest`` those
+    updated after the backward pass.
     """
 
+    weights: tuple[np.ndarray, ...]
+    biases: tuple[np.ndarray, ...]
     grad_w: tuple[np.ndarray, ...]
     grad_b: tuple[np.ndarray, ...]
     after_layer: tuple[tuple[_Block, ...], ...]
     rest: tuple[_Block, ...]
 
 
-def _fused_plan(model: NetworkModel) -> _FusedPlan:
-    """Update groups of whole layers, from the top, each of at least ``_UPDATE_BLOCK`` weights.
+def _fused_plan(model: NetworkModel, nets: int) -> _FusedPlan:
+    """The plan of the model's first ``nets`` rows (``_update_groups``).
 
-    Every group's gradient goes into the head of one scratch vector, as
-    large as the largest group: a group is updated before the next one
-    down is computed.  The layers below the last group and all biases (the
-    rest) have the tail, weights then biases as in ``parameters``.  When no
-    layer makes a group, the tail is the whole gradient and the rest is a
-    single blocked pass over the whole vector, as ``sgd_step`` makes it.
+    Every group's gradient goes into the head of each net's scratch row, as
+    wide as the largest group: a group is updated before the next one down
+    is computed.  The layers below the last group and all biases (the
+    rest) have the tail, weights then biases as in a parameter row.  When
+    no layer makes a group, the tail is the whole gradient and the rest is
+    a single blocked pass over the whole rows, as ``sgd_step`` makes it.
     """
     sizes = model.config.layer_sizes()
     shapes = list(zip(sizes[:-1], sizes[1:]))
-    edges = np.cumsum([0] + [i * o for i, o in shapes]).tolist()  # each layer's first weight
-    groups, top = [], len(shapes)  # (lowest layer, highest layer + 1) per group
-    for layer in range(len(shapes) - 1, -1, -1):
-        if edges[top] - edges[layer] >= _UPDATE_BLOCK:
-            groups.append((layer, top))
-            top = layer
-    head = max((edges[hi] - edges[lo] for lo, hi in groups), default=0)
-    size, n_weights, n_rest_weights = model.parameters.size, model.n_weights, edges[top]
-    scratch = np.empty(head + n_rest_weights + size - n_weights)
-    rest = scratch[head:]
-    grad_w, after_layer = [rest[edges[k] : edges[k + 1]] for k in range(top)], [()] * len(shapes)
+    edges, groups, top, head = _update_groups(sizes)
+    size, n_weights, n_rest_weights = model._param_rows.shape[1], model.n_weights, edges[top]
+    scratch = model._gradient[:nets]
+    rest = scratch[:, head:]
+    grad_w, after_layer = [rest[:, edges[k] : edges[k + 1]] for k in range(top)], [()] * len(shapes)
     for lo, hi in reversed(groups):
-        grad_w += [scratch[edges[k] - edges[lo] : edges[k + 1] - edges[lo]] for k in range(lo, hi)]
-        after_layer[lo] = _update_blocks(model, edges[lo], edges[hi], scratch)
+        grad_w += [
+            scratch[:, edges[k] - edges[lo] : edges[k + 1] - edges[lo]] for k in range(lo, hi)
+        ]
+        after_layer[lo] = _update_blocks(model, nets, edges[lo], edges[hi], scratch)
     bias_edges = np.cumsum([n_rest_weights, *sizes[1:]]).tolist()
     if top == len(shapes):
-        rest_blocks = _update_blocks(model, 0, size, rest)
+        rest_blocks = _update_blocks(model, nets, 0, size, rest)
     else:
-        rest_blocks = _update_blocks(model, 0, n_rest_weights, rest) + _update_blocks(
-            model, n_weights, size, rest[n_rest_weights:]
+        rest_blocks = _update_blocks(model, nets, 0, n_rest_weights, rest) + _update_blocks(
+            model, nets, n_weights, size, rest[:, n_rest_weights:]
         )
+    weights, biases = _layer_views(model._param_rows[:nets], sizes)
     return _FusedPlan(
-        grad_w=tuple(g.reshape(shape) for g, shape in zip(grad_w, shapes)),
-        grad_b=tuple(rest[a:b] for a, b in zip(bias_edges[:-1], bias_edges[1:])),
+        weights=weights,
+        biases=biases,
+        grad_w=tuple(g.reshape(nets, *shape) for g, shape in zip(grad_w, shapes)),
+        grad_b=tuple(
+            rest[:, a:b].reshape(nets, 1, b - a) for a, b in zip(bias_edges[:-1], bias_edges[1:])
+        ),
         after_layer=tuple(after_layer),
         rest=rest_blocks,
     )
 
 
-class NetworkModel:
-    """Layer weights and biases in one flat vector, momentum velocity in another.
+def _nets(plan: _FusedPlan, lo: int, hi: int) -> _FusedPlan:
+    """``plan``'s weights and biases of nets ``lo:hi``, for a forward pass alone."""
+    return replace(
+        plan,
+        weights=tuple(w[lo:hi] for w in plan.weights),
+        biases=tuple(b[lo:hi] for b in plan.biases),
+    )
 
-    Both vectors start at zero.  The per-layer ``weights`` and ``biases``
-    tuples are views into ``parameters``.  ``train``'s scratch is allocated
-    here uninitialised, so its pages are touched only once a model trains:
-    a best-weights vector, a gradient vector the size of the largest update
-    group plus the rest (``_fused_plan``), and one update block's step.
+
+class NetworkModel:
+    """``size`` nets of one layer chain, each net's parameters one row of a (size, P) array.
+
+    A row holds the net's weight matrices, then its biases; the momentum
+    velocity has rows of the same layout.  Both start at zero.  Each net
+    draws from its own generator in ``rngs``.  ``parameters``,
+    ``velocity``, ``weights`` and ``biases`` are views with the stack axis
+    first; a one-net model's drop it, so it reads as one net: a flat
+    parameter vector, (fan_in, fan_out) weights and (fan_out,) biases.
+
+    ``train_stack``'s scratch is allocated here uninitialised, so its pages
+    are touched only once a model trains: best-weights rows, gradient rows
+    as wide as the largest update group plus the rest (``_fused_plan``),
+    and one update block's step per net.
     """
 
-    def __init__(self, config: NetworkConfig) -> None:
+    def __init__(self, config: NetworkConfig, size: int = 1) -> None:
         self.config = config
+        self.size = size
         sizes = config.layer_sizes()
-        size = sum(i * o + o for i, o in zip(sizes[:-1], sizes[1:]))
-        # np.zeros, not zeros_like: calloc hands a large vector fresh zero pages, no memset
-        self._parameters = np.zeros(size)
-        self._velocity = np.zeros(size)
-        self._weights, self._biases = _layer_views(self._parameters, sizes)
-        self.n_weights = sum(w.size for w in self._weights)
-        self._best, self._step = np.empty(size), np.empty(min(size, _UPDATE_BLOCK))
-        self._plan = _fused_plan(self)
-        self.rng = np.random.default_rng(config.rng_seed)
+        n = _parameter_count(sizes)
+        edges, _, top, head = _update_groups(sizes)
+        self.n_weights = edges[-1]
+        # np.zeros, not zeros_like: calloc hands a large array fresh zero pages, no memset
+        self._param_rows = np.zeros((size, n))
+        self._velocity_rows = np.zeros((size, n))
+        self._gradient = np.empty((size, head + edges[top] + n - self.n_weights))
+        self._best, self._step = np.empty((size, n)), np.empty((size, min(n, _UPDATE_BLOCK)))
+        self._plan = _fused_plan(self, size)
+        one = (lambda a: a[0]) if size == 1 else (lambda a: a)
+        self._parameters, self._velocity = one(self._param_rows), one(self._velocity_rows)
+        self._weights = tuple(one(w) for w in self._plan.weights)
+        self._biases = tuple(one(b[:, 0]) for b in self._plan.biases)
+        self.rngs = [np.random.default_rng(config.rng_seed) for _ in range(size)]
 
     @property
     def parameters(self) -> np.ndarray:
@@ -266,58 +337,97 @@ class NetworkModel:
         return self._biases
 
     @property
-    def n_layers(self) -> int:
-        return len(self._weights)
+    def rng(self) -> np.random.Generator:
+        """A one-net model's generator."""
+        (rng,) = self.rngs
+        return rng
 
 
 def init(config: NetworkConfig, model: NetworkModel | None = None) -> NetworkModel:
-    """Gaussian-initialised model: weights ~ N(0, 2/fan_in), biases zero.
+    """Gaussian-initialised one-net model: weights ~ N(0, 2/fan_in), biases zero.
 
     One standard-normal draw into the weight prefix, then each layer scaled
     in place: the values and ``model.rng`` state of per-layer ``rng.normal``
     calls.  ``model.rng`` goes on to shuffle the batches.
 
-    Given a ``model`` with ``config``'s layer sizes, the net is drawn into
-    its memory instead: it takes ``config``, zero biases and velocity and a
-    fresh ``rng``, and equals a new model bitwise.  Its vectors and training
-    scratch are reused, so no fresh pages are faulted in.  A model with
-    other layer sizes is a ValueError and is left as it was.
+    Given a one-net ``model`` with ``config``'s layer sizes, the net is
+    drawn into its memory instead: it takes ``config``, zero biases and
+    velocity and a fresh ``rng``, and equals a new model bitwise.  Its
+    vectors and training scratch are reused, so no fresh pages are faulted
+    in.  A model with other layer sizes is a ValueError and is left as it
+    was.
     """
+    return init_stack((config,), model)
+
+
+def init_stack(
+    configs: Sequence[NetworkConfig], model: NetworkModel | None = None
+) -> NetworkModel:
+    """A model of one net per config, each drawn as ``init`` draws it, from its own generator.
+
+    The configs may differ only in ``rng_seed``; the model takes the first
+    as its ``config``.  Given a ``model`` of as many nets of the configs'
+    layer sizes, the nets are drawn into its memory as ``init`` draws into
+    a one-net model.  A model of another size or other layer sizes is a
+    ValueError and is left as it was.
+    """
+    config, *others = configs
     config.validate()
+    if any(replace(c, rng_seed=config.rng_seed) != config for c in others):
+        raise ValueError("the nets of a stack may differ only in rng_seed")
     if model is None:
-        model = NetworkModel(config)
-    elif model.config.layer_sizes() != config.layer_sizes():
+        model = NetworkModel(config, len(configs))
+    elif (model.size, model.config.layer_sizes()) != (len(configs), config.layer_sizes()):
         raise ValueError(
-            f"cannot draw the chain {config.layer_sizes()} into a model of "
-            f"{model.config.layer_sizes()}"
+            f"cannot draw {len(configs)} net(s) of the chain {config.layer_sizes()} into a "
+            f"model of {model.size} net(s) of {model.config.layer_sizes()}"
         )
     else:
         model.config = config
-        model.parameters[model.n_weights :] = 0.0
-        model.velocity.fill(0.0)
-        model.rng = np.random.default_rng(config.rng_seed)
-    model.rng.standard_normal(out=model.parameters[: model.n_weights])
-    for w in model.weights:
-        w *= np.sqrt(2.0 / w.shape[0])
+        model._param_rows[:, model.n_weights :] = 0.0
+        model._velocity_rows.fill(0.0)
+    model.rngs = [np.random.default_rng(c.rng_seed) for c in configs]
+    for row, rng in zip(model._param_rows, model.rngs):
+        rng.standard_normal(out=row[: model.n_weights])
+    for w in model._plan.weights:
+        w *= np.sqrt(2.0 / w.shape[1])
     return model
 
 
+def _as_stack(model: NetworkModel, values) -> np.ndarray:
+    """``values`` as a (nets, rows, columns) float64 array.
+
+    A one-net model's 1-D or 2-D array gains the stack axis.
+    """
+    a = np.asarray(values, dtype=np.float64)
+    if a.ndim < 3 and model.size == 1:
+        return np.atleast_2d(a)[None]
+    if a.ndim != 3 or a.shape[0] != model.size:
+        raise ValueError(
+            f"a model of {model.size} nets takes one (rows, columns) array per net, got {a.shape}"
+        )
+    return a
+
+
 def _layer_buffers(model: NetworkModel, rows: int) -> list[np.ndarray]:
-    """One (rows, width) activation buffer per layer."""
-    return [np.empty((rows, width)) for width in model.config.layer_sizes()[1:]]
+    """Per layer, an activation buffer of ``rows`` rows for every net of the model."""
+    return [np.empty((model.size * rows, width)) for width in model.config.layer_sizes()[1:]]
 
 
-def _forward_into(
-    model: NetworkModel, x: np.ndarray, buffers: list[np.ndarray]
-) -> list[np.ndarray]:
-    """Activations per layer for a (batch, input_dim) matrix; index 0 = input.
+def _views(buffers: list[np.ndarray], nets: int, rows: int) -> list[np.ndarray]:
+    """The leading nets x rows rows of each buffer as (nets, rows, width), net after net."""
+    return [buffer[: nets * rows].reshape(nets, rows, -1) for buffer in buffers]
 
-    Each layer's activations fill the leading ``batch`` rows of its buffer.
+
+def _forward_into(plan: _FusedPlan, x: np.ndarray, views: list[np.ndarray]) -> list[np.ndarray]:
+    """Activations per layer for (nets, batch, input_dim) inputs; index 0 = input.
+
+    Each layer's activations fill its view (``_views``) of x's shape.
     """
     activations = [x]
-    last = model.n_layers - 1
-    for layer, (w, b, buffer) in enumerate(zip(model.weights, model.biases, buffers)):
-        z = np.matmul(activations[-1], w, out=buffer[: x.shape[0]])
+    last = len(plan.weights) - 1
+    for layer, (w, b, z) in enumerate(zip(plan.weights, plan.biases, views)):
+        np.matmul(activations[-1], w, out=z)
         z += b
         if layer == last:
             _sigmoid(z)
@@ -330,88 +440,94 @@ def _forward_into(
 def forward(model: NetworkModel, inputs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Network outputs plus cached per-layer activations for a (batch, input_dim) matrix.
 
-    A single input vector is a one-row batch.
+    A single input vector is a one-row batch.  A stack takes one batch per
+    net, (nets, batch, input_dim), and its arrays keep that stack axis.
     """
-    x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    if x.shape[1] != model.config.input_dim:
+    x = _as_stack(model, inputs)
+    if x.shape[2] != model.config.input_dim:
         raise ValueError(
-            f"input has {x.shape[1]} features, model expects {model.config.input_dim}"
+            f"input has {x.shape[2]} features, model expects {model.config.input_dim}"
         )
-    activations = _forward_into(model, x, _layer_buffers(model, x.shape[0]))
+    buffers = _layer_buffers(model, x.shape[1])
+    activations = _forward_into(model._plan, x, _views(buffers, model.size, x.shape[1]))
+    if np.ndim(inputs) < 3:
+        activations = [a[0] for a in activations]
     return activations[-1], activations
 
 
 def _forward_loss(
-    model: NetworkModel, x: np.ndarray, y: np.ndarray, buffers: list[np.ndarray]
-) -> tuple[float, list[np.ndarray], np.ndarray]:
-    """The batch's mean quadratic cost, its activations and its error outputs - ``y``."""
-    activations = _forward_into(model, x, buffers)
+    plan: _FusedPlan, x: np.ndarray, y: np.ndarray, views: list[np.ndarray]
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """Each net's mean quadratic cost on its batch, the activations, and outputs - ``y``."""
+    activations = _forward_into(plan, x, views)
     error = activations[-1] - y
     # np.add.reduce is np.sum without its Python wrapper, a few µs per step
-    return float(0.5 * np.add.reduce(error**2, axis=None) / x.shape[0]), activations, error
+    return 0.5 * np.add.reduce(error**2, axis=(1, 2)) / x.shape[1], activations, error
 
 
 def loss(model: NetworkModel, inputs: np.ndarray, targets: np.ndarray) -> float:
-    """Mean-reduced quadratic cost: 0.5 * mean_i sum_j (yhat - y)^2."""
+    """Mean-reduced quadratic cost of a one-net model: 0.5 * mean_i sum_j (yhat - y)^2."""
     outputs, _ = forward(model, inputs)
     y = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     return float(0.5 * np.sum((outputs - y) ** 2) / outputs.shape[0])
 
 
 def _backpropagate(
-    model: NetworkModel,
+    plan: _FusedPlan,
     activations: list[np.ndarray],
     error: np.ndarray,
-    grad_w: tuple[np.ndarray, ...],
-    grad_b: tuple[np.ndarray, ...],
-    after_layer: tuple[tuple[_Block, ...], ...] | None = None,
+    config: NetworkConfig,
     eta: float = 0.0,
 ) -> None:
-    """The gradients of the batch's cost into ``grad_w`` and ``grad_b``.
+    """The gradients of each net's batch cost into ``plan.grad_w`` and ``plan.grad_b``.
 
     ``error`` and then, layer by layer from the top, the hidden activations'
-    buffers become the back-propagated deltas.  With ``after_layer``, each
-    layer's blocks descend at rate ``eta`` once that layer's weights have
-    carried the delta down, before any lower layer's gradient is made.
+    buffers become the back-propagated deltas.  Each layer's blocks in
+    ``plan.after_layer`` descend at rate ``eta`` once that layer's weights
+    have carried the delta down, before any lower layer's gradient is made.
     """
     outputs = activations[-1]
     # output layer: quadratic cost through the sigmoid, mean-reduced
     delta = error
-    delta /= outputs.shape[0]
+    delta /= outputs.shape[1]
     delta *= outputs
     delta *= 1.0 - outputs
-    for layer in range(model.n_layers - 1, -1, -1):
+    for layer in range(len(plan.weights) - 1, -1, -1):
         a = activations[layer]
-        np.matmul(a.T, delta, out=grad_w[layer])
-        np.add.reduce(delta, axis=0, out=grad_b[layer])
+        np.matmul(a.transpose(0, 2, 1), delta, out=plan.grad_w[layer])
+        np.add.reduce(delta, axis=1, out=plan.grad_b[layer], keepdims=True)
         if layer > 0:
             # tanh'(z) expressed through the cached activation, in its buffer; one
-            # (batch, fan_in) temporary is alive at a time
+            # (nets, batch, fan_in) temporary is alive at a time
             np.square(a, out=a)
             np.subtract(1.0, a, out=a)
-            a *= delta @ model.weights[layer].T
+            a *= delta @ plan.weights[layer].transpose(0, 2, 1)
             delta = a
-        if after_layer is not None and after_layer[layer]:
-            _descend(after_layer[layer], model.config, eta)
+        if plan.after_layer[layer]:
+            _descend(plan.after_layer[layer], config, eta)
 
 
 def backward(model: NetworkModel, inputs: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Reverse-mode gradient of the mean-reduced quadratic cost.
 
     One float64 vector laid out like ``model.parameters``: every weight
-    matrix row-major in layer order, then every bias.
+    matrix row-major in layer order, then every bias.  A stack takes one
+    batch per net and returns one such row per net.
     """
-    x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    y = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    if x.shape[0] == 0:
+    x, y = _as_stack(model, inputs), _as_stack(model, targets)
+    if x.shape[1] == 0:
         raise ValueError("backward pass needs a non-empty batch")
-    if y.shape != (x.shape[0], model.config.layer_sizes()[-1]):
+    if y.shape != (*x.shape[:2], model.config.layer_sizes()[-1]):
         raise ValueError(f"target shape {y.shape} does not match batch/output dims")
-    gradient = np.empty_like(model.parameters)
+    gradient = np.empty_like(model._param_rows)
     grad_w, grad_b = _layer_views(gradient, model.config.layer_sizes())
-    _, activations, error = _forward_loss(model, x, y, _layer_buffers(model, x.shape[0]))
-    _backpropagate(model, activations, error, grad_w, grad_b)
-    return gradient
+    plan = replace(
+        model._plan, grad_w=grad_w, grad_b=grad_b, after_layer=((),) * len(grad_w), rest=()
+    )
+    views = _views(_layer_buffers(model, x.shape[1]), model.size, x.shape[1])
+    _, activations, error = _forward_loss(plan, x, y, views)
+    _backpropagate(plan, activations, error, model.config)
+    return gradient if np.ndim(inputs) == 3 else gradient[0]
 
 
 def sgd_step(model: NetworkModel, gradient: np.ndarray, epoch: int) -> None:
@@ -426,28 +542,40 @@ def sgd_step(model: NetworkModel, gradient: np.ndarray, epoch: int) -> None:
     like ``model.parameters``, as ``backward`` returns it, and is left as is.
     The update runs block by block (``_update_blocks``) through one step
     buffer; every element gets the same operations in the same order.
-    ``train`` makes this update fused into its backward pass instead.
+    ``train_stack`` makes this update fused into its backward pass instead.
     """
     cfg = model.config
     eta = cfg.learning_rate * cfg.lr_decay**epoch
-    _descend(_update_blocks(model, 0, model.parameters.size, gradient), cfg, eta)
+    rows = np.asarray(gradient).reshape(model.size, -1)
+    _descend(_update_blocks(model, model.size, 0, rows.shape[1], rows), cfg, eta)
 
 
 def _fused_step(
-    model: NetworkModel, x: np.ndarray, y: np.ndarray, buffers: list[np.ndarray], eta: float
-) -> float:
-    """``backward`` and ``sgd_step`` on one batch, without a whole gradient vector.
+    model: NetworkModel,
+    x: np.ndarray,
+    y: np.ndarray,
+    buffers: list[np.ndarray],
+    eta: float,
+    plan: _FusedPlan | None = None,
+) -> np.ndarray:
+    """``backward`` and ``sgd_step`` on one batch per net, without a whole gradient vector.
 
-    Each update group (``_fused_plan``) is updated during the backward pass,
-    the rest after it; every element ends as the two calls would leave it.
-    Returns the batch loss; a non-finite one leaves the model untouched.
+    ``plan`` covers the nets that step (``_fused_plan``), by default all of
+    the model's; x and y hold one (batch, columns) batch per net, or a
+    one-net model's batch alone.  Each update group is updated during the
+    backward pass, the rest after it; every element ends as the two calls
+    would leave it.  Returns each net's batch loss, or the one net's loss;
+    when any loss is not finite, no net is touched.
     """
-    batch_loss, activations, error = _forward_loss(model, x, y, buffers)
-    if math.isfinite(batch_loss):
-        plan = model._plan
-        _backpropagate(model, activations, error, plan.grad_w, plan.grad_b, plan.after_layer, eta)
+    plan = model._plan if plan is None else plan
+    one = x.ndim == 2
+    if one:
+        x, y = x[None], y[None]
+    losses, activations, error = _forward_loss(plan, x, y, _views(buffers, *x.shape[:2]))
+    if np.isfinite(losses).all():
+        _backpropagate(plan, activations, error, model.config, eta)
         _descend(plan.rest, model.config, eta)
-    return batch_loss
+    return losses[0] if one else losses
 
 
 @dataclass
@@ -466,16 +594,8 @@ class TrainReport:
     diverged: bool = False
 
 
-def _as_arrays(dataset: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """An (X, Y) pair as 2-D float arrays."""
-    x, y = dataset
-    return np.atleast_2d(np.asarray(x, dtype=np.float64)), np.atleast_2d(
-        np.asarray(y, dtype=np.float64)
-    )
-
-
 def train(model: NetworkModel, train_set, validation_set) -> TrainReport:
-    """Mini-batch training with early stopping on validation loss.
+    """Mini-batch training of a one-net model with early stopping on validation loss.
 
     Shuffles the training set every epoch, makes ``sgd_step``'s update per
     batch at that epoch's decayed rate, fused into the backward pass
@@ -484,68 +604,158 @@ def train(model: NetworkModel, train_set, validation_set) -> TrainReport:
     failed to improve for ``early_stop_patience`` consecutive epochs (or at
     max_epochs) and restores the weights of the best validation epoch.  A
     non-finite batch or validation loss ends training at once and marks
-    the report diverged.
+    the report diverged.  This is ``train_stack`` on a stack of one.
+    """
+    if model.size != 1:
+        raise ValueError(f"train takes a one-net model, not {model.size} nets; see train_stack")
+    return train_stack(model, train_set, validation_set)[0]
+
+
+def train_stack(model: NetworkModel, train_sets, validation_sets) -> list[TrainReport]:
+    """``train`` for every net of a model at once; one report per net.
+
+    ``train_sets`` and ``validation_sets`` are (X, Y) pairs of (nets, rows,
+    columns) arrays, one set of rows per net; a one-net model also takes
+    ``train``'s 2-D sets.  Every forward, backward and update op runs once
+    for all the nets still training, so numpy's fixed cost per call is paid
+    once per op, not once per net.  Each net shuffles its rows with its own
+    generator, and each batch is gathered from them straight into one
+    buffer.  Each net keeps its own early stopping, divergence stop and
+    best weights, and ends bit for bit where ``train`` alone would leave it.
+    A net that stops leaves the stack: its row moves behind the rows still
+    training, and every row returns to its net at the end.
     """
     cfg = model.config
-    x_train, y_train = _as_arrays(train_set)
-    x_val, y_val = _as_arrays(validation_set)
-    n = x_train.shape[0]
+    x_train, y_train = (_as_stack(model, a) for a in train_sets)
+    x_val, y_val = (_as_stack(model, a) for a in validation_sets)
+    nets, n = x_train.shape[:2]
+    n_val = x_val.shape[1]
     if n == 0:
         raise ConfigError("training set is empty")
-    if x_val.shape[0] == 0:
+    if n_val == 0:
         raise ConfigError("validation set is empty")
     if cfg.batch_size > n:
         raise ConfigError(
             f"batch_size {cfg.batch_size} exceeds training-set size {n}"
         )
-    best_params = model._best
-    buffers = _layer_buffers(model, max(cfg.batch_size, x_val.shape[0]))
-    best_val = np.inf
-    np.copyto(best_params, model.parameters)
-    epochs_since_best = 0
-    stopped_early = False
-    val_curve: list[float] = []
-    epochs_run = 0
-    diverged = False
+    # every net's training and validation rows, net after net.  A batch of
+    # every net, or the validation rows of a chunk of ``per_chunk`` nets, is
+    # gathered into x_batch and y_batch, and its activations fill the buffers
+    x_rows, y_rows = x_train.reshape(nets * n, -1), y_train.reshape(nets * n, -1)
+    x_val_rows, y_val_rows = x_val.reshape(nets * n_val, -1), y_val.reshape(nets * n_val, -1)
+    rows_per_net = max(cfg.batch_size, -(-n_val // nets))
+    x_batch = np.empty((nets * rows_per_net, x_rows.shape[1]))
+    y_batch = np.empty((nets * rows_per_net, y_rows.shape[1]))
+    buffers = _layer_buffers(model, rows_per_net)
+    per_chunk = max(1, nets * rows_per_net // n_val)
+    order = np.empty((nets, n), dtype=np.intp)  # each slot's epoch order, as rows of x_rows
+
+    def shaped(k: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """x_batch and y_batch for ``rows`` rows of ``k`` nets."""
+        return x_batch[: k * rows].reshape(k, rows, -1), y_batch[: k * rows].reshape(k, rows, -1)
+
+    params, velocity, best = model._param_rows, model._velocity_rows, model._best
+    np.copyto(best, params)
+    # slot_net[slot] is the net in row ``slot`` of the model's arrays; the first
+    # ``active`` rows train, with the plan of those rows
+    slot_net = np.arange(nets)
+    active = nets
+    best_val, since_best = [math.inf] * nets, [0] * nets
+    curves: list[list[float]] = [[] for _ in range(nets)]
+    epochs_run, stopped_early, diverged = [0] * nets, [False] * nets, [False] * nets
+
+    def arrange() -> None:
+        """The plan of the active rows, their full batches, and their validation chunks."""
+        nonlocal plan, full, chunks
+        plan = model._plan if active == nets else _fused_plan(model, active)
+        full = shaped(active, cfg.batch_size)
+        val_index = n_val * slot_net[:active, None] + np.arange(n_val)
+        chunks = [
+            (_nets(plan, lo, lo + per_chunk), val_index[lo : lo + per_chunk],
+             shaped(min(per_chunk, active - lo), n_val))
+            for lo in range(0, active, per_chunk)
+        ]
+
+    def leave(slots) -> None:
+        """Move the nets in ``slots`` behind the rows still training."""
+        nonlocal active
+        for slot in sorted(slots, reverse=True):
+            active -= 1
+            pair = [slot, active]
+            for array in (params, velocity, best, order, slot_net):
+                array[pair] = array[pair[::-1]]
+        if active:
+            arrange()
+
+    plan, full, chunks = model._plan, None, []
+    arrange()
     for epoch in range(cfg.max_epochs):
         eta = cfg.learning_rate * cfg.lr_decay**epoch
-        order = model.rng.permutation(n)
-        x_epoch, y_epoch = x_train[order], y_train[order]
-        for start in range(0, n, cfg.batch_size):
-            stop = start + cfg.batch_size
-            batch_loss = _fused_step(model, x_epoch[start:stop], y_epoch[start:stop], buffers, eta)
-            if not math.isfinite(batch_loss):
-                diverged = True
-                break
-        if diverged:
+        for slot in range(active):
+            order[slot] = model.rngs[slot_net[slot]].permutation(n)
+        order[:active] += n * slot_net[:active, None]
+        start = 0
+        while start < n and active:
+            stop = min(start + cfg.batch_size, n)
+            x, y = full if stop - start == cfg.batch_size else shaped(active, stop - start)
+            index = order[:active, start:stop]
+            x_rows.take(index, 0, x, "clip")  # in range: "clip" spares take a buffered copy
+            y_rows.take(index, 0, y, "clip")
+            finite = np.isfinite(_fused_step(model, x, y, buffers, eta, plan))
+            if finite.all():
+                start = stop
+                continue
+            # those nets stop untouched; the others redo the batch without them
+            lost = np.flatnonzero(~finite).tolist()
+            for slot in lost:
+                diverged[slot_net[slot]] = True
+            leave(lost)
+        if not active:
             break
-        val_loss = _forward_loss(model, x_val, y_val, buffers)[0]
-        val_curve.append(val_loss)
-        epochs_run = epoch + 1
-        if not math.isfinite(val_loss):
-            diverged = True
+        val_losses = []
+        for chunk, index, (x, y) in chunks:
+            x_val_rows.take(index, 0, x, "clip")
+            y_val_rows.take(index, 0, y, "clip")
+            val_losses += _forward_loss(chunk, x, y, _views(buffers, *x.shape[:2]))[0].tolist()
+        done = []
+        for slot, val_loss in enumerate(val_losses):
+            net = slot_net[slot]
+            curves[net].append(val_loss)
+            epochs_run[net] = epoch + 1
+            if not math.isfinite(val_loss):
+                diverged[net] = True
+                done.append(slot)
+            elif val_loss < best_val[net]:
+                best_val[net], since_best[net] = val_loss, 0
+                np.copyto(best[slot], params[slot])
+            else:
+                since_best[net] += 1
+                if since_best[net] >= cfg.early_stop_patience:
+                    stopped_early[net] = True
+                    done.append(slot)
+        if done:
+            leave(done)
+        if not active:
             break
-        if val_loss < best_val:
-            best_val = val_loss
-            np.copyto(best_params, model.parameters)
-            epochs_since_best = 0
-        else:
-            epochs_since_best += 1
-            if epochs_since_best >= cfg.early_stop_patience:
-                stopped_early = True
-                break
-    np.copyto(model.parameters, best_params)
-    return TrainReport(
-        epochs_run=epochs_run,
-        best_validation_loss=float(best_val),
-        stopped_early=stopped_early,
-        validation_losses=tuple(val_curve),
-        diverged=diverged,
-    )
+    params[slot_net] = best
+    moved = np.flatnonzero(slot_net != np.arange(nets))
+    velocity[slot_net[moved]] = velocity[moved]
+    return [
+        TrainReport(
+            epochs_run=epochs_run[k],
+            best_validation_loss=float(best_val[k]),
+            stopped_early=stopped_early[k],
+            validation_losses=tuple(curves[k]),
+            diverged=diverged[k],
+        )
+        for k in range(nets)
+    ]
 
 
 def predict_class(model: NetworkModel, inputs: np.ndarray) -> np.ndarray:
-    """Per input row, the argmax over the two sigmoid outputs; exact ties go to the down class."""
-    outputs, _ = forward(model, inputs)
-    return np.where(outputs[:, UP] > outputs[:, DOWN], UP, DOWN).astype(np.int64)
+    """Per input row, the argmax over the two sigmoid outputs; exact ties go to the down class.
 
+    A stack takes one (rows, input_dim) array per net and returns one row of classes per net.
+    """
+    outputs, _ = forward(model, inputs)
+    return np.where(outputs[..., UP] > outputs[..., DOWN], UP, DOWN).astype(np.int64)

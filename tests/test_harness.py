@@ -26,6 +26,7 @@ from trendlag.harness import (
     _loaded_openblas,
     _run_per_stock,
     _split_train_pool,
+    _stock_groups,
     derive_seed,
     emit_report,
     load_experiment_config,
@@ -88,13 +89,13 @@ def _crisis_config(**kwargs):
 
 
 def _count_models(monkeypatch):
-    """Patch ``neural.NetworkModel`` to log the layer sizes of every model built."""
+    """Patch ``neural.NetworkModel`` to log the layer sizes and net count of every model built."""
     built = []
 
     class Counted(neural.NetworkModel):
-        def __init__(self, config):
-            built.append(config.layer_sizes())
-            super().__init__(config)
+        def __init__(self, config, size=1):
+            built.append((config.layer_sizes(), size))
+            super().__init__(config, size)
 
     monkeypatch.setattr(neural, "NetworkModel", Counted)
     return built
@@ -212,10 +213,12 @@ class TestRunCrossValidated:
         assert counts == [[1] * len(libs)] * 2
 
     def test_one_model_per_stock(self, monkeypatch):
+        # one stack per task: the 4 stocks make 2 x jobs = 2 groups of 2 nets
         built = _count_models(monkeypatch)
         report = run_cross_validated(_config())
         assert not any(s.skipped for s in report.stocks)
-        assert len(built) == len(report.stocks) == 4
+        assert len(report.stocks) == 4
+        assert built == [((3, 8, 2), 2)] * 2
 
     def test_different_seed_changes_results(self):
         a = run_cross_validated(_config())
@@ -377,10 +380,11 @@ class TestBottleneckSweep:
         assert calls == {"build_gradients": 1, "_run_per_stock": 1}
 
     def test_one_model_per_width_and_stock(self, monkeypatch):
+        # one stack per task: each network's 4 stocks make 2 groups of 2 nets
         built = _count_models(monkeypatch)
         reports = run_bottleneck_sweep(_config(bottleneck_widths=(2,)))
         assert len(reports) == 2
-        assert Counter(built) == {(3, 8, 2, 2): 4, (3, 8, 2): 4}
+        assert Counter(built) == {((3, 8, 2, 2), 2): 2, ((3, 8, 2), 2): 2}
 
     def test_each_width_matches_its_cross_validated_run(self):
         for report in run_bottleneck_sweep(_sweep_config(jobs=2)):
@@ -429,6 +433,35 @@ class TestBottleneckSweep:
         assert wide.bottleneck == 16 and unconstrained.bottleneck is None
         gap = abs(wide.mean_accuracies["model"] - unconstrained.mean_accuracies["model"])
         assert gap < 0.05
+
+
+class TestStacks:
+    """A task trains its group of stocks as one stack of nets; the reports do not show it."""
+
+    def test_stocks_split_into_equal_groups_of_one_stack(self):
+        ids = tuple(f"S{k:02d}" for k in range(20))
+        small = neural.NetworkConfig(input_dim=19, hidden_layers=(32, 32))  # 18 nets fit a block
+        assert [len(g) for g in _stock_groups(ids, small, 1)] == [10, 10]
+        assert [len(g) for g in _stock_groups(ids, small, 2)] == [5] * 4
+        assert [len(g) for g in _stock_groups(ids, small, 3)] == [3, 3, 4, 3, 3, 4]
+        assert sum(_stock_groups(ids, small, 3), ()) == ids
+        paper = neural.NetworkConfig(input_dim=19)  # the 5x400 net trains alone
+        assert _stock_groups(ids, paper, 2) == [(s,) for s in ids]
+        assert _stock_groups(ids[:3], small, 4) == [(s,) for s in ids[:3]]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("mode", ["cross_validated", "crisis", "bottleneck_sweep"])
+    def test_reports_are_byte_identical_for_every_stack_size(self, monkeypatch, mode, jobs):
+        config = _crisis_config(mode=mode, jobs=jobs, bottleneck_widths=(2,))
+        config = replace(config, synthetic=replace(config.synthetic, n_stocks=7))
+        built = _count_models(monkeypatch)
+        stacked = run(config)
+        if jobs == 1:  # a forked worker's models are not counted here
+            assert sorted({size for _, size in built}) == [3, 4]
+        monkeypatch.setattr(neural, "stack_size", lambda network: 1)
+        alone = run(config)
+        assert len(stacked) == (2 if mode == "bottleneck_sweep" else 1)
+        assert [r.to_json() for r in stacked] == [r.to_json() for r in alone]
 
 
 class TestReportSerialization:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from trendlag import market_data
 from trendlag.errors import DataError
-from trendlag.harness import _infer_grid
+from trendlag.harness import ExperimentConfig, _infer_grid, load_price_matrix
 from trendlag.market_data import (
     PriceMatrix,
     TickColumns,
@@ -156,8 +156,28 @@ class TestParseTicks:
         col = table.columns["AAA"]
         np.testing.assert_array_equal(col.timestamp, grid.instants)
         np.testing.assert_array_equal(col.price, [price for *_, price in cases])
-        # the last tick has no price, yet it still bounds the inferred grid
-        np.testing.assert_array_equal(_infer_grid(table, 60).instants, grid.instants)
+        # the last tick has no price, so the inferred grid ends at the one before it
+        np.testing.assert_array_equal(_infer_grid(table, 60).instants, grid.instants[:-1])
+
+    def test_a_late_tick_without_a_price_leaves_the_grid_and_the_stocks(self, tmp_path):
+        grid = _grid(200)
+        rows = [
+            f"S{k},{_iso(grid, i)},,,1,{10 + k + i / 100}" for i in range(200) for k in range(3)
+        ]
+        late = grid.instants[-1] + np.timedelta64(10, "h")
+        rows.append(f"S0,{format_timestamp(late)},,,1,")  # no bid, ask or avg_price
+        path = tmp_path / "ticks.csv"
+        path.write_bytes(_tick_csv(rows))
+        matrix = load_price_matrix(ExperimentConfig(tick_csv=str(path), step_size=4))
+        assert matrix.stock_ids == ("S0", "S1", "S2")
+        np.testing.assert_array_equal(matrix.grid.instants, grid.instants)
+
+    def test_no_tick_with_a_price_is_a_data_error_naming_the_file(self, tmp_path):
+        grid = _grid(3)
+        path = tmp_path / "unpriced.csv"
+        path.write_bytes(_tick_csv(f"AAA,{_iso(grid, i)},,,1," for i in range(3)))
+        with pytest.raises(DataError, match=f"{path}: no tick has a price"):
+            load_price_matrix(ExperimentConfig(tick_csv=str(path), step_size=4))
 
     def test_timestamp_offsets_normalize_to_utc(self):
         a = parse_timestamp("2011-04-01T09:30:00.000Z")

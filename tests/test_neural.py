@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trendlag.errors import ConfigError
 from trendlag.neural import (
@@ -20,10 +22,13 @@ from trendlag.neural import (
     backward,
     forward,
     init,
+    init_stack,
     loss,
     predict_class,
     sgd_step,
+    stack_size,
     train,
+    train_stack,
 )
 
 
@@ -593,6 +598,121 @@ class TestTrainMatchesPerLayerOracle:
     def test_divergence(self):
         self._check(_config(max_epochs=20, batch_size=20, learning_rate=1e300), 40, 20,
                     expect=(False, True))
+
+
+def _stack_data(n_nets, n_rows, input_dim, seed, nan_at=None):
+    """One noisy labelled set per net; a NaN input at (net, row) ``nan_at``."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n_nets, n_rows, input_dim))
+    y = np.eye(2)[(x[..., 0] + rng.normal(size=(n_nets, n_rows)) > 0).astype(int)]
+    if nan_at is not None:
+        x[nan_at + (0,)] = np.nan
+    return x, y
+
+
+def _assert_stack_matches_solo(config, seeds, x, y, n_train, n_val):
+    """Train the nets as one stack and each alone; every result must match bit for bit."""
+    configs = [replace(config, rng_seed=seed) for seed in seeds]
+    val_rows = slice(n_train, n_train + n_val)
+    train_set, val_set = (x[:, :n_train], y[:, :n_train]), (x[:, val_rows], y[:, val_rows])
+    test_x = x[:, n_train + n_val :]
+    stack = init_stack(configs)
+    with np.errstate(all="ignore"):
+        reports = train_stack(stack, train_set, val_set)
+        predictions = predict_class(stack, test_x)
+    assert len(reports) == len(seeds)
+    for k, net_config in enumerate(configs):
+        solo = init(net_config)
+        with np.errstate(all="ignore"):
+            expected = train(
+                solo, (train_set[0][k], train_set[1][k]), (val_set[0][k], val_set[1][k])
+            )
+            expected_classes = predict_class(solo, test_x[k])
+        assert repr(reports[k]) == repr(expected)  # float repr round-trips; nan equals nan
+        row = stack.parameters[k] if len(seeds) > 1 else stack.parameters
+        assert row.tobytes() == solo.parameters.tobytes()  # bitwise, signed zeros included
+        velocity = stack.velocity[k] if len(seeds) > 1 else stack.velocity
+        assert velocity.tobytes() == solo.velocity.tobytes()
+        assert stack.rngs[k].bit_generator.state == solo.rng.bit_generator.state
+        assert predictions[k].tobytes() == expected_classes.tobytes()
+    return reports
+
+
+class TestTrainStack:
+    """A stack of nets trains each one bit for bit as ``train`` trains it alone."""
+
+    def test_nets_stop_at_different_epochs_and_one_diverges(self):
+        config = NetworkConfig(input_dim=19, hidden_layers=(32, 32), max_epochs=25,
+                               early_stop_patience=2, batch_size=50)
+        x, y = _stack_data(6, 360, 19, seed=3, nan_at=(4, 150))  # a training row of net 4
+        reports = _assert_stack_matches_solo(config, [11, 12, 13, 14, 15, 16], x, y, 200, 80)
+        assert reports[4].diverged and reports[4].epochs_run == 0
+        assert not any(r.diverged for k, r in enumerate(reports) if k != 4)
+        stopped = [r.epochs_run for r in reports if r.stopped_early]
+        assert len(stopped) >= 2 and len(set(stopped)) >= 2
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(
+        n_nets=st.integers(1, 5),
+        hidden=st.sampled_from([(3,), (6, 4), (5, 5, 5)]),
+        bottleneck=st.sampled_from([None, 2]),
+        batch_size=st.integers(4, 16),
+        n_train=st.integers(16, 60),
+        n_val=st.integers(1, 20),
+        patience=st.integers(1, 3),
+        max_epochs=st.integers(1, 8),
+        learning_rate=st.sampled_from([0.05, 0.5, 1e150]),  # 1e150 overflows within epochs
+        seed=st.integers(0, 2**16),
+        nan_net=st.integers(0, 4),
+        nan_row=st.one_of(st.none(), st.integers(0, 79)),  # a training or validation row
+    )
+    def test_matches_each_net_trained_alone(
+        self, n_nets, hidden, bottleneck, batch_size, n_train, n_val, patience, max_epochs,
+        learning_rate, seed, nan_net, nan_row,
+    ):
+        config = NetworkConfig(
+            input_dim=4, hidden_layers=hidden, bottleneck=bottleneck, batch_size=batch_size,
+            max_epochs=max_epochs, early_stop_patience=patience, lr_decay=0.9,
+            learning_rate=learning_rate,
+        )
+        nan_at = None if nan_row is None else (nan_net % n_nets, nan_row % (n_train + n_val))
+        x, y = _stack_data(n_nets, n_train + n_val + 7, 4, seed, nan_at)
+        seeds = [seed + k for k in range(n_nets)]
+        _assert_stack_matches_solo(config, seeds, x, y, n_train, n_val)
+
+    def test_net_spanning_two_update_blocks(self):
+        # 44,602 parameters per net: the stack updates in blocks of columns
+        config = NetworkConfig(input_dim=19, hidden_layers=(200, 200), batch_size=50,
+                               max_epochs=3, early_stop_patience=1)
+        x, y = _stack_data(2, 300, 19, seed=8)
+        _assert_stack_matches_solo(config, [1, 2], x, y, 200, 50)
+
+    def test_stack_size_fills_one_update_block(self):
+        small = NetworkConfig(input_dim=19, hidden_layers=(32, 32))
+        assert init(small).parameters.size == 1762
+        assert stack_size(small) == _UPDATE_BLOCK // 1762 == 18
+        assert stack_size(NetworkConfig(input_dim=19)) == 1  # the 5x400 net
+
+    def test_nets_differing_beyond_the_seed_rejected(self):
+        with pytest.raises(ValueError, match="rng_seed"):
+            init_stack([_config(), _config(rng_seed=1, learning_rate=0.1)])
+
+    def test_redraws_into_a_stack_of_its_size_only(self):
+        configs = [_config(rng_seed=s, batch_size=10, max_epochs=2) for s in (1, 2, 3)]
+        x, y = _stack_data(3, 40, 3, seed=1)
+        used = init_stack(configs[::-1])
+        train_stack(used, (x[:, :30], y[:, :30]), (x[:, 30:], y[:, 30:]))
+        assert used.velocity.any()
+        fresh = init_stack(configs)
+        assert init_stack(configs, used) is used
+        assert used.parameters.tobytes() == fresh.parameters.tobytes()
+        assert not used.velocity.any()
+        states = [[r.bit_generator.state for r in m.rngs] for m in (used, fresh)]
+        assert states[0] == states[1]
+        with pytest.raises(ValueError, match="chain"):
+            init_stack(configs[:2], used)
+        with pytest.raises(ValueError, match="one-net"):
+            train(used, (x, y), (x, y))
 
 
 class TestFlatParameters:
