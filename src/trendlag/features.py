@@ -106,6 +106,34 @@ def build_gradients(matrix: PriceMatrix, step_size: int) -> GradientMatrix:
     )
 
 
+def direction_labels(gradients: GradientMatrix) -> np.ndarray:
+    """Every stock's direction-change labels: (intervals - 1, stocks) of DOWN or UP.
+
+    Row i, column j is UP iff stock j's gradient rises from interval i to
+    i+1.  An exact tie g(t) == g(t-1) is labeled DOWN, so labels always
+    partition.
+    """
+    if gradients.n_intervals < 2:
+        raise DataError("need at least 2 gradient rows to build labels")
+    return np.where(np.diff(gradients.values, axis=0) > 0, UP, DOWN)
+
+
+def one_hot(labels: np.ndarray) -> np.ndarray:
+    """(down-change, up-change) targets of integer labels, on a new last axis."""
+    return np.eye(2)[labels]
+
+
+def leave_target_out(rows: np.ndarray, columns: Sequence[int]) -> np.ndarray:
+    """One input block per target column: (targets, rows, columns - 1).
+
+    Block k is ``np.delete(rows, columns[k], axis=1)``, written in place.
+    """
+    out = np.empty((len(columns), rows.shape[0], rows.shape[1] - 1), dtype=rows.dtype)
+    for inputs, j in zip(out, columns):
+        inputs[:, :j], inputs[:, j:] = rows[:, :j], rows[:, j + 1 :]
+    return out
+
+
 def dataset_arrays(
     gradients: GradientMatrix, target_stock: str
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -113,28 +141,15 @@ def dataset_arrays(
 
     Row i corresponds to predicted interval t = i+1: its inputs are the
     other stocks' gradients at t-1 (the target's own is excluded) and its
-    target is the (down-change, up-change) pair for the move from t-1 to
-    t.  An exact tie
-    g(t) == g(t-1) is labeled as a down-change so labels always partition.
+    target is the one-hot ``direction_labels`` of the move from t-1 to t.
     """
-    if gradients.n_intervals < 2:
-        raise DataError("need at least 2 gradient rows to build labels")
+    labels = direction_labels(gradients)
     try:
         j = gradients.stock_ids.index(target_stock)
     except ValueError:
         raise DataError(f"unknown target stock {target_stock!r}") from None
-    inputs = np.delete(gradients.values[:-1], j, axis=1)
-    diff = np.diff(gradients.values[:, j])
-    targets = np.zeros((diff.size, 2), dtype=np.float64)
-    up = diff > 0
-    targets[up, UP] = 1.0
-    targets[~up, DOWN] = 1.0
-    return inputs, targets
-
-
-def truth_labels(targets: np.ndarray) -> np.ndarray:
-    """Collapse one-hot targets to integer labels (DOWN=0, UP=1)."""
-    return np.argmax(np.asarray(targets), axis=-1).astype(np.int64)
+    (inputs,) = leave_target_out(gradients.values[:-1], [j])
+    return inputs, one_hot(labels[:, j])
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,9 @@
 For every stock in the panel a separate model is trained to predict that
 stock's gradient direction change from all other stocks' preceding-interval
 gradients.  ``run`` is the one engine for every mode.  It builds the
-gradients once and takes from a plan the (name, train, validation, test)
-index splits every stock shares, their hash, and whether they are too small
-for any stock:
+gradients and every stock's labels once and takes from a plan the (name,
+train, validation, test) index splits every stock shares, their hash, and
+whether they are too small for any stock:
 
 * ``_fold_plan``: ``n_folds`` contiguous folds; within each fold's training
   portion the most recent quarter is split off for early stopping, so the
@@ -16,14 +16,16 @@ for any stock:
   the boundary trains (validation = most recent quarter of it), the bounded
   window is the test set.  No cross-validation.
 
-Every (network, stock group) task runs in one worker pool.  A group is as
-many stocks as ``neural.stack_size`` nets of its network fit one update
-block (18 of 19-32-32-2, one of the 5x400 net), in equal groups, at least
-two per worker.  For each split a task trains its stocks' nets as one
-stack, each net bit for bit as it would train alone, and scores every
-stock on the union of the test sets.  ``run`` returns one report per
-network; ``run_cross_validated``, ``run_crisis`` and
-``run_bottleneck_sweep`` call it with their mode set.
+Each split's normalized panel, fitted on that split's training rows only,
+is built once too, before the worker pool forks.  Every (network, stock
+group) task runs in that pool.  A group is as many stocks as
+``neural.stack_size`` nets of its network fit one update block (18 of
+19-32-32-2, one of the 5x400 net), in equal groups, at least two per
+worker.  For each split a task trains its stocks' nets as one stack, each
+net bit for bit as it would train alone, and scores every stock on the
+union of the test sets.  ``run`` returns one report per network;
+``run_cross_validated``, ``run_crisis`` and ``run_bottleneck_sweep`` call
+it with their mode set.
 
 Reports carry per-stock model and baseline accuracies, Welch tests and
 minimum differences against each baseline, box-whisker summaries, and full
@@ -263,8 +265,9 @@ def _fold_hash(folds: Sequence[np.ndarray], extra: str = "") -> str:
 
 def _train_and_predict(
     config: ExperimentConfig,
-    gradients: features.GradientMatrix,
-    truths: Sequence[np.ndarray],
+    panel: np.ndarray,
+    truths: np.ndarray,
+    columns: Sequence[int],
     train_idx: np.ndarray,
     val_idx: np.ndarray,
     test_idx: np.ndarray,
@@ -273,22 +276,21 @@ def _train_and_predict(
     split: str,
     model: neural.NetworkModel | None,
 ) -> tuple[np.ndarray, neural.NetworkModel]:
-    """Fit the normalizer on the training split only, train the stocks' nets as one stack.
+    """Train the stocks' nets on the split's normalized panel as one stack.
 
-    ``truths`` holds each stock's labels (``features.truth_labels``).  Only
-    the split's rows are kept (``_split_inputs``), the test rows once the
-    nets have trained.  The stack is drawn into ``model``'s memory when one
-    is given; the model is returned with the (stocks, test rows)
-    predictions, for the group's next split.
+    ``panel`` is every stock's normalized gradients before each example,
+    fitted on the split's training rows; ``truths`` holds the stocks'
+    labels, one row per stock, and ``columns`` their columns of the panel.
+    Only the split's rows are kept (``features.leave_target_out``), the
+    test rows once the nets have trained.  The stack is drawn into
+    ``model``'s memory when one is given; the model is returned with the
+    (stocks, test rows) predictions, for the group's next split.
     """
-    columns = [gradients.stock_ids.index(s) for s in stock_ids]
-    x_train, x_val = _split_inputs(gradients, columns, train_idx, (train_idx, val_idx))
-    # one-hot targets, as features.dataset_arrays makes them
-    y_train, y_val = (
-        np.eye(2)[np.stack([t[idx] for t in truths])] for idx in (train_idx, val_idx)
-    )
+    parts = (train_idx, val_idx)
+    x_train, x_val = (features.leave_target_out(panel[idx], columns) for idx in parts)
+    y_train, y_val = (features.one_hot(truths[:, idx]) for idx in parts)
     net_configs = [
-        config.network_config(input_dim=gradients.n_stocks - 1, rng_seed=seed) for seed in rng_seeds
+        config.network_config(input_dim=panel.shape[1] - 1, rng_seed=seed) for seed in rng_seeds
     ]
     model = neural.init_stack(net_configs, model)
     fits = neural.train_stack(model, (x_train, y_train), (x_val, y_val))
@@ -300,32 +302,8 @@ def _train_and_predict(
                 "predicting with the best finite weights",
                 stock_id, split, fit.epochs_run,
             )
-    (x_test,) = _split_inputs(gradients, columns, train_idx, (test_idx,))
+    x_test = features.leave_target_out(panel[test_idx], columns)
     return neural.predict_class(model, x_test), model
-
-
-def _split_inputs(
-    gradients: features.GradientMatrix,
-    columns: Sequence[int],
-    train_idx: np.ndarray,
-    parts: Sequence[np.ndarray],
-) -> list[np.ndarray]:
-    """Normalized inputs of the stocks in ``columns``: one (stocks, rows, features) array per part.
-
-    A stock's inputs are the other stocks' gradients, as in
-    ``features.dataset_arrays``.  The panel is normalized once, fitted on
-    the training rows: a column's normalizer does not depend on which
-    stock is the target.
-    """
-    panel = gradients.values[:-1]  # row i: every stock's gradient before interval i + 1
-    panel = features.apply_normalizer(features.fit_normalizer(panel[train_idx]), panel)
-    stacked = []
-    for idx in parts:
-        rows, out = panel[idx], np.empty((len(columns), idx.size, panel.shape[1] - 1))
-        for inputs, j in zip(out, columns):  # np.delete(rows, j, axis=1), written in place
-            inputs[:, :j], inputs[:, j:] = rows[:, :j], rows[:, j + 1 :]
-        stacked.append(out)
-    return stacked
 
 
 def _split_train_pool(pool: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -369,23 +347,28 @@ def _stock_groups(
 def _run_group(
     config: ExperimentConfig,
     gradients: features.GradientMatrix,
+    labels: np.ndarray,
     splits: Sequence[Split],
+    panels: Sequence[np.ndarray],
     stock_ids: Sequence[str],
     stock_seeds: dict[str, int],
 ) -> list[StockResult]:
     """Train the group's nets as one stack per split; score each stock on all its test rows.
 
-    A stock is scored on the union of the test sets.  Every split's stack
-    is drawn into the first split's model.
+    ``labels`` are every stock's (``features.direction_labels``), and
+    ``panels`` each split's normalized panel.  A stock is scored on the
+    union of the test sets.  Every split's stack is drawn into the first
+    split's model.
     """
-    truths = [features.truth_labels(features.dataset_arrays(gradients, s)[1]) for s in stock_ids]
-    predicted = np.full((len(stock_ids), truths[0].size), -1, dtype=np.int64)
+    columns = [gradients.stock_ids.index(s) for s in stock_ids]
+    truths = labels[:, columns].T
+    predicted = np.full(truths.shape, -1, dtype=np.int64)
     split_accuracies: list[list[float]] = [[] for _ in stock_ids]
     model = None
-    for name, train_idx, val_idx, test_idx in splits:
+    for (name, train_idx, val_idx, test_idx), panel in zip(splits, panels):
         seeds = [derive_seed(stock_seeds[s], *name) for s in stock_ids]
         pred, model = _train_and_predict(
-            config, gradients, truths, train_idx, val_idx, test_idx, seeds, stock_ids,
+            config, panel, truths, columns, train_idx, val_idx, test_idx, seeds, stock_ids,
             " ".join(map(str, name)), model,
         )
         predicted[:, test_idx] = pred
@@ -657,8 +640,7 @@ def run(config: ExperimentConfig, matrix: PriceMatrix | None = None) -> list[Exp
             "leave-target-out needs at least 2"
         )
     gradients = features.build_gradients(matrix, config.step_size)
-    if gradients.n_intervals < 2:
-        raise DataError("need at least 2 gradient intervals to build labels")
+    labels = features.direction_labels(gradients)  # a DataError below 2 intervals
     plan = _crisis_plan if config.mode == "crisis" else _fold_plan
     splits, fold_hash, skip_reason = plan(config, gradients)
     stock_seeds = {s: derive_seed(config.seed, s) for s in gradients.stock_ids}
@@ -668,6 +650,13 @@ def run(config: ExperimentConfig, matrix: PriceMatrix | None = None) -> list[Exp
             for _ in configs
         ]
     else:
+        inputs = gradients.values[:-1]  # row i: every stock's gradient before interval i + 1
+        # a column's normalizer does not depend on which stock is the target,
+        # so one panel per split serves every net
+        panels = [
+            features.apply_normalizer(features.fit_normalizer(inputs[train_idx]), inputs)
+            for _, train_idx, _, _ in splits
+        ]
         groups = [
             _stock_groups(gradients.stock_ids, c.network_config(gradients.n_stocks - 1, 0), c.jobs)
             for c in configs
@@ -681,7 +670,9 @@ def run(config: ExperimentConfig, matrix: PriceMatrix | None = None) -> list[Exp
         ]
         results = _run_per_stock(
             config,
-            lambda t: _run_group(configs[t[0]], gradients, splits, t[1], stock_seeds),
+            lambda t: _run_group(
+                configs[t[0]], gradients, labels, splits, panels, t[1], stock_seeds
+            ),
             tasks,
         )
         per_network = [

@@ -336,23 +336,18 @@ class NetworkModel:
     def biases(self) -> tuple[np.ndarray, ...]:
         return self._biases
 
-    @property
-    def rng(self) -> np.random.Generator:
-        """A one-net model's generator."""
-        (rng,) = self.rngs
-        return rng
-
 
 def init(config: NetworkConfig, model: NetworkModel | None = None) -> NetworkModel:
     """Gaussian-initialised one-net model: weights ~ N(0, 2/fan_in), biases zero.
 
     One standard-normal draw into the weight prefix, then each layer scaled
-    in place: the values and ``model.rng`` state of per-layer ``rng.normal``
-    calls.  ``model.rng`` goes on to shuffle the batches.
+    in place: the values and generator state (``model.rngs[0]``) of
+    per-layer ``rng.normal`` calls.  The generator goes on to shuffle the
+    batches.
 
     Given a one-net ``model`` with ``config``'s layer sizes, the net is
     drawn into its memory instead: it takes ``config``, zero biases and
-    velocity and a fresh ``rng``, and equals a new model bitwise.  Its
+    velocity and a fresh generator, and equals a new model bitwise.  Its
     vectors and training scratch are reused, so no fresh pages are faulted
     in.  A model with other layer sizes is a ValueError and is left as it
     was.
@@ -561,21 +556,17 @@ def _fused_step(
     """``backward`` and ``sgd_step`` on one batch per net, without a whole gradient vector.
 
     ``plan`` covers the nets that step (``_fused_plan``), by default all of
-    the model's; x and y hold one (batch, columns) batch per net, or a
-    one-net model's batch alone.  Each update group is updated during the
-    backward pass, the rest after it; every element ends as the two calls
-    would leave it.  Returns each net's batch loss, or the one net's loss;
-    when any loss is not finite, no net is touched.
+    the model's; x and y hold one (batch, columns) batch per net.  Each
+    update group is updated during the backward pass, the rest after it;
+    every element ends as the two calls would leave it.  Returns each net's
+    batch loss; when any loss is not finite, no net is touched.
     """
     plan = model._plan if plan is None else plan
-    one = x.ndim == 2
-    if one:
-        x, y = x[None], y[None]
     losses, activations, error = _forward_loss(plan, x, y, _views(buffers, *x.shape[:2]))
     if np.isfinite(losses).all():
         _backpropagate(plan, activations, error, model.config, eta)
         _descend(plan.rest, model.config, eta)
-    return losses[0] if one else losses
+    return losses
 
 
 @dataclass

@@ -15,9 +15,11 @@ from trendlag.features import (
     apply_normalizer,
     build_gradients,
     dataset_arrays,
+    direction_labels,
     fit_normalizer,
     fit_trend,
-    truth_labels,
+    leave_target_out,
+    one_hot,
 )
 from trendlag.market_data import PriceMatrix, TimeGrid
 
@@ -189,9 +191,31 @@ class TestBuildLabels:
         with pytest.raises(DataError, match="at least 2"):
             dataset_arrays(_gradients(np.ones((1, 3))), "S0")
 
-    def test_truth_labels_collapse(self):
-        y = np.array([[1.0, 0.0], [0.0, 1.0]])
-        np.testing.assert_array_equal(truth_labels(y), [DOWN, UP])
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(1, 4), st.integers(2, 12), st.integers(2, 6), st.data())
+def test_labels_one_hot_and_leave_target_out_follow_their_numpy_definitions(
+    distinct, n_rows, n_stocks, data
+):
+    # a few distinct rows drawn into many: whole rows repeat, so gradients tie
+    row = st.lists(st.floats(-1e6, 1e6), min_size=n_stocks, max_size=n_stocks)
+    pool = np.array(data.draw(st.lists(row, min_size=distinct, max_size=distinct)))
+    order = data.draw(st.lists(st.integers(0, distinct - 1), min_size=n_rows, max_size=n_rows))
+    grads = _gradients(pool[order])
+    labels = direction_labels(grads)
+    assert labels.shape == (n_rows - 1, n_stocks)
+    assert set(np.unique(labels)) <= {DOWN, UP}
+    for j in range(n_stocks):
+        np.testing.assert_array_equal(labels[:, j] == UP, np.diff(grads.values[:, j]) > 0)
+    targets = one_hot(labels)
+    assert targets.shape == (*labels.shape, 2)
+    np.testing.assert_array_equal(targets.sum(axis=-1), 1.0)
+    np.testing.assert_array_equal(targets[..., UP], labels == UP)
+    columns = data.draw(st.lists(st.integers(0, n_stocks - 1), min_size=1, max_size=2 * n_stocks))
+    blocks = leave_target_out(grads.values, columns)
+    assert blocks.shape == (len(columns), n_rows, n_stocks - 1)
+    for block, j in zip(blocks, columns):
+        assert block.tobytes() == np.delete(grads.values, j, axis=1).tobytes()
 
 
 class TestNormalizer:

@@ -17,11 +17,12 @@ import pytest
 from trendlag import cli, features, harness, neural
 from trendlag.cli import main
 from trendlag.errors import ConfigError, DataError
-from trendlag.features import build_gradients, dataset_arrays
+from trendlag.features import build_gradients
 from trendlag.harness import (
     ALL_SERIES,
     ExperimentConfig,
     ExperimentReport,
+    _crisis_plan,
     _fold_plan,
     _loaded_openblas,
     _run_per_stock,
@@ -170,14 +171,41 @@ class TestRunCrossValidated:
             assert r.bestof_accuracy >= 0.5
             assert r.n_examples == 119
 
-    def test_leave_target_out_in_assembled_datasets(self):
-        config = _config()
-        matrix = load_price_matrix(config)
-        gradients = build_gradients(matrix, config.step_size)
-        for j, stock in enumerate(gradients.stock_ids):
-            x, _ = dataset_arrays(gradients, stock)
-            other = [c for c in range(gradients.n_stocks) if c != j]
-            np.testing.assert_array_equal(x, gradients.values[:-1][:, other])
+    @pytest.mark.parametrize("make_config", [_config, _crisis_config], ids=["folds", "crisis"])
+    def test_each_net_trains_on_its_split_without_its_target(self, monkeypatch, make_config):
+        config = make_config()
+        gradients = build_gradients(load_price_matrix(config), config.step_size)
+        plan = _crisis_plan if config.mode == "crisis" else _fold_plan
+        splits, _, _ = plan(config, gradients)
+        groups = _stock_groups(
+            gradients.stock_ids, config.network_config(gradients.n_stocks - 1, 0), config.jobs
+        )
+        calls = []
+        train_stack = neural.train_stack
+
+        def record(model, train_sets, validation_sets):
+            calls.append((train_sets, validation_sets))
+            return train_stack(model, train_sets, validation_sets)
+
+        monkeypatch.setattr(neural, "train_stack", record)
+        run(config)
+        # jobs 1: each group in turn trains one stack per split
+        assert config.jobs == 1 and len(calls) == len(groups) * len(splits)
+        inputs = gradients.values[:-1]
+        up = np.diff(gradients.values, axis=0) > 0
+        tasks = [(group, split) for group in groups for split in splits]
+        for (group, (_, train_idx, val_idx, _)), sets in zip(tasks, calls):
+            # the normalizer is fitted on the split's training rows alone
+            low, high = inputs[train_idx].min(axis=0), inputs[train_idx].max(axis=0)
+            assert (high > low).all()
+            normalized = (inputs - low) / (high - low)
+            for idx, (x, y) in zip((train_idx, val_idx), sets):
+                assert x.shape == (len(group), idx.size, gradients.n_stocks - 1)
+                for k, stock in enumerate(group):
+                    j = gradients.stock_ids.index(stock)
+                    assert x[k].tobytes() == np.delete(normalized[idx], j, axis=1).tobytes()
+                    one_hot = np.stack([~up[idx, j], up[idx, j]], axis=1).astype(float)
+                    np.testing.assert_array_equal(y[k], one_hot)
 
     def test_determinism_across_runs_and_jobs(self):
         a = run_cross_validated(_config())

@@ -90,7 +90,7 @@ class TestInit:
         assert [w.tobytes() for w in model.weights] == [w.tobytes() for w in expected]
         assert not model.parameters[model.n_weights :].any()
         assert not model.velocity.any()
-        assert model.rng.permutation(500).tobytes() == rng.permutation(500).tobytes()
+        assert model.rngs[0].permutation(500).tobytes() == rng.permutation(500).tobytes()
 
     def test_zero_width_layer_rejected(self):
         with pytest.raises(ConfigError):
@@ -117,7 +117,7 @@ def _model_state(model):
         model.config,
         model.parameters.tobytes(),
         model.velocity.tobytes(),
-        json.dumps(model.rng.bit_generator.state),
+        json.dumps(model.rngs[0].bit_generator.state),
     )
 
 
@@ -354,7 +354,7 @@ class TestFusedStep:
             eta = config.learning_rate * config.lr_decay**epoch
             for _ in range(3):
                 x, y = rng.normal(size=(50, input_dim)), np.eye(2)[rng.integers(0, 2, 50)]
-                assert math.isfinite(_fused_step(fused, x, y, buffers, eta))
+                assert np.isfinite(_fused_step(fused, x[None], y[None], buffers, eta)).all()
                 sgd_step(reference, backward(reference, x, y), epoch)
             assert np.array_equal(fused.parameters, reference.parameters)
             assert np.array_equal(fused.velocity, reference.velocity)
@@ -364,10 +364,11 @@ class TestFusedStep:
         model = init(config)
         x, y = _labelled_rows(50, 5, seed=5)
         buffers = _layer_buffers(model, 50)
-        _fused_step(model, x, y, buffers, 0.05)  # a velocity that an update would change
+        # a velocity that an update would change
+        _fused_step(model, x[None], y[None], buffers, 0.05)
         before = model.parameters.tobytes(), model.velocity.tobytes()
         x[7, 2] = np.nan
-        assert math.isnan(_fused_step(model, x, y, buffers, 0.05))
+        assert np.isnan(_fused_step(model, x[None], y[None], buffers, 0.05)).all()
         assert (model.parameters.tobytes(), model.velocity.tobytes()) == before
 
 
@@ -633,7 +634,7 @@ def _assert_stack_matches_solo(config, seeds, x, y, n_train, n_val):
         assert row.tobytes() == solo.parameters.tobytes()  # bitwise, signed zeros included
         velocity = stack.velocity[k] if len(seeds) > 1 else stack.velocity
         assert velocity.tobytes() == solo.velocity.tobytes()
-        assert stack.rngs[k].bit_generator.state == solo.rng.bit_generator.state
+        assert stack.rngs[k].bit_generator.state == solo.rngs[0].bit_generator.state
         assert predictions[k].tobytes() == expected_classes.tobytes()
     return reports
 
