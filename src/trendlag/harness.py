@@ -153,9 +153,6 @@ class ExperimentConfig:
         assert self.synthetic is not None and self.synthetic.regime_switch is not None
         return synth.crisis_window(self.synthetic)
 
-    def network_config(self, input_dim: int, rng_seed: int) -> neural.NetworkConfig:
-        return neural.NetworkConfig(input_dim=input_dim, rng_seed=rng_seed, **self.network)
-
 
 def load_price_matrix(config: ExperimentConfig, matrix: PriceMatrix | None = None) -> PriceMatrix:
     """The panel an experiment runs on: ``matrix``, or else the configured source.
@@ -184,9 +181,11 @@ def load_price_matrix(config: ExperimentConfig, matrix: PriceMatrix | None = Non
 
 
 def _infer_grid(table: TickTable, step_seconds: float) -> TimeGrid | None:
-    """The regular grid from the first to the last tick with a price; None if no tick has one.
+    """The instants that hold a priced tick; None if no tick has a price.
 
-    A tick without a price fills no cell, so it does not stretch the grid.
+    Instants step ``step_seconds`` from the first priced tick, and a tick
+    falls in the first one at or after it, as in ``fill_missing``; an
+    instant no priced tick falls in, such as one at night, is left out.
     """
     priced = [c.timestamp[np.isfinite(c.price)] for c in table.columns.values()]
     priced = [t for t in priced if t.size]
@@ -203,7 +202,11 @@ def _infer_grid(table: TickTable, step_seconds: float) -> TimeGrid | None:
             f"has {count} instants; their {len(table.columns)} price columns would exceed "
             f"the {memory} B of physical memory"
         )
-    return TimeGrid.regular(first, step, count)
+    held = np.zeros(count, bool)
+    for t in priced:
+        cell = -((first - t) // step)  # the first instant at or after each tick
+        held[cell[cell < count]] = True
+    return TimeGrid(first + step * np.flatnonzero(held))
 
 
 @dataclass(frozen=True)
@@ -264,7 +267,7 @@ def _fold_hash(folds: Sequence[np.ndarray], extra: str = "") -> str:
 
 
 def _train_and_predict(
-    config: ExperimentConfig,
+    network: neural.NetworkConfig,
     panel: np.ndarray,
     truths: np.ndarray,
     columns: Sequence[int],
@@ -276,7 +279,7 @@ def _train_and_predict(
     split: str,
     model: neural.NetworkModel | None,
 ) -> tuple[np.ndarray, neural.NetworkModel]:
-    """Train the stocks' nets on the split's normalized panel as one stack.
+    """Train the stocks' nets on the split's normalized panel as one stack of ``network``.
 
     ``panel`` is every stock's normalized gradients before each example,
     fitted on the split's training rows; ``truths`` holds the stocks'
@@ -289,10 +292,7 @@ def _train_and_predict(
     parts = (train_idx, val_idx)
     x_train, x_val = (features.leave_target_out(panel[idx], columns) for idx in parts)
     y_train, y_val = (features.one_hot(truths[:, idx]) for idx in parts)
-    net_configs = [
-        config.network_config(input_dim=panel.shape[1] - 1, rng_seed=seed) for seed in rng_seeds
-    ]
-    model = neural.init_stack(net_configs, model)
+    model = neural.init_stack(network, rng_seeds, model)
     fits = neural.train_stack(model, (x_train, y_train), (x_val, y_val))
     del x_train, y_train, x_val, y_val  # the test rows are built once these are freed
     for stock_id, fit in zip(stock_ids, fits):
@@ -345,7 +345,7 @@ def _stock_groups(
 
 
 def _run_group(
-    config: ExperimentConfig,
+    network: neural.NetworkConfig,
     gradients: features.GradientMatrix,
     labels: np.ndarray,
     splits: Sequence[Split],
@@ -368,7 +368,7 @@ def _run_group(
     for (name, train_idx, val_idx, test_idx), panel in zip(splits, panels):
         seeds = [derive_seed(stock_seeds[s], *name) for s in stock_ids]
         pred, model = _train_and_predict(
-            config, panel, truths, columns, train_idx, val_idx, test_idx, seeds, stock_ids,
+            network, panel, truths, columns, train_idx, val_idx, test_idx, seeds, stock_ids,
             " ".join(map(str, name)), model,
         )
         predicted[:, test_idx] = pred
@@ -657,10 +657,10 @@ def run(config: ExperimentConfig, matrix: PriceMatrix | None = None) -> list[Exp
             features.apply_normalizer(features.fit_normalizer(inputs[train_idx]), inputs)
             for _, train_idx, _, _ in splits
         ]
-        groups = [
-            _stock_groups(gradients.stock_ids, c.network_config(gradients.n_stocks - 1, 0), c.jobs)
-            for c in configs
+        nets = [
+            neural.NetworkConfig(input_dim=gradients.n_stocks - 1, **c.network) for c in configs
         ]
+        groups = [_stock_groups(gradients.stock_ids, net, config.jobs) for net in nets]
         # each network's k-th group, network after network, then the (k+1)-th
         tasks = [
             (i, group)
@@ -670,9 +670,7 @@ def run(config: ExperimentConfig, matrix: PriceMatrix | None = None) -> list[Exp
         ]
         results = _run_per_stock(
             config,
-            lambda t: _run_group(
-                configs[t[0]], gradients, labels, splits, panels, t[1], stock_seeds
-            ),
+            lambda t: _run_group(nets[t[0]], gradients, labels, splits, panels, t[1], stock_seeds),
             tasks,
         )
         per_network = [

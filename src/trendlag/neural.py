@@ -18,7 +18,9 @@ for the whole stack: ``np.matmul`` makes one gemm per net, as for a lone
 net, and elementwise ops and reductions treat each net's elements as a
 lone net's, so every net's numbers are bit for bit its own.  A one-net
 model is the stack of one, and its public views drop the stack axis.
-``init_stack`` draws every net from its own generator; ``init`` draws one.
+A stack is one ``NetworkConfig`` drawn from one seed per net:
+``init_stack`` draws every net from its own generator, ``init`` one net
+from the config's ``rng_seed``.
 
 ``sgd_step`` applies a whole gradient in cache-sized blocks.
 ``train_stack`` makes the same update without one: its step fuses the
@@ -352,36 +354,33 @@ def init(config: NetworkConfig, model: NetworkModel | None = None) -> NetworkMod
     in.  A model with other layer sizes is a ValueError and is left as it
     was.
     """
-    return init_stack((config,), model)
+    return init_stack(config, (config.rng_seed,), model)
 
 
 def init_stack(
-    configs: Sequence[NetworkConfig], model: NetworkModel | None = None
+    config: NetworkConfig, seeds: Sequence[int], model: NetworkModel | None = None
 ) -> NetworkModel:
-    """A model of one net per config, each drawn as ``init`` draws it, from its own generator.
+    """A stack of ``config``'s net, one per seed, each drawn as ``init`` draws it.
 
-    The configs may differ only in ``rng_seed``; the model takes the first
-    as its ``config``.  Given a ``model`` of as many nets of the configs'
-    layer sizes, the nets are drawn into its memory as ``init`` draws into
-    a one-net model.  A model of another size or other layer sizes is a
-    ValueError and is left as it was.
+    Net k draws from its own generator, seeded with ``seeds[k]`` in place
+    of ``config.rng_seed``; the model takes ``config``.  Given a ``model``
+    of as many nets of ``config``'s layer sizes, the nets are drawn into its
+    memory as ``init`` draws into a one-net model.  A model of another size
+    or other layer sizes is a ValueError and is left as it was.
     """
-    config, *others = configs
     config.validate()
-    if any(replace(c, rng_seed=config.rng_seed) != config for c in others):
-        raise ValueError("the nets of a stack may differ only in rng_seed")
     if model is None:
-        model = NetworkModel(config, len(configs))
-    elif (model.size, model.config.layer_sizes()) != (len(configs), config.layer_sizes()):
+        model = NetworkModel(config, len(seeds))
+    elif (model.size, model.config.layer_sizes()) != (len(seeds), config.layer_sizes()):
         raise ValueError(
-            f"cannot draw {len(configs)} net(s) of the chain {config.layer_sizes()} into a "
+            f"cannot draw {len(seeds)} net(s) of the chain {config.layer_sizes()} into a "
             f"model of {model.size} net(s) of {model.config.layer_sizes()}"
         )
     else:
         model.config = config
         model._param_rows[:, model.n_weights :] = 0.0
         model._velocity_rows.fill(0.0)
-    model.rngs = [np.random.default_rng(c.rng_seed) for c in configs]
+    model.rngs = [np.random.default_rng(seed) for seed in seeds]
     for row, rng in zip(model._param_rows, model.rngs):
         rng.standard_normal(out=row[: model.n_weights])
     for w in model._plan.weights:
@@ -551,17 +550,16 @@ def _fused_step(
     y: np.ndarray,
     buffers: list[np.ndarray],
     eta: float,
-    plan: _FusedPlan | None = None,
+    plan: _FusedPlan,
 ) -> np.ndarray:
     """``backward`` and ``sgd_step`` on one batch per net, without a whole gradient vector.
 
-    ``plan`` covers the nets that step (``_fused_plan``), by default all of
-    the model's; x and y hold one (batch, columns) batch per net.  Each
-    update group is updated during the backward pass, the rest after it;
-    every element ends as the two calls would leave it.  Returns each net's
-    batch loss; when any loss is not finite, no net is touched.
+    ``plan`` covers the nets that step (``_fused_plan``; ``model._plan``
+    for all of the model's); x and y hold one (batch, columns) batch per
+    net.  Each update group is updated during the backward pass, the rest
+    after it; every element ends as the two calls would leave it.  Returns
+    each net's batch loss; when any loss is not finite, no net is touched.
     """
-    plan = model._plan if plan is None else plan
     losses, activations, error = _forward_loss(plan, x, y, _views(buffers, *x.shape[:2]))
     if np.isfinite(losses).all():
         _backpropagate(plan, activations, error, model.config, eta)
@@ -651,9 +649,9 @@ def train_stack(model: NetworkModel, train_sets, validation_sets) -> list[TrainR
     # ``active`` rows train, with the plan of those rows
     slot_net = np.arange(nets)
     active = nets
-    best_val, since_best = [math.inf] * nets, [0] * nets
-    curves: list[list[float]] = [[] for _ in range(nets)]
-    epochs_run, stopped_early, diverged = [0] * nets, [False] * nets, [False] * nets
+    # each net's report, updated in place as it trains
+    reports = [TrainReport(0, math.inf, False) for _ in range(nets)]
+    since_best = [0] * nets
 
     def arrange() -> None:
         """The plan of the active rows, their full batches, and their validation chunks."""
@@ -699,7 +697,7 @@ def train_stack(model: NetworkModel, train_sets, validation_sets) -> list[TrainR
             # those nets stop untouched; the others redo the batch without them
             lost = np.flatnonzero(~finite).tolist()
             for slot in lost:
-                diverged[slot_net[slot]] = True
+                reports[slot_net[slot]].diverged = True
             leave(lost)
         if not active:
             break
@@ -711,18 +709,19 @@ def train_stack(model: NetworkModel, train_sets, validation_sets) -> list[TrainR
         done = []
         for slot, val_loss in enumerate(val_losses):
             net = slot_net[slot]
-            curves[net].append(val_loss)
-            epochs_run[net] = epoch + 1
+            report = reports[net]
+            report.validation_losses += (val_loss,)
+            report.epochs_run = epoch + 1
             if not math.isfinite(val_loss):
-                diverged[net] = True
+                report.diverged = True
                 done.append(slot)
-            elif val_loss < best_val[net]:
-                best_val[net], since_best[net] = val_loss, 0
+            elif val_loss < report.best_validation_loss:
+                report.best_validation_loss, since_best[net] = val_loss, 0
                 np.copyto(best[slot], params[slot])
             else:
                 since_best[net] += 1
                 if since_best[net] >= cfg.early_stop_patience:
-                    stopped_early[net] = True
+                    report.stopped_early = True
                     done.append(slot)
         if done:
             leave(done)
@@ -731,16 +730,7 @@ def train_stack(model: NetworkModel, train_sets, validation_sets) -> list[TrainR
     params[slot_net] = best
     moved = np.flatnonzero(slot_net != np.arange(nets))
     velocity[slot_net[moved]] = velocity[moved]
-    return [
-        TrainReport(
-            epochs_run=epochs_run[k],
-            best_validation_loss=float(best_val[k]),
-            stopped_early=stopped_early[k],
-            validation_losses=tuple(curves[k]),
-            diverged=diverged[k],
-        )
-        for k in range(nets)
-    ]
+    return reports
 
 
 def predict_class(model: NetworkModel, inputs: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import logging
 import multiprocessing
 import os
 import re
@@ -177,9 +178,8 @@ class TestRunCrossValidated:
         gradients = build_gradients(load_price_matrix(config), config.step_size)
         plan = _crisis_plan if config.mode == "crisis" else _fold_plan
         splits, _, _ = plan(config, gradients)
-        groups = _stock_groups(
-            gradients.stock_ids, config.network_config(gradients.n_stocks - 1, 0), config.jobs
-        )
+        network = neural.NetworkConfig(input_dim=gradients.n_stocks - 1, **config.network)
+        groups = _stock_groups(gradients.stock_ids, network, config.jobs)
         calls = []
         train_stack = neural.train_stack
 
@@ -311,6 +311,16 @@ class TestRunCrossValidated:
         ragged = run_cross_validated(_config(), last_rows(matrix.n_rows - 2))
         whole = run_cross_validated(_config(), last_rows(matrix.n_rows - 4))
         assert ragged.to_json() == whole.to_json()
+
+    def test_each_diverged_net_is_logged_with_its_stock_and_fold(self, caplog):
+        config = _config(network={**FAST_NET, "learning_rate": 1e300})
+        with caplog.at_level(logging.WARNING, logger=harness.__name__), np.errstate(all="ignore"):
+            run_cross_validated(config)
+        pattern = r"training diverged for (S\d+), fold (\d): non-finite loss after \d+ full epochs"
+        logged = [re.match(pattern, r.getMessage()) for r in caplog.records]
+        assert all(logged) and len(logged) == 20
+        stocks = [f"S00{k}" for k in range(4)]
+        assert sorted(m.groups() for m in logged) == [(s, str(f)) for s in stocks for f in range(5)]
 
     def test_repeated_stock_filter_entry_rejected(self, monkeypatch):
         monkeypatch.setattr(harness, "load_price_matrix", None)  # rejected before any data
@@ -834,8 +844,14 @@ class TestCli:
         out = tmp_path / "r1"
         path.write_text(CONFIG_TEMPLATE.format(out=out))
         out2 = tmp_path / "r2"
-        assert main(["run", "--config", str(path), "--out", str(out2), "--seed", "99", "--jobs", "2"]) == 0
-        assert (out2 / "report_cross_validated.json").exists()
+        assert main([
+            "run", "--config", str(path), "--out", str(out2), "--seed", "99", "--jobs", "2",
+            "--step-size", "8",
+        ]) == 0
+        payload = json.loads((out2 / "report_cross_validated.json").read_text())
+        config = payload["provenance"]["config"]
+        assert payload["step_size"] == config["step_size"] == 8  # the INI says 4
+        assert config["seed"] == 99
 
     def test_config_error_exit_code(self, tmp_path):
         path = tmp_path / "broken.ini"
@@ -942,6 +958,9 @@ class TestCli:
         ticks_out = tmp_path / "ticks.csv"
         assert main(["synth", "--config", str(path), "--out", str(ticks_out), "--format", "ticks"]) == 0
         assert ticks_out.read_text().startswith("stock_id,timestamp")
+        nested_out = tmp_path / "new" / "dir" / "panel.csv"
+        assert main(["synth", "--config", str(path), "--out", str(nested_out)]) == 0
+        assert nested_out.read_bytes() == matrix_out.read_bytes()
 
     def test_report_subcommand(self, tmp_path):
         path = tmp_path / "exp.ini"
@@ -1058,8 +1077,11 @@ class TestCli:
         payload = json.loads((tmp_path / "results" / "report_cross_validated.json").read_text())
         assert payload["welch_tests"]  # the t tail and quantile ran
 
-    def test_report_subcommand_rejects_foreign_json(self, tmp_path):
+    def test_report_subcommand_rejects_foreign_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
+        bad.write_text("stock_id,series\n")
+        assert main(["report", "--in", str(bad)]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
         bad.write_text('{"hello": 1}')
         assert main(["report", "--in", str(bad)]) == 2
         bad.write_bytes(b'{"mode": "\xff"}')

@@ -172,6 +172,29 @@ class TestParseTicks:
         assert matrix.stock_ids == ("S0", "S1", "S2")
         np.testing.assert_array_equal(matrix.grid.instants, grid.instants)
 
+    def test_nights_between_trading_days_leave_no_rows(self, tmp_path):
+        # 4 stocks priced every minute of three 14:30-21:00 UTC sessions
+        opens = [np.datetime64(f"2011-04-0{day}T14:30", "ms") for day in (4, 5, 6)]
+        times = [t + np.timedelta64(m, "m") for t in opens for m in range(391)]
+        rows = [
+            f"S{k},{format_timestamp(t)},,,1,{10 + k + i % 7 / 100}"
+            for i, t in enumerate(times) for k in range(4)
+        ]
+        path = tmp_path / "ticks.csv"
+        path.write_bytes(_tick_csv(rows))
+        config = ExperimentConfig(tick_csv=str(path), step_size=16)
+        matrix = load_price_matrix(config)
+        assert matrix.stock_ids == ("S0", "S1", "S2", "S3")
+        assert matrix.grid.count == 3 * 391 // 16 * 16 and not matrix.fill_mask.any()
+        # a tick 30 s after the first close takes the next minute, not the next open
+        after_close = opens[0] + np.timedelta64(390 * 60 + 30, "s")
+        path.write_bytes(_tick_csv(rows + [f"S0,{format_timestamp(after_close)},,,1,99"]))
+        matrix = load_price_matrix(config)
+        row = int(np.flatnonzero(matrix.grid.instants == after_close + np.timedelta64(30, "s"))[0])
+        assert matrix.grid.instants[row + 1] == opens[1]
+        assert matrix.values[row, 0] == 99 and matrix.values[row + 1, 0] == 10 + 391 % 7 / 100
+        assert matrix.fill_mask[row].tolist() == [False, True, True, True]
+
     def test_no_tick_with_a_price_is_a_data_error_naming_the_file(self, tmp_path):
         grid = _grid(3)
         path = tmp_path / "unpriced.csv"

@@ -213,6 +213,16 @@ class TestOracle:
         bound = oracle_accuracy(_config(n_stocks=8, n_steps=700, signal_strength=0.0, seed=7))
         assert abs(bound.estimate - 0.5) <= 4 * bound.monte_carlo_error
 
+    def test_crisis_rally_mixture_is_predictable_without_signal(self):
+        config = _config(n_stocks=10, n_steps=400, ticks_per_step=4, signal_strength=0.0, seed=5)
+        calm = oracle_accuracy(config)
+        crisis = oracle_accuracy(replace(config, regime_switch=RegimeSwitch(
+            switch_step=100, crisis_drift=-0.002, crisis_sigma_multiplier=1.3
+        )))
+        assert abs(calm.estimate - 0.5) <= 3 * calm.monte_carlo_error
+        # the persistent rallies and grinds of the crisis steps are the only edge
+        assert crisis.estimate > 0.5 + 5 * crisis.monte_carlo_error
+
     def test_noiseless_limit_is_perfect(self):
         config = _config(
             n_stocks=6, n_steps=500, signal_strength=1.0, noise_sigma=0.0, micro_sigma=0.0
