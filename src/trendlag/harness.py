@@ -194,19 +194,17 @@ def _infer_grid(table: TickTable, step_seconds: float) -> TimeGrid | None:
     first = min(t[0] for t in priced)
     last = max(t[-1] for t in priced)
     step = np.timedelta64(int(round(step_seconds * 1000)), "ms")
-    count = int((last - first) // step) + 1
+    # the first instant at or after each tick, up to the last instant at or before the last tick
+    cells = np.unique(np.concatenate([-((first - t) // step) for t in priced]))
+    cells = cells[cells <= (last - first) // step]
     memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if count * len(table.columns) * 8 > memory:
+    if cells.size * len(table.columns) * 8 > memory:
         raise DataError(
             f"a {step_seconds} s grid from {format_timestamp(first)} to {format_timestamp(last)} "
-            f"has {count} instants; their {len(table.columns)} price columns would exceed "
+            f"has {cells.size} instants; their {len(table.columns)} price columns would exceed "
             f"the {memory} B of physical memory"
         )
-    held = np.zeros(count, bool)
-    for t in priced:
-        cell = -((first - t) // step)  # the first instant at or after each tick
-        held[cell[cell < count]] = True
-    return TimeGrid(first + step * np.flatnonzero(held))
+    return TimeGrid(first + step * cells)
 
 
 @dataclass(frozen=True)
@@ -640,6 +638,12 @@ def run(config: ExperimentConfig, matrix: PriceMatrix | None = None) -> list[Exp
             "leave-target-out needs at least 2"
         )
     gradients = features.build_gradients(matrix, config.step_size)
+    # a tick grid leaves out instants no priced tick falls in (nights), so a trend can span one
+    spacing = np.diff(matrix.grid.instants.reshape(gradients.n_intervals, config.step_size))
+    spanning = int(np.count_nonzero((spacing > np.diff(matrix.grid.instants).min()).any(axis=1)))
+    if spanning:
+        logger.info("%d of %d gradient intervals span a gap in the grid",
+                    spanning, gradients.n_intervals)
     labels = features.direction_labels(gradients)  # a DataError below 2 intervals
     plan = _crisis_plan if config.mode == "crisis" else _fold_plan
     splits, fold_hash, skip_reason = plan(config, gradients)

@@ -13,9 +13,11 @@ non-canonical fields go through the per-row parsers) and gives one
 TickColumns per stock: datetime64[ms] ``timestamp`` and float64 ``price``
 arrays, sorted by time.  A tick's price is its ``avg_price``, else the bid/ask
 midpoint, else whichever single side is present, else NaN (no price); bid, ask
-and volume are checked but not stored.  fill_missing samples the prices onto
-a uniform time grid, giving a PriceMatrix: strictly positive prices, one row
-per grid instant and one column per stock, plus a fill mask.
+and volume are checked but not stored: in bulk, on the bytes of a column's
+fields, and converted only where a price falls back to bid and ask (a column
+the bulk check cannot clear is converted whole).  fill_missing samples the
+prices onto a uniform time grid, giving a PriceMatrix: strictly positive
+prices, one row per grid instant and one column per stock, plus a fill mask.
 PriceMatrix.from_csv reads a matrix CSV through the same blocks.
 
 Ingest holds about one copy of its data: one block's strings at a time, each
@@ -152,6 +154,35 @@ def _floats(fields: Sequence[str]) -> np.ndarray:
     nonfinite = np.flatnonzero(~np.isfinite(values)).tolist()
     values[[i for i in nonfinite if fields[i]]] = math.inf  # a blank stays NaN
     values[rejected] = [_parse_number(fields[i]) for i in rejected]
+    return values
+
+
+def _at_least(fields: Sequence[str], lowest: str) -> bool:
+    """Whether float() gives each field a finite value of at least ``lowest`` ("0" or "1").
+
+    True when every field is 1-300 ASCII digits with at most one ".", led by a
+    digit from ``lowest`` to "9"; the check reads the bytes of all fields at once.
+    """
+    chars = np.frombuffer(",".join(fields).encode("ascii", "replace"), np.uint8)  # "?": not ASCII
+    commas = np.flatnonzero(chars == ord(","))
+    dots = np.flatnonzero(chars == ord("."))
+    starts = np.r_[0, commas + 1]
+    lengths = np.diff(np.r_[starts, chars.size + 1]) - 1
+    return bool(
+        commas.size == len(fields) - 1  # no comma inside a field
+        and np.count_nonzero(chars - ord("0") < 10) + commas.size + dots.size == chars.size
+        and lengths.min() >= 1 and lengths.max() <= 300
+        and (chars[starts] >= ord(lowest)).all()  # a "." sorts below every digit
+        and (np.diff(np.searchsorted(commas, dots)) > 0).all()  # at most one "." a field
+    )
+
+
+def _floats_where(fields: Sequence[str], lowest: str, rows: list[int]) -> np.ndarray:
+    """_floats(fields); if each field is _at_least ``lowest``, its values at ``rows``, else NaN."""
+    if not _at_least(fields, lowest):
+        return _floats(fields)
+    values = np.full(len(fields), math.nan)
+    values[rows] = _floats([fields[i] for i in rows])
     return values
 
 
@@ -342,12 +373,16 @@ def _tick_block(codes: dict[str, int], widths: np.ndarray, singles: list[str], c
     side is present, else NaN.  Volume is only checked.  ``codes`` maps each stock
     id to its code, in order of first kept row; it takes the block's new ids.
     """
-    ids, stamps, *fields = columns
+    ids, stamps, bid, ask, volume, avg_price = columns
     ids = list(map(str.strip, ids))
     timestamp = _parse_timestamps(stamps)
-    numbers = [_floats(f) for f in fields]
-    bid, ask, volume, avg_price = numbers
-    # NaN (missing) fails every comparison, so it passes these checks
+    avg_price = _floats(avg_price)
+    fallback = np.flatnonzero(np.isnan(avg_price)).tolist()  # the rows that read bid and ask
+    bid, ask = (_floats_where(f, "1", fallback) for f in (bid, ask))
+    volume = _floats_where(volume, "0", [])
+    numbers = [bid, ask, volume, avg_price]
+    # NaN (missing) fails every comparison, so it passes these checks, as does each
+    # value _floats_where leaves out: a price of at least 1 or a volume of at least 0
     keep = np.fromiter(map(bool, ids), bool, len(ids)) & ~(
         np.isnat(timestamp) | np.isinf(numbers).any(axis=0) | (bid <= 0.0)
         | (ask <= 0.0) | (avg_price <= 0.0) | (volume < 0.0)

@@ -38,7 +38,7 @@ from trendlag.harness import (
     run_crisis,
     run_cross_validated,
 )
-from trendlag.market_data import PriceMatrix, TimeGrid
+from trendlag.market_data import PriceMatrix, TimeGrid, parse_ticks
 from trendlag.synth import (
     RegimeSwitch,
     SyntheticConfig,
@@ -999,8 +999,8 @@ class TestCli:
         out = capsys.readouterr().out
         assert len(re.findall(r"^experiment ran in \d+\.\d\d s$", out, re.MULTILINE)) == 1
 
-    def test_grid_beyond_physical_memory_is_a_data_error(self, tmp_path, capsys):
-        # a 1 ms grid over ten millennia needs petabytes, so nothing is allocated
+    def test_grid_beyond_physical_memory_is_a_data_error(self, tmp_path, capsys, monkeypatch):
+        # the guard counts the instants kept: a 1 ms grid over ten millennia keeps 2 here
         ticks = tmp_path / "ticks.csv"
         ticks.write_text(
             "stock_id,timestamp,bid,ask,volume,avg_price\n"
@@ -1015,10 +1015,17 @@ class TestCli:
             f"[data]\nsource = ticks\ntick_csv = {ticks}\ngrid_step_seconds = 0.001\n"
             "[experiment]\nstep_size = 4\n"
         )
+        grid = harness._infer_grid(parse_ticks(ticks), 0.001)
+        np.testing.assert_array_equal(
+            grid.instants, np.array(["0001-01-01", "9999-12-31T23:59:59.999"], "datetime64[ms]")
+        )
+        sysconf = os.sysconf  # 2 instants x 2 stocks x 8 B exceed a 16 B memory
+        small = {"SC_PHYS_PAGES": 1, "SC_PAGE_SIZE": 16}
+        monkeypatch.setattr(os, "sysconf", lambda name: small.get(name) or sysconf(name))
         assert main(["run", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert "a 0.001 s grid from 0001-01-01T00:00:00.000Z to 9999-12-31T23:59:59.999Z" in err
-        assert "has 315537897600000 instants" in err
+        assert "has 2 instants; their 2 price columns would exceed the 16 B" in err
 
     def test_report_out_path_that_is_a_file_rejected(self, tmp_path):
         report_json = tmp_path / "report.json"

@@ -3,6 +3,7 @@
 import csv
 import gc
 import io
+import logging
 import math
 import tempfile
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trendlag import market_data
+from trendlag import harness, market_data
 from trendlag.errors import DataError
 from trendlag.harness import ExperimentConfig, _infer_grid, load_price_matrix
 from trendlag.market_data import (
@@ -26,6 +27,7 @@ from trendlag.market_data import (
     parse_timestamp,
     select_consistent_stocks,
 )
+from trendlag.synth import SyntheticConfig, generate, write_tick_csv
 
 HEADER = "stock_id,timestamp,bid,ask,volume,avg_price\n"
 T0 = "2011-04-01T09:30:00.000Z"
@@ -53,6 +55,20 @@ def _table_from_cells(cells_per_stock, grid):
             if price is not None:
                 rows.append(f"{stock},{_iso(grid, i)},,,100,{price}")
     return parse_ticks(_tick_csv(rows))
+
+
+def _sessions(days):
+    """The open of each session and the rows of 4 stocks priced every minute of it.
+
+    The sessions run 14:30-21:00 UTC on consecutive days from 2011-04-04.
+    """
+    opens = [np.datetime64(f"2011-04-0{day}T14:30", "ms") for day in range(4, 4 + days)]
+    times = [t + np.timedelta64(m, "m") for t in opens for m in range(391)]
+    rows = [
+        f"S{k},{format_timestamp(t)},,,1,{10 + k + i % 7 / 100}"
+        for i, t in enumerate(times) for k in range(4)
+    ]
+    return opens, rows
 
 
 class TestParseTicks:
@@ -173,13 +189,7 @@ class TestParseTicks:
         np.testing.assert_array_equal(matrix.grid.instants, grid.instants)
 
     def test_nights_between_trading_days_leave_no_rows(self, tmp_path):
-        # 4 stocks priced every minute of three 14:30-21:00 UTC sessions
-        opens = [np.datetime64(f"2011-04-0{day}T14:30", "ms") for day in (4, 5, 6)]
-        times = [t + np.timedelta64(m, "m") for t in opens for m in range(391)]
-        rows = [
-            f"S{k},{format_timestamp(t)},,,1,{10 + k + i % 7 / 100}"
-            for i, t in enumerate(times) for k in range(4)
-        ]
+        opens, rows = _sessions(3)
         path = tmp_path / "ticks.csv"
         path.write_bytes(_tick_csv(rows))
         config = ExperimentConfig(tick_csv=str(path), step_size=16)
@@ -194,6 +204,19 @@ class TestParseTicks:
         assert matrix.grid.instants[row + 1] == opens[1]
         assert matrix.values[row, 0] == 99 and matrix.values[row + 1, 0] == 10 + 391 % 7 / 100
         assert matrix.fill_mask[row].tolist() == [False, True, True, True]
+
+    def test_gradient_intervals_across_a_gap_are_logged_once(self, tmp_path, caplog):
+        path = tmp_path / "ticks.csv"
+        config = ExperimentConfig(
+            tick_csv=str(path), step_size=16, network={"hidden_layers": (4,), "max_epochs": 1}
+        )
+        for days, logged in ((3, ["2 of 73 gradient intervals span a gap in the grid"]), (1, [])):
+            path.write_bytes(_tick_csv(_sessions(days)[1]))
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger=harness.__name__):
+                harness.run(config)
+            messages = [r.getMessage() for r in caplog.records]
+            assert [m for m in messages if "span a gap" in m] == logged
 
     def test_no_tick_with_a_price_is_a_data_error_naming_the_file(self, tmp_path):
         grid = _grid(3)
@@ -310,6 +333,35 @@ class TestBlockParser:
         expected = np.arange(1.0, 2049.0)
         expected[[1000, 1500]] = np.nan, 7.0
         np.testing.assert_array_equal(col.price, expected)
+
+    def test_bid_and_ask_are_converted_only_where_avg_price_is_blank(self, monkeypatch):
+        calls = []
+
+        def counted(fields):
+            calls.append(list(fields))
+            return floats(fields)
+
+        floats = market_data._floats
+        grid = _grid(2048)
+        rows = [f"AAA,{_iso(grid, i)},{i + 1}.25,{i + 2}.75,{i},{'' if i == 7 else i + 2}"
+                for i in range(2048)]
+        monkeypatch.setattr(market_data, "_BLOCK_ROWS", 2048)
+        monkeypatch.setattr(market_data, "_floats", counted)
+        col = parse_ticks(_tick_csv(rows)).columns["AAA"]
+        avg_price = [str(i + 2) for i in range(2048)]
+        avg_price[7] = ""
+        assert [c for c in calls if c] == [avg_price, ["8.25"], ["9.75"]]  # volume: none
+        expected = np.arange(2.0, 2050.0)
+        expected[7] = 9.0  # the bid/ask midpoint
+        np.testing.assert_array_equal(col.price, expected)
+
+    def test_synthetic_tick_file_passes_the_bulk_number_check(self, tmp_path):
+        config = SyntheticConfig(n_stocks=3, n_steps=200, ticks_per_step=4, seed=5)
+        write_tick_csv(generate(config), tmp_path / "ticks.csv", missing_fraction=0.05, seed=5)
+        with open(tmp_path / "ticks.csv", newline="") as fh:
+            _, _, bid, ask, volume, _ = zip(*list(csv.reader(fh))[1:2049])
+        assert market_data._at_least(bid, "1") and market_data._at_least(ask, "1")
+        assert market_data._at_least(volume, "0")
 
     @pytest.mark.parametrize("column", range(4))
     def test_number_fields_take_the_per_row_rules(self, column):
@@ -468,6 +520,25 @@ def test_block_parser_matches_per_row_oracle(rows, line_end, final_line_end):
                             parse_ticks(source)
                     else:
                         _assert_table(parse_ticks(source), expected, skipped)
+
+
+_CHECKED_FIELDS = st.one_of(
+    st.text("0123456789.", min_size=1, max_size=6),
+    st.text("0123456789.-e_, /:\x1c\u0662", max_size=6),
+    st.tuples(st.sampled_from("019"), st.integers(290, 320), st.booleans()).map(
+        lambda t: t[0] * t[1] + ("." if t[2] else "")
+    ),
+)
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(st.lists(_CHECKED_FIELDS, max_size=8), st.sampled_from("01"))
+def test_bulk_number_check_is_sound(fields, lowest):
+    """What the check accepts, float() turns into finite values of at least ``lowest``."""
+    if market_data._at_least(fields, lowest):
+        for field in fields:
+            value = float(field)
+            assert math.isfinite(value) and value >= int(lowest)
 
 
 class TestTimeGrid:
