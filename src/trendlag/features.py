@@ -57,7 +57,6 @@ def fit_trend(prices: Sequence[float] | np.ndarray) -> RegressionFit:
 class GradientMatrix:
     """Per-interval trend gradients: rows = N/s intervals, columns = stocks."""
 
-    step_size: int
     stock_ids: tuple[str, ...]
     values: np.ndarray
     interval_timestamps: np.ndarray  # instant of each interval's end
@@ -98,12 +97,7 @@ def build_gradients(matrix: PriceMatrix, step_size: int) -> GradientMatrix:
     blocks = matrix.values.reshape(k, step_size, matrix.n_stocks)
     slopes = np.tensordot(blocks, slope_weights(step_size), axes=([1], [0]))
     ends = matrix.grid.instants[step_size - 1 :: step_size]
-    return GradientMatrix(
-        step_size=step_size,
-        stock_ids=matrix.stock_ids,
-        values=slopes,
-        interval_timestamps=ends,
-    )
+    return GradientMatrix(stock_ids=matrix.stock_ids, values=slopes, interval_timestamps=ends)
 
 
 def direction_labels(gradients: GradientMatrix) -> np.ndarray:

@@ -114,9 +114,10 @@ class ExperimentConfig:
             raise ConfigError("exactly one data source (ticks, matrix, synthetic) is required")
         if self.step_size < 2:
             raise ConfigError("step_size must be >= 2")
-        if round(self.grid_step_seconds * 1000) < 1:  # the grid step in whole ms, as _infer_grid
+        # the grid step in whole ms, as _infer_grid makes it: an int64 timedelta64[ms]
+        if not 1 <= round(self.grid_step_seconds * 1000) < 2**63:
             raise ConfigError(
-                f"grid_step_seconds must round to at least 1 ms, got {self.grid_step_seconds}"
+                f"grid_step_seconds must round to 1 to 2**63 - 1 ms, got {self.grid_step_seconds}"
             )
         if not 0.0 < self.min_observed_fraction <= 1.0:
             raise ConfigError("min_observed_fraction must lie in (0, 1]")
@@ -516,12 +517,12 @@ def _plain(value: Any) -> Any:
 
 def _typed(hint: Any, value: Any) -> Any:
     """Inverse of _plain: rebuild the value ``hint`` annotates from JSON data."""
-    if value is None:
-        return None
     origin, args = get_origin(hint), get_args(hint)
     if origin in (Union, UnionType):
         (hint,) = [a for a in args if a is not type(None)]
-        return _typed(hint, value)
+        return None if value is None else _typed(hint, value)
+    if value is None and hint is not Any:
+        raise TypeError(f"null where {getattr(hint, '__name__', hint)} is expected")
     if is_dataclass(hint):
         hints = get_type_hints(hint)
         if missing := [f.name for f in fields(hint) if f.name not in value]:

@@ -158,10 +158,10 @@ def _floats(fields: Sequence[str]) -> np.ndarray:
 
 
 def _at_least(fields: Sequence[str], lowest: str) -> bool:
-    """Whether float() gives each field a finite value of at least ``lowest`` ("0" or "1").
+    """Whether _floats gives each field NaN or a finite value of at least ``lowest`` ("0" or "1").
 
-    True when every field is 1-300 ASCII digits with at most one ".", led by a
-    digit from ``lowest`` to "9"; the check reads the bytes of all fields at once.
+    True when every field is blank or 1-300 ASCII digits with at most one ".",
+    led by a digit from ``lowest`` to "9"; it reads the bytes of all fields at once.
     """
     chars = np.frombuffer(",".join(fields).encode("ascii", "replace"), np.uint8)  # "?": not ASCII
     commas = np.flatnonzero(chars == ord(","))
@@ -171,8 +171,9 @@ def _at_least(fields: Sequence[str], lowest: str) -> bool:
     return bool(
         commas.size == len(fields) - 1  # no comma inside a field
         and np.count_nonzero(chars - ord("0") < 10) + commas.size + dots.size == chars.size
-        and lengths.min() >= 1 and lengths.max() <= 300
-        and (chars[starts] >= ord(lowest)).all()  # a "." sorts below every digit
+        and lengths.max() <= 300
+        # a "." sorts below every digit; a blank field starts at the next comma or the end
+        and (chars[starts[lengths > 0]] >= ord(lowest)).all()
         and (np.diff(np.searchsorted(commas, dots)) > 0).all()  # at most one "." a field
     )
 

@@ -35,9 +35,8 @@ import csv
 import io
 import math
 from dataclasses import dataclass, replace
-from datetime import timedelta
+from datetime import datetime, timedelta
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -113,6 +112,11 @@ class SyntheticConfig:
             raise ConfigError("signal_strength must lie in [0, 1]")
         if self.noise_sigma < 0 or self.signal_amplitude < 0:
             raise ConfigError("noise_sigma and signal_amplitude must be non-negative")
+        # _simulate squares both in the scale that standardizes step returns
+        amp = self.signal_strength * self.signal_amplitude
+        for key, value in (("noise_sigma", self.noise_sigma), ("signal_amplitude", amp)):
+            if value * value == math.inf:
+                raise ConfigError(f"{key} = {getattr(self, key)} squares past the largest float")
         if self.micro_sigma is not None and self.micro_sigma < 0:
             raise ConfigError("micro_sigma must be non-negative")
         if self.coupling_matrix is not None:
@@ -139,9 +143,16 @@ class SyntheticConfig:
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         try:
-            parse_timestamp(self.start)
+            start = parse_timestamp(self.start)
         except ValueError as exc:
             raise ConfigError(f"start {self.start!r} is not an ISO-8601 timestamp") from exc
+        try:  # the last grid instant, in the years 1-9999 that timestamps are read back in
+            start.astype(datetime) + (self.n_steps * self.ticks_per_step - 1) * timedelta(
+                seconds=self.step_duration_seconds)
+        except OverflowError as exc:
+            raise ConfigError(
+                f"step_duration_seconds = {self.step_duration_seconds} ends the grid past year 9999"
+            ) from exc
 
     def resolved_coupling(self) -> np.ndarray:
         if self.coupling_matrix is not None:
@@ -180,10 +191,7 @@ class _StepTrace:
 
     log_rows: np.ndarray        # (n_steps * ticks_per_step, n_stocks)
     signal_terms: np.ndarray    # (n_steps, n_stocks): signal * amp * tanh(c)
-    drifts: np.ndarray          # (n_steps,): configured drift schedule
     market: np.ndarray          # (n_steps,): grind-and-rally component
-    sigmas: np.ndarray          # (n_steps,): per-step noise level
-    price_slopes: np.ndarray    # (n_steps, n_stocks): pipeline-equivalent gradients
 
 
 def _simulate(config: SyntheticConfig, rng: np.random.Generator) -> _StepTrace:
@@ -206,7 +214,6 @@ def _simulate(config: SyntheticConfig, rng: np.random.Generator) -> _StepTrace:
 
     log_rows = np.empty((steps * tps, n))
     signal_terms = np.empty((steps, n))
-    price_slopes = np.empty((steps, n))
     market = np.zeros(steps)
     boundary = np.zeros(n)
     m_prev = 0.0
@@ -227,19 +234,10 @@ def _simulate(config: SyntheticConfig, rng: np.random.Generator) -> _StepTrace:
             block[:-1] += micro * rng.standard_normal((tps - 1, n))
         log_rows[k * tps : (k + 1) * tps] = block
         boundary = boundary + r
-        # same least-squares slope as the pipeline, on both scales
-        log_slope = w_slope @ block
-        price_slopes[k] = w_slope @ (config.start_price * np.exp(block))
-        step_returns = log_slope * tps
+        # the pipeline's least-squares slope, on the log scale
+        step_returns = (w_slope @ block) * tps
         z_prev = (step_returns - step_returns.mean()) / z_scale
-    return _StepTrace(
-        log_rows=log_rows,
-        signal_terms=signal_terms,
-        drifts=drifts,
-        market=market,
-        sigmas=sigmas,
-        price_slopes=price_slopes,
-    )
+    return _StepTrace(log_rows=log_rows, signal_terms=signal_terms, market=market)
 
 
 def _rally_and_grind(config: SyntheticConfig) -> tuple[float, float]:
@@ -331,15 +329,6 @@ class OracleBound:
     n_samples: int
 
 
-def _oracle_panels(config: SyntheticConfig, n_mc: int) -> Iterator[_StepTrace]:
-    per_panel = config.n_stocks * max(config.n_steps - 2, 1)
-    n_panels = max(1, math.ceil(n_mc / per_panel))
-    for i in range(n_panels):
-        cfg = replace(config, seed=config.seed + 7919 * (i + 1))
-        rng = np.random.default_rng(cfg.seed)
-        yield _simulate(cfg, rng)
-
-
 _erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
@@ -362,8 +351,8 @@ def _oracle_up_probability(config: SyntheticConfig, trace: _StepTrace) -> np.nda
     micro = config.resolved_micro_sigma()
     # estimation noise of one fitted step return: var = micro^2 * tps^2 / sum dx^2
     est_var = micro**2 * tps**2 * 12.0 / (tps * (tps**2 - 1.0))
-    sig = trace.signal_terms
-    drifts, market, sigmas = trace.drifts, trace.market, trace.sigmas
+    sig, market = trace.signal_terms, trace.market
+    drifts, sigmas = config.step_drifts(), config.step_sigmas()
     rs = config.regime_switch
     rally, grind = _rally_and_grind(config)
 
@@ -405,16 +394,23 @@ def oracle_accuracy(config: SyntheticConfig, n_mc: int = 10_000) -> OracleBound:
     config.validate()
     if n_mc < 10_000:
         raise ConfigError("oracle_accuracy needs n_mc >= 10000 for a stable estimate")
+    if config.n_steps < 3:
+        raise ConfigError("oracle_accuracy needs n_steps >= 3 to score a gradient change")
+    tps = config.ticks_per_step
+    w_slope = slope_weights(tps)
     correct = 0
     total = 0
-    for trace in _oracle_panels(config, n_mc):
+    for i in range(math.ceil(n_mc / (config.n_stocks * (config.n_steps - 2)))):
+        panel = replace(config, seed=config.seed + 7919 * (i + 1))
+        trace = _simulate(panel, np.random.default_rng(panel.seed))
         p_up = _oracle_up_probability(config, trace)
         predict_up = p_up > 0.5
-        label_up = trace.price_slopes[2:] > trace.price_slopes[1:-1]
+        # the pipeline's price-level slope of every step at once
+        prices = config.start_price * np.exp(trace.log_rows)
+        slopes = w_slope @ prices.reshape(config.n_steps, tps, config.n_stocks)
+        label_up = slopes[2:] > slopes[1:-1]
         correct += int((predict_up == label_up).sum())
         total += predict_up.size
-        if total >= n_mc:
-            break
     estimate = correct / total
     error = math.sqrt(max(estimate * (1.0 - estimate), 1e-12) / total)
     return OracleBound(estimate=estimate, monte_carlo_error=error, n_samples=total)

@@ -39,7 +39,7 @@ def _gradients(values):
     values = np.asarray(values, dtype=float)
     ts = np.arange(values.shape[0]).astype("datetime64[ms]")
     ids = tuple(f"S{j}" for j in range(values.shape[1]))
-    return GradientMatrix(2, ids, values, ts)
+    return GradientMatrix(ids, values, ts)
 
 
 def residual_sum(y, intercept, slope):

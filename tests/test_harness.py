@@ -110,7 +110,7 @@ def _sweep_config(**kwargs):
 def _fold_splits(n_examples, **kwargs):
     """``_fold_plan``'s splits and skip reason for a one-stock panel of ``n_examples`` examples."""
     gradients = features.GradientMatrix(
-        4, ("S0",), np.zeros((n_examples + 1, 1)), np.zeros(n_examples + 1, "datetime64[ms]")
+        ("S0",), np.zeros((n_examples + 1, 1)), np.zeros(n_examples + 1, "datetime64[ms]")
     )
     splits, _, skip_reason = _fold_plan(_config(**kwargs), gradients)
     return splits, skip_reason
@@ -641,6 +641,44 @@ BAD_CONFIGS = [
     pytest.param("[network]\n", "[network]\noutput_dim = 2\n", 1, id="output-dim-not-a-key"),
     pytest.param("[synthetic]\n", "[synthetic]\ncoupling_seed = x\n", 1,
                  id="coupling-seed-not-a-number"),
+    # each value overflowed in the simulator or the grid, and exited 3 (grid_step_seconds: 0)
+    pytest.param("[synthetic]\n", "[synthetic]\nnoise_sigma = 1e300\n", 1,
+                 id="noise-sigma-squares-past-float"),
+    pytest.param("[synthetic]\n", "[synthetic]\nsignal_amplitude = 1e300\n", 1,
+                 id="signal-amplitude-squares-past-float"),
+    pytest.param("[synthetic]\n", "[synthetic]\nstep_duration_seconds = 1e300\n", 1,
+                 id="step-duration-past-timedelta"),
+    pytest.param("[data]\n", "[data]\ngrid_step_seconds = 1e300\n", 1,
+                 id="grid-step-past-timedelta64"),
+    pytest.param("n_stocks = 4", "n_stocks = 1", 1, id="one-stock"),
+    pytest.param("n_steps = 120", "n_steps = 1", 1, id="one-step"),
+    pytest.param("ticks_per_step = 4", "ticks_per_step = 1", 1, id="one-tick-per-step"),
+    pytest.param("signal_strength = 0.6", "signal_strength = 1.5", 1,
+                 id="signal-strength-above-one"),
+    pytest.param("[synthetic]\n", "[synthetic]\nnoise_sigma = -0.01\n", 1,
+                 id="negative-noise-sigma"),
+    pytest.param("[synthetic]\n", "[synthetic]\nmicro_sigma = -0.01\n", 1,
+                 id="negative-micro-sigma"),
+    pytest.param("[synthetic]\n", "[synthetic]\nregime_switch_step = 60\n"
+                 "crisis_sigma_multiplier = 0\n", 1, id="zero-crisis-sigma-multiplier"),
+    pytest.param("[synthetic]\n", "[synthetic]\nstep_duration_seconds = 0\n", 1,
+                 id="zero-step-duration"),
+    pytest.param("[synthetic]\n", "[synthetic]\nstart_price = 0\n", 1, id="zero-start-price"),
+    pytest.param("[network]\n", "[network]\nlr_decay = 0\n", 1, id="zero-lr-decay"),
+    pytest.param("[network]\n", "[network]\nmomentum = 1\n", 1, id="momentum-one"),
+    pytest.param("batch_size = 20", "batch_size = 0", 1, id="zero-batch-size"),
+    pytest.param("max_epochs = 3", "max_epochs = 0", 1, id="zero-max-epochs"),
+    pytest.param("early_stop_patience = 3", "early_stop_patience = 0", 1,
+                 id="zero-early-stop-patience"),
+    pytest.param("step_size = 4", "step_size = 1", 1, id="step-size-one"),
+    pytest.param("mode = cross", "mode = bottleneck\nbottleneck_widths =", 1,
+                 id="empty-bottleneck-widths"),
+    pytest.param("[network]\n", "[nets]\n[network]\n", 1, id="unknown-section"),
+    pytest.param("source = synthetic", "source = satellite", 1, id="unknown-source"),
+    pytest.param("source = synthetic", "source = ticks", 1, id="ticks-source-without-file"),
+    pytest.param("source = synthetic", "source = matrix", 1, id="matrix-source-without-file"),
+    pytest.param("[synthetic]\nn_stocks = 4\nn_steps = 120\nticks_per_step = 4\n"
+                 "signal_strength = 0.6\nseed = 3\n", "", 1, id="synthetic-source-without-section"),
 ]
 
 # BAD_CONFIGS cases with a value its field's type cannot parse, and the key named
@@ -650,6 +688,35 @@ CAST_ERRORS = {
     "bad-timestamp": "[experiment] crisis_start",
     "nan-float": "[network] learning_rate",
     "coupling-seed-not-a-number": "[synthetic] coupling_seed",
+}
+
+# BAD_CONFIGS cases that the validation rejects, and what its message names
+VALIDATION_ERRORS = {
+    "noise-sigma-squares-past-float": "noise_sigma = 1e+300",
+    "signal-amplitude-squares-past-float": "signal_amplitude = 1e+300",
+    "step-duration-past-timedelta": "step_duration_seconds = 1e+300",
+    "grid-step-past-timedelta64": "grid_step_seconds",
+    "one-stock": "2 stocks",
+    "one-step": "2 steps",
+    "one-tick-per-step": "ticks_per_step",
+    "signal-strength-above-one": "signal_strength",
+    "negative-noise-sigma": "noise_sigma",
+    "negative-micro-sigma": "micro_sigma",
+    "zero-crisis-sigma-multiplier": "crisis_sigma_multiplier",
+    "zero-step-duration": "step_duration_seconds",
+    "zero-start-price": "start_price",
+    "zero-lr-decay": "lr_decay",
+    "momentum-one": "momentum",
+    "zero-batch-size": "batch_size",
+    "zero-max-epochs": "max_epochs",
+    "zero-early-stop-patience": "early_stop_patience",
+    "step-size-one": "step_size",
+    "empty-bottleneck-widths": "width list",
+    "unknown-section": "unknown config section(s): nets",
+    "unknown-source": "source must be",
+    "ticks-source-without-file": "requires tick_csv",
+    "matrix-source-without-file": "requires matrix_csv",
+    "synthetic-source-without-section": "requires a [synthetic] section",
 }
 
 GOLDEN_CONFIG = """
@@ -756,6 +823,17 @@ class TestConfigFile:
         path.write_text(CONFIG_TEMPLATE.format(out=tmp_path / "results").replace(old, new, 1))
         assert main(["run", "--config", str(path)]) == 1
         assert f"{path}: {key}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [pytest.param(*p.values[:2], VALIDATION_ERRORS[p.id], id=p.id)
+         for p in BAD_CONFIGS if p.id in VALIDATION_ERRORS],
+    )
+    def test_validation_error_names_its_cause(self, tmp_path, capsys, old, new, message):
+        path = tmp_path / "exp.ini"
+        path.write_text(CONFIG_TEMPLATE.format(out=tmp_path / "results").replace(old, new, 1))
+        assert main(["run", "--config", str(path)]) == 1
+        assert message in capsys.readouterr().err
 
     def test_config_snapshot_covers_every_irregular_key(self, tmp_path):
         path = tmp_path / "exp.ini"
@@ -911,7 +989,7 @@ class TestCli:
         assert capsys.readouterr().err.count(str(taken)) == 2
         assert taken.read_text() == "a file\n"
 
-    def test_data_error_exit_code(self, tmp_path):
+    def test_data_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "exp.ini"
         path.write_text(
             "[data]\nsource = ticks\ntick_csv = /nonexistent/ticks.csv\n"
@@ -926,6 +1004,10 @@ class TestCli:
         assert main(["run", "--config", str(path)]) == 2  # not UTF-8
         ticks.write_text(f'stock_id,timestamp,bid,ask,volume,avg_price\nAAA,"{"x" * 200_000}",,,,\n')
         assert main(["run", "--config", str(path)]) == 2  # a field beyond the CSV limit
+        ticks.write_text("stock_id,timestamp,bid,ask,volume,avg_price\n")
+        capsys.readouterr()
+        assert main(["run", "--config", str(path)]) == 2  # a header and no rows
+        assert "no parseable tick rows" in capsys.readouterr().err
         matrix = tmp_path / "panel.csv"
         path.write_text(
             f"[data]\nsource = matrix\nmatrix_csv = {matrix}\n[experiment]\nstep_size = 4\n"
@@ -961,6 +1043,12 @@ class TestCli:
         nested_out = tmp_path / "new" / "dir" / "panel.csv"
         assert main(["synth", "--config", str(path), "--out", str(nested_out)]) == 0
         assert nested_out.read_bytes() == matrix_out.read_bytes()
+
+    def test_synth_subcommand_without_a_synthetic_section(self, tmp_path, capsys):
+        path = tmp_path / "exp.ini"
+        path.write_text("[data]\nsource = matrix\nmatrix_csv = panel.csv\n[experiment]\n")
+        assert main(["synth", "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 1
+        assert "has no [synthetic] section" in capsys.readouterr().err
 
     def test_report_subcommand(self, tmp_path):
         path = tmp_path / "exp.ini"
@@ -1094,7 +1182,13 @@ class TestCli:
         bad.write_bytes(b'{"mode": "\xff"}')
         assert main(["report", "--in", str(bad)]) == 2  # not UTF-8
         assert main(["report", "--in", str(tmp_path)]) == 2  # a directory
-        partial = run_cross_validated(_config()).to_dict()
+        report = run_cross_validated(_config()).to_dict()
+        partial = json.loads(json.dumps(report))
         del partial["stocks"][0]["model_accuracy"]
         bad.write_text(json.dumps(partial))
         assert main(["report", "--in", str(bad)]) == 2  # a stock entry lacks a field
+        for key in ("stocks", "box_summaries"):  # null only where the field is optional
+            bad.write_text(json.dumps({**report, key: None}))
+            capsys.readouterr()
+            assert main(["report", "--in", str(bad)]) == 2
+            assert "null where" in capsys.readouterr().err

@@ -523,6 +523,7 @@ def test_block_parser_matches_per_row_oracle(rows, line_end, final_line_end):
 
 
 _CHECKED_FIELDS = st.one_of(
+    st.just(""),
     st.text("0123456789.", min_size=1, max_size=6),
     st.text("0123456789.-e_, /:\x1c\u0662", max_size=6),
     st.tuples(st.sampled_from("019"), st.integers(290, 320), st.booleans()).map(
@@ -534,11 +535,19 @@ _CHECKED_FIELDS = st.one_of(
 @settings(max_examples=500, derandomize=True, deadline=None)
 @given(st.lists(_CHECKED_FIELDS, max_size=8), st.sampled_from("01"))
 def test_bulk_number_check_is_sound(fields, lowest):
-    """What the check accepts, float() turns into finite values of at least ``lowest``."""
+    """What the check accepts is blank, which _floats reads as NaN, or what
+    float() turns into a finite value of at least ``lowest``."""
     if market_data._at_least(fields, lowest):
-        for field in fields:
+        for field in filter(None, fields):
             value = float(field)
             assert math.isfinite(value) and value >= int(lowest)
+
+
+@pytest.mark.parametrize("fields", [["", "12.5"], ["12.5", ""], ["", ""], ["7", "", "1.5"]])
+def test_bulk_number_check_takes_blank_fields(fields):
+    """A blank reads as NaN, which passes every skip test, so the block keeps the bulk path."""
+    assert market_data._at_least(fields, "1")
+    assert np.isnan(market_data._floats(fields)[[not f for f in fields]]).all()
 
 
 class TestTimeGrid:

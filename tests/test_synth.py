@@ -112,6 +112,15 @@ class TestGenerate:
         with pytest.raises(ConfigError, match="start"):
             generate(_config(start="garbage"))
 
+    def test_signal_amplitude_without_signal_is_not_squared(self):
+        _config(signal_amplitude=1e300).validate()  # signal_strength 0: a zero signal term
+
+    def test_grid_must_end_by_year_9999(self):
+        # format_timestamp writes later instants, but parse_timestamp does not read them back
+        _config(step_duration_seconds=1e8).validate()  # its 2400 rows end in year 9608
+        with pytest.raises(ConfigError, match="step_duration_seconds"):
+            generate(_config(step_duration_seconds=1.1e8))
+
     def test_switch_step_bounds(self):
         with pytest.raises(ConfigError, match="switch_step"):
             generate(_config(regime_switch=RegimeSwitch(300, -0.001)))
@@ -257,3 +266,24 @@ class TestOracle:
         for s in (0.0, 0.5, 1.0):
             bound = oracle_accuracy(_config(n_stocks=6, n_steps=400, signal_strength=s, seed=13))
             assert 0.5 - 3 * bound.monte_carlo_error <= bound.estimate <= 1.0
+
+    def test_two_steps_hold_no_change_to_score(self):
+        with pytest.raises(ConfigError, match="n_steps >= 3"):
+            oracle_accuracy(_config(n_steps=2))
+
+    @pytest.mark.parametrize("config, n_mc, estimate, n_samples", [
+        pytest.param(SyntheticConfig(
+            n_stocks=20, n_steps=3000, ticks_per_step=16, signal_strength=0.8,
+            noise_sigma=0.01, seed=501,
+        ), 50_000, 0.7522681787858573, 59960, id="criterion-5"),
+        pytest.param(SyntheticConfig(
+            n_stocks=20, n_steps=2000, ticks_per_step=8, signal_strength=0.8,
+            noise_sigma=0.01, seed=801,
+            regime_switch=RegimeSwitch(switch_step=1500, crisis_drift=-0.002,
+                                       crisis_sigma_multiplier=1.3),
+        ), 10_000, 0.7267767767767768, 39960, id="criterion-8-crisis"),
+    ])
+    def test_pinned_at_acceptance_configs(self, config, n_mc, estimate, n_samples):
+        """Bit for bit the bound that per-step price slopes in the simulator gave."""
+        bound = oracle_accuracy(config, n_mc)
+        assert (bound.estimate, bound.n_samples) == (estimate, n_samples)
