@@ -516,7 +516,11 @@ def _plain(value: Any) -> Any:
 
 
 def _typed(hint: Any, value: Any) -> Any:
-    """Inverse of _plain: rebuild the value ``hint`` annotates from JSON data."""
+    """Inverse of _plain: rebuild the value ``hint`` annotates from JSON data.
+
+    A missing field, a null where the hint is not Optional, or a value of
+    another type is a TypeError.
+    """
     origin, args = get_origin(hint), get_args(hint)
     if origin in (Union, UnionType):
         (hint,) = [a for a in args if a is not type(None)]
@@ -533,6 +537,11 @@ def _typed(hint: Any, value: Any) -> Any:
         return tuple(_typed(args[0], v) for v in value)
     if origin is dict:
         return {k: _typed(args[1], v) for k, v in value.items()}
+    if hint in (str, int, float, bool):
+        # an int stands for a float (another JSON writer may write 1.0 as 1); a bool is neither
+        wanted = (int, float) if hint is float else hint
+        if isinstance(value, bool) != (hint is bool) or not isinstance(value, wanted):
+            raise TypeError(f"{type(value).__name__} where {hint.__name__} is expected")
     return value
 
 

@@ -34,7 +34,9 @@ pass over all its rows.  Every element gets ``sgd_step``'s operations in
 its order, so training ends bit for bit where ``backward`` and
 ``sgd_step`` per batch would.  Each net of a stack shuffles, stops early
 or diverges on its own; a net that stops leaves the stack, and the rest
-train on.  ``train`` is ``train_stack`` on a one-net model.
+train on.  Validation runs in chunks of whole nets: a chunk gathers its
+nets' validation sets into the batch buffer and runs the forward pass on
+those nets' weight views.  ``train`` is ``train_stack`` on a one-net model.
 
 A model also owns the training scratch: those gradient rows, best-weights
 rows and one block's step, so training allocates nothing parameter-sized.
@@ -278,15 +280,6 @@ def _fused_plan(model: NetworkModel, nets: int) -> _FusedPlan:
     )
 
 
-def _nets(plan: _FusedPlan, lo: int, hi: int) -> _FusedPlan:
-    """``plan``'s weights and biases of nets ``lo:hi``, for a forward pass alone."""
-    return replace(
-        plan,
-        weights=tuple(w[lo:hi] for w in plan.weights),
-        biases=tuple(b[lo:hi] for b in plan.biases),
-    )
-
-
 class NetworkModel:
     """``size`` nets of one layer chain, each net's parameters one row of a (size, P) array.
 
@@ -413,14 +406,15 @@ def _views(buffers: list[np.ndarray], nets: int, rows: int) -> list[np.ndarray]:
     return [buffer[: nets * rows].reshape(nets, rows, -1) for buffer in buffers]
 
 
-def _forward_into(plan: _FusedPlan, x: np.ndarray, views: list[np.ndarray]) -> list[np.ndarray]:
+def _forward_into(weights, biases, x: np.ndarray, views: list[np.ndarray]) -> list[np.ndarray]:
     """Activations per layer for (nets, batch, input_dim) inputs; index 0 = input.
 
-    Each layer's activations fill its view (``_views``) of x's shape.
+    ``weights`` and ``biases`` hold those nets' per-layer views, as a plan's
+    do.  Each layer's activations fill its view (``_views``) of x's shape.
     """
     activations = [x]
-    last = len(plan.weights) - 1
-    for layer, (w, b, z) in enumerate(zip(plan.weights, plan.biases, views)):
+    last = len(weights) - 1
+    for layer, (w, b, z) in enumerate(zip(weights, biases, views)):
         np.matmul(activations[-1], w, out=z)
         z += b
         if layer == last:
@@ -442,18 +436,18 @@ def forward(model: NetworkModel, inputs: np.ndarray) -> tuple[np.ndarray, list[n
         raise ValueError(
             f"input has {x.shape[2]} features, model expects {model.config.input_dim}"
         )
-    buffers = _layer_buffers(model, x.shape[1])
-    activations = _forward_into(model._plan, x, _views(buffers, model.size, x.shape[1]))
+    views = _views(_layer_buffers(model, x.shape[1]), model.size, x.shape[1])
+    activations = _forward_into(model._plan.weights, model._plan.biases, x, views)
     if np.ndim(inputs) < 3:
         activations = [a[0] for a in activations]
     return activations[-1], activations
 
 
 def _forward_loss(
-    plan: _FusedPlan, x: np.ndarray, y: np.ndarray, views: list[np.ndarray]
+    weights, biases, x: np.ndarray, y: np.ndarray, views: list[np.ndarray]
 ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
     """Each net's mean quadratic cost on its batch, the activations, and outputs - ``y``."""
-    activations = _forward_into(plan, x, views)
+    activations = _forward_into(weights, biases, x, views)
     error = activations[-1] - y
     # np.add.reduce is np.sum without its Python wrapper, a few µs per step
     return 0.5 * np.add.reduce(error**2, axis=(1, 2)) / x.shape[1], activations, error
@@ -519,7 +513,7 @@ def backward(model: NetworkModel, inputs: np.ndarray, targets: np.ndarray) -> np
         model._plan, grad_w=grad_w, grad_b=grad_b, after_layer=((),) * len(grad_w), rest=()
     )
     views = _views(_layer_buffers(model, x.shape[1]), model.size, x.shape[1])
-    _, activations, error = _forward_loss(plan, x, y, views)
+    _, activations, error = _forward_loss(plan.weights, plan.biases, x, y, views)
     _backpropagate(plan, activations, error, model.config)
     return gradient if np.ndim(inputs) == 3 else gradient[0]
 
@@ -560,7 +554,8 @@ def _fused_step(
     after it; every element ends as the two calls would leave it.  Returns
     each net's batch loss; when any loss is not finite, no net is touched.
     """
-    losses, activations, error = _forward_loss(plan, x, y, _views(buffers, *x.shape[:2]))
+    views = _views(buffers, *x.shape[:2])
+    losses, activations, error = _forward_loss(plan.weights, plan.biases, x, y, views)
     if np.isfinite(losses).all():
         _backpropagate(plan, activations, error, model.config, eta)
         _descend(plan.rest, model.config, eta)
@@ -609,14 +604,18 @@ def train_stack(model: NetworkModel, train_sets, validation_sets) -> list[TrainR
     for all the nets still training, so numpy's fixed cost per call is paid
     once per op, not once per net.  Each net shuffles its rows with its own
     generator, and each batch is gathered from them straight into one
-    buffer.  Each net keeps its own early stopping, divergence stop and
-    best weights, and ends bit for bit where ``train`` alone would leave it.
-    A net that stops leaves the stack: its row moves behind the rows still
-    training, and every row returns to its net at the end.
+    buffer.  After each epoch the validation sets are gathered into that
+    buffer by whole nets, as many per chunk as it holds, and each chunk's
+    forward pass runs on its nets' slice of the weights.  Each net keeps
+    its own early stopping, divergence stop and best weights, and ends bit
+    for bit where ``train`` alone would leave it.  A net that stops leaves
+    the stack: its row moves behind the rows still training, and every row
+    returns to its net at the end.
     """
     cfg = model.config
     x_train, y_train = (_as_stack(model, a) for a in train_sets)
-    x_val, y_val = (_as_stack(model, a) for a in validation_sets)
+    # contiguous, so that take gathers whole nets without copying all of them first
+    x_val, y_val = (np.ascontiguousarray(_as_stack(model, a)) for a in validation_sets)
     nets, n = x_train.shape[:2]
     n_val = x_val.shape[1]
     if n == 0:
@@ -627,57 +626,36 @@ def train_stack(model: NetworkModel, train_sets, validation_sets) -> list[TrainR
         raise ConfigError(
             f"batch_size {cfg.batch_size} exceeds training-set size {n}"
         )
-    # every net's training and validation rows, net after net.  A batch of
-    # every net, or the validation rows of a chunk of ``per_chunk`` nets, is
+    # every net's training rows, net after net.  A batch of every active net,
+    # or the validation sets of a chunk of up to ``per_chunk`` whole nets, is
     # gathered into x_batch and y_batch, and its activations fill the buffers
     x_rows, y_rows = x_train.reshape(nets * n, -1), y_train.reshape(nets * n, -1)
-    x_val_rows, y_val_rows = x_val.reshape(nets * n_val, -1), y_val.reshape(nets * n_val, -1)
     rows_per_net = max(cfg.batch_size, -(-n_val // nets))
     x_batch = np.empty((nets * rows_per_net, x_rows.shape[1]))
     y_batch = np.empty((nets * rows_per_net, y_rows.shape[1]))
     buffers = _layer_buffers(model, rows_per_net)
     per_chunk = max(1, nets * rows_per_net // n_val)
     order = np.empty((nets, n), dtype=np.intp)  # each slot's epoch order, as rows of x_rows
-
-    def shaped(k: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
-        """x_batch and y_batch for ``rows`` rows of ``k`` nets."""
-        return x_batch[: k * rows].reshape(k, rows, -1), y_batch[: k * rows].reshape(k, rows, -1)
-
     params, velocity, best = model._param_rows, model._velocity_rows, model._best
     np.copyto(best, params)
     # slot_net[slot] is the net in row ``slot`` of the model's arrays; the first
     # ``active`` rows train, with the plan of those rows
     slot_net = np.arange(nets)
-    active = nets
+    plan, active = model._plan, nets
     # each net's report, updated in place as it trains
     reports = [TrainReport(0, math.inf, False) for _ in range(nets)]
     since_best = [0] * nets
 
-    def arrange() -> None:
-        """The plan of the active rows, their full batches, and their validation chunks."""
-        nonlocal plan, full, chunks
-        plan = model._plan if active == nets else _fused_plan(model, active)
-        full = shaped(active, cfg.batch_size)
-        val_index = n_val * slot_net[:active, None] + np.arange(n_val)
-        chunks = [
-            (_nets(plan, lo, lo + per_chunk), val_index[lo : lo + per_chunk],
-             shaped(min(per_chunk, active - lo), n_val))
-            for lo in range(0, active, per_chunk)
-        ]
-
     def leave(slots) -> None:
         """Move the nets in ``slots`` behind the rows still training."""
-        nonlocal active
+        nonlocal plan, active
         for slot in sorted(slots, reverse=True):
             active -= 1
             pair = [slot, active]
             for array in (params, velocity, best, order, slot_net):
                 array[pair] = array[pair[::-1]]
-        if active:
-            arrange()
+        plan = _fused_plan(model, active)
 
-    plan, full, chunks = model._plan, None, []
-    arrange()
     for epoch in range(cfg.max_epochs):
         eta = cfg.learning_rate * cfg.lr_decay**epoch
         for slot in range(active):
@@ -686,7 +664,7 @@ def train_stack(model: NetworkModel, train_sets, validation_sets) -> list[TrainR
         start = 0
         while start < n and active:
             stop = min(start + cfg.batch_size, n)
-            x, y = full if stop - start == cfg.batch_size else shaped(active, stop - start)
+            x, y = _views([x_batch, y_batch], active, stop - start)
             index = order[:active, start:stop]
             x_rows.take(index, 0, x, "clip")  # in range: "clip" spares take a buffered copy
             y_rows.take(index, 0, y, "clip")
@@ -702,10 +680,14 @@ def train_stack(model: NetworkModel, train_sets, validation_sets) -> list[TrainR
         if not active:
             break
         val_losses = []
-        for chunk, index, (x, y) in chunks:
-            x_val_rows.take(index, 0, x, "clip")
-            y_val_rows.take(index, 0, y, "clip")
-            val_losses += _forward_loss(chunk, x, y, _views(buffers, *x.shape[:2]))[0].tolist()
+        for lo in range(0, active, per_chunk):
+            hi = min(lo + per_chunk, active)
+            x, y, *views = _views([x_batch, y_batch, *buffers], hi - lo, n_val)
+            x_val.take(slot_net[lo:hi], 0, x, "clip")
+            y_val.take(slot_net[lo:hi], 0, y, "clip")
+            weights = [w[lo:hi] for w in plan.weights]
+            biases = [b[lo:hi] for b in plan.biases]
+            val_losses += _forward_loss(weights, biases, x, y, views)[0].tolist()
         done = []
         for slot, val_loss in enumerate(val_losses):
             net = slot_net[slot]

@@ -147,12 +147,16 @@ class SyntheticConfig:
         except ValueError as exc:
             raise ConfigError(f"start {self.start!r} is not an ISO-8601 timestamp") from exc
         try:  # the last grid instant, in the years 1-9999 that timestamps are read back in
-            start.astype(datetime) + (self.n_steps * self.ticks_per_step - 1) * timedelta(
-                seconds=self.step_duration_seconds)
+            step = timedelta(seconds=self.step_duration_seconds)
+            start.astype(datetime) + (self.n_steps * self.ticks_per_step - 1) * step
         except OverflowError as exc:
             raise ConfigError(
                 f"step_duration_seconds = {self.step_duration_seconds} ends the grid past year 9999"
             ) from exc
+        if step < timedelta(milliseconds=1):  # the grid keeps whole milliseconds
+            raise ConfigError(
+                f"step_duration_seconds = {self.step_duration_seconds} is under the 1 ms grid unit"
+            )
 
     def resolved_coupling(self) -> np.ndarray:
         if self.coupling_matrix is not None:
@@ -257,8 +261,13 @@ def generate(config: SyntheticConfig) -> PriceMatrix:
     """
     config.validate()
     rng = np.random.default_rng(config.seed)
-    trace = _simulate(config, rng)
-    prices = config.start_price * np.exp(trace.log_rows)
+    with np.errstate(over="ignore", invalid="ignore"):  # prices out of range are refused below
+        prices = config.start_price * np.exp(_simulate(config, rng).log_rows)
+    if not 0.0 < prices.min() <= prices.max() < math.inf:  # NaN fails both
+        raise ConfigError(
+            "synthetic prices leave the positive float range; lower start_price, drift, "
+            "noise_sigma, micro_sigma, signal_amplitude, crisis_drift or crisis_sigma_multiplier"
+        )
     return PriceMatrix(
         grid=config._grid(),
         stock_ids=config.stock_ids(),

@@ -1,6 +1,8 @@
 """Experiment orchestration: folds, splits, reports, config files, CLI."""
 
+import configparser
 import csv
+import functools
 import json
 import logging
 import multiprocessing
@@ -14,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from trendlag import cli, features, harness, neural
 from trendlag.cli import main
@@ -650,6 +654,23 @@ BAD_CONFIGS = [
                  id="step-duration-past-timedelta"),
     pytest.param("[data]\n", "[data]\ngrid_step_seconds = 1e300\n", 1,
                  id="grid-step-past-timedelta64"),
+    # each value overflowed or underflowed the prices, and exited 2 with a message naming no key
+    pytest.param("[synthetic]\n", "[synthetic]\ndrift = 1000\n", 1, id="drift-overflows-prices"),
+    pytest.param("[synthetic]\n", "[synthetic]\ndrift = -1000\n", 1,
+                 id="drift-underflows-prices"),
+    pytest.param("[synthetic]\n", "[synthetic]\nmicro_sigma = 1e300\n", 1,
+                 id="micro-sigma-overflows-prices"),
+    pytest.param("[synthetic]\n", "[synthetic]\nstart_price = 1.7e308\n", 1,
+                 id="start-price-overflows"),
+    pytest.param("[synthetic]\n", "[synthetic]\nregime_switch_step = 60\ncrisis_drift = 1000\n", 1,
+                 id="crisis-drift-overflows-prices"),
+    pytest.param("[synthetic]\n", "[synthetic]\nregime_switch_step = 60\n"
+                 "crisis_sigma_multiplier = 1e300\n", 1, id="crisis-sigma-overflows-prices"),
+    # each truncated to a 0 ms grid step, and exited 2
+    pytest.param("[synthetic]\n", "[synthetic]\nstep_duration_seconds = 0.0001\n", 1,
+                 id="sub-millisecond-step-duration"),
+    pytest.param("[synthetic]\n", "[synthetic]\nstep_duration_seconds = 1e-300\n", 1,
+                 id="tiny-step-duration"),
     pytest.param("n_stocks = 4", "n_stocks = 1", 1, id="one-stock"),
     pytest.param("n_steps = 120", "n_steps = 1", 1, id="one-step"),
     pytest.param("ticks_per_step = 4", "ticks_per_step = 1", 1, id="one-tick-per-step"),
@@ -696,6 +717,14 @@ VALIDATION_ERRORS = {
     "signal-amplitude-squares-past-float": "signal_amplitude = 1e+300",
     "step-duration-past-timedelta": "step_duration_seconds = 1e+300",
     "grid-step-past-timedelta64": "grid_step_seconds",
+    "drift-overflows-prices": "drift",
+    "drift-underflows-prices": "drift",
+    "micro-sigma-overflows-prices": "micro_sigma",
+    "start-price-overflows": "start_price",
+    "crisis-drift-overflows-prices": "crisis_drift",
+    "crisis-sigma-overflows-prices": "crisis_sigma_multiplier",
+    "sub-millisecond-step-duration": "step_duration_seconds = 0.0001",
+    "tiny-step-duration": "step_duration_seconds = 1e-300",
     "one-stock": "2 stocks",
     "one-step": "2 steps",
     "one-tick-per-step": "ticks_per_step",
@@ -752,6 +781,34 @@ n_folds = 4
 seed = 3
 out = {out}
 """
+
+
+# one value per size, sign, float edge, cast failure and timestamp shape; the one-key fuzz
+# draws from these as well as from any float or integer
+EDGE_VALUES = (
+    "0", "-1", "1", "2", "0.5", "-0.5", "1e-300", "1e300", "1e3", "0.0001", "nan", "inf", "",
+    "none", "x", "true", "3,3", "999", "2006-01-02T00:00:00Z", "9999-12-31T23:59:59Z",
+    "0001-01-01T00:00:00Z", "2006-13-45",
+)
+# keys that size the run, each capped so that one example stays fast
+# (n_stocks = 999 in bottleneck mode took 33 s)
+SIZE_CAPS = {
+    "n_stocks": 6, "n_steps": 240, "ticks_per_step": 8, "hidden_layers": 16, "bottleneck": 16,
+    "bottleneck_widths": 16, "max_epochs": 5, "batch_size": 60, "n_folds": 10,
+}
+
+
+def _capped(key, text):
+    """``text`` with each integer above ``key``'s size cap lowered to the cap."""
+    if key not in SIZE_CAPS:
+        return text
+    parts = text.split(",")
+    for i, part in enumerate(parts):
+        try:
+            parts[i] = str(min(int(part), SIZE_CAPS[key]))
+        except ValueError:
+            pass
+    return ",".join(parts)
 
 
 class TestConfigFile:
@@ -835,6 +892,35 @@ class TestConfigFile:
         assert main(["run", "--config", str(path)]) == 1
         assert message in capsys.readouterr().err
 
+    @settings(max_examples=400, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        section_key=st.sampled_from(
+            [(section, key) for section, table in harness._section_fields().items()
+             for key in table]
+        ),
+        value=st.one_of(
+            st.sampled_from(EDGE_VALUES), st.floats().map(repr), st.integers().map(str)
+        ),
+        jobs=st.sampled_from(["0", "1", "2"]),
+        mode=st.sampled_from(sorted(harness.MODE_ALIASES)),
+    )
+    def test_one_key_fuzz_ends_in_a_config_or_data_error(
+        self, tmp_path, monkeypatch, section_key, value, jobs, mode
+    ):
+        section, key = section_key
+        monkeypatch.chdir(tmp_path)  # a drawn out or file path lands here
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string(CONFIG_TEMPLATE.format(out=tmp_path / "results"))
+        parser["experiment"]["mode"] = mode
+        parser["experiment"]["bottleneck_widths"] = "2"
+        if mode == "crisis":
+            parser["synthetic"]["regime_switch_step"] = "60"
+        parser[section][key] = jobs if key == "jobs" else _capped(key, value)
+        with open(tmp_path / "exp.ini", "w", encoding="utf-8") as f:
+            parser.write(f)
+        assert main(["run", "--config", str(tmp_path / "exp.ini")]) in (0, 1, 2)
+
     def test_config_snapshot_covers_every_irregular_key(self, tmp_path):
         path = tmp_path / "exp.ini"
         path.write_text(GOLDEN_CONFIG.format(out=tmp_path / "results"))
@@ -902,6 +988,19 @@ class TestTickSourcePipeline:
         )
         report = run_cross_validated(config)
         assert len(report.stocks) == 4
+
+
+GOLDEN_CROSS_REPORT = Path(__file__).parent / "golden" / "cross" / "report_cross_validated.json"
+
+
+def _field_paths(report):
+    """The key path of every dataclass field in a report's JSON."""
+    paths = [[key] for key in report]
+    paths += [["stocks", i, key] for i, stock in enumerate(report["stocks"]) for key in stock]
+    for table in ("welch_tests", "box_summaries"):
+        paths += [[table, name, key] for name, entry in report[table].items() if entry
+                  for key in entry]
+    return paths
 
 
 class TestCli:
@@ -1192,3 +1291,33 @@ class TestCli:
             capsys.readouterr()
             assert main(["report", "--in", str(bad)]) == 2
             assert "null where" in capsys.readouterr().err
+        for key, value in (("mode", 5), ("step_size", "x"), ("fold_hash", 3), ("step_size", True)):
+            bad.write_text(json.dumps({**report, key: value}))
+            capsys.readouterr()
+            assert main(["report", "--in", str(bad)]) == 2
+            assert f"where {type(report[key]).__name__} is expected" in capsys.readouterr().err
+        bad.write_text(json.dumps({**report, "max_model_accuracy": 1}))  # an int stands for a float
+        assert main(["report", "--in", str(bad), "--out", str(tmp_path / "csv")]) == 0
+
+    @settings(max_examples=100, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_report_subcommand_rejects_one_mangled_field(self, tmp_path, data):
+        report = json.loads(GOLDEN_CROSS_REPORT.read_text())
+        *parents, key = data.draw(st.sampled_from(_field_paths(report)))
+        entry = functools.reduce(lambda node, k: node[k], parents, report)
+        value = entry[key]
+        action = data.draw(st.sampled_from(["drop", "retype", "nest"]))
+        if action == "drop":
+            del entry[key]
+        elif action == "nest":
+            entry[key] = [value]
+        else:
+            # JSON types the field's hint may also take: an int for a float, a number for a null
+            fits = {type(value)} | {float: {int}, type(None): {int, float}}.get(type(value), set())
+            entry[key] = data.draw(st.sampled_from(
+                [v for v in ("x", 5, 2.5, True, [1.5], {"a": 1}) if type(v) not in fits]
+            ))
+        path = tmp_path / "mangled.json"
+        path.write_text(json.dumps(report))
+        assert main(["report", "--in", str(path), "--out", str(tmp_path / "csv")]) == 2

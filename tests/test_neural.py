@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trendlag import neural
 from trendlag.errors import ConfigError
 from trendlag.neural import (
     _UPDATE_BLOCK,
@@ -652,6 +653,28 @@ class TestTrainStack:
         assert not any(r.diverged for k, r in enumerate(reports) if k != 4)
         stopped = [r.epochs_run for r in reports if r.stopped_early]
         assert len(stopped) >= 2 and len(set(stopped)) >= 2
+
+    def test_validation_chunks_move_as_nets_leave(self, monkeypatch):
+        # 7 nets of batch 10 and 30 validation rows: a chunk holds 7 * 10 // 30 = 2 whole
+        # nets, so the first epoch validates in 4 chunks; net 3 of the second chunk
+        # diverges on a NaN validation row, and the nets behind it move up a chunk
+        config = NetworkConfig(input_dim=4, hidden_layers=(6, 5), batch_size=10, max_epochs=12,
+                               early_stop_patience=2, learning_rate=0.5)
+        x, y = _stack_data(7, 237, 4, seed=21, nan_at=(3, 215))  # validation row 15 of net 3
+        forward_loss, chunks = neural._forward_loss, []
+
+        def spy(*args):
+            x = next(a for a in args if isinstance(a, np.ndarray))
+            if x.shape[1] == 30:
+                chunks.append(x.shape[0])
+            return forward_loss(*args)
+
+        monkeypatch.setattr(neural, "_forward_loss", spy)
+        reports = _assert_stack_matches_solo(config, list(range(31, 38)), x, y, 200, 30)
+        assert chunks[:4] == [2, 2, 2, 1] and chunks[4:7] == [2, 2, 2]
+        assert reports[3].diverged and reports[3].epochs_run == 1
+        stopped = sorted(r.epochs_run for r in reports if r.stopped_early)
+        assert len(stopped) >= 3 and len(set(stopped)) >= 2
 
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(
